@@ -268,6 +268,7 @@ class RunningJob:
         restore=None,
         injector=None,
     ) -> None:
+        from repro.core.engine import Engine
         from repro.engines import make_engine
 
         options = (
@@ -281,11 +282,14 @@ class RunningJob:
             # Wired before start_run so initialization launches/allocs are
             # counted — the same ordinals a solo faulted run would see.
             self.engine.attach_fault_injector(injector)
-        self.run = self.engine.start_run(
-            job.resolved_problem(),
+        problem = job.resolved_problem()
+        spec = dict(
             n_particles=job.n_particles,
             max_iter=job.max_iter,
             params=job.resolved_params,
+            # Jobs carry no stop criterion; run_with_recovery's run spec
+            # (a Job subclass) may.
+            stop=getattr(job, "stop", None),
             record_history=job.record_history,
             budget=budget,
             guard=guard,
@@ -293,10 +297,22 @@ class RunningJob:
             restore=restore,
         )
         self._finished = False
+        if type(self.engine).optimize is Engine.optimize:
+            self.run = self.engine.start_run(problem, **spec)
+        else:
+            # An engine with its own optimize() loop (the multi-GPU fleet)
+            # cannot be stepped: drive() runs that loop whole.
+            self.run = None
+            self._whole = lambda: self.engine.optimize(problem, **spec)
 
     # -- live views ----------------------------------------------------------
     @property
     def start_iter(self) -> int:
+        if self.run is None:
+            raise InvalidParameterError(
+                f"engine {self.engine.name!r} runs its own loop and cannot "
+                "be stepped; use drive()"
+            )
         return self.run.start_iter
 
     @property
@@ -344,6 +360,9 @@ class RunningJob:
 
     def drive(self) -> OptimizeResult:
         """Step the run to completion and finish it (solo-run equivalent)."""
+        if self.run is None:
+            self._finished = True
+            return self._whole()
         for t in range(self.start_iter, self.max_iter):
             if self.step(t):
                 break

@@ -74,17 +74,19 @@ waits, per-device occupancy and the makespan-vs-sum-of-solo speedup that
 
 Reliability
 -----------
-The scheduler composes with :mod:`repro.reliability`: pass ``retry`` (a
-:class:`~repro.reliability.retry.RetryPolicy`), ``faults`` (a
-:class:`~repro.reliability.faults.FaultPlan`) and/or ``checkpoint_dir`` to
-run every job under :func:`~repro.reliability.retry.run_with_recovery` —
+Every job runs through the shared attempt loop
+(:class:`~repro.reliability.retry.AttemptLoop`), stepped to completion.
+``retry`` (a :class:`~repro.reliability.retry.RetryPolicy` or an attempt
+count) gives it a policy; ``faults`` (a :class:`~repro.reliability.faults
+.FaultPlan`), ``checkpoint_dir`` or ``breaker`` imply the default one:
 per-job checkpoints, deterministic fault injection, retry with simulated
-backoff, failover onto a fresh simulated device, and a last-resort CPU
-fallback.  Failed jobs become ``status="failed"`` outcomes instead of
-aborting the batch; recovery overhead occupies the job's lane (stretching
-the makespan honestly) and is merged into the fleet profile under the
-``lost_work``/``retry_backoff`` sections.  With none of the three options
-set, execution takes the historical fast path and engine errors propagate.
+backoff, failover onto a fresh simulated device — picked per attempt by
+the breakers — and a last-resort CPU fallback.  Failed jobs become
+``status="failed"`` outcomes instead of aborting the batch; recovery
+overhead occupies the job's lane (stretching the makespan honestly) and
+is merged into the fleet profile under the ``lost_work``/
+``retry_backoff`` sections.  With none of these set the loop has no
+policy: one attempt, and engine errors propagate.
 
 Overload control
 ----------------
@@ -115,12 +117,13 @@ deterministic in simulated time (see ``docs/architecture.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.batch.admission import ADMISSION_MODES, AdmissionPolicy
 from repro.batch.dispatch import (
     FleetTimeline,
     LanePlacement,
+    RunningJob,
     effective_engine_options,
 )
 from repro.batch.job import Job, JobOutcome
@@ -461,9 +464,9 @@ class BatchScheduler:
         ``"fused"`` stacks compatible jobs into shared engine loops and is
         mutually exclusive with ``retry``/``faults``/``breaker``.
     retry:
-        A :class:`~repro.reliability.retry.RetryPolicy` enabling
-        retry/failover per job.  Failed jobs become ``status="failed"``
-        outcomes instead of raising.
+        An attempt count or a :class:`~repro.reliability.retry.RetryPolicy`
+        enabling retry/failover per job.  Failed jobs become
+        ``status="failed"`` outcomes instead of raising.
     faults:
         A :class:`~repro.reliability.faults.FaultPlan` injecting
         deterministic faults into selected jobs (implies the default retry
@@ -539,29 +542,32 @@ class BatchScheduler:
             raise InvalidParameterError(
                 f"need at least one stream per device, got {streams_per_device}"
             )
+        from repro.reliability.retry import as_retry_policy
+
         policy = resolve_policy(policy)
-        if policy == "fused" and (
+        retry = as_retry_policy(retry)
+        # Every composition the scheduler refuses, refused in one place.
+        recovering = (
             retry is not None or faults is not None or breaker is not None
-        ):
-            raise InvalidParameterError(
+        )
+        refusal = None
+        if devices is not None and (recovering or policy == "fused"):
+            refusal = (
+                "devices= (a heterogeneous fleet) does not compose with "
+                "retry/faults/breaker or policy='fused': failover and "
+                "fused stacking assume interchangeable devices; use a "
+                "homogeneous n_devices= fleet for those"
+            )
+        elif policy == "fused" and recovering:
+            refusal = (
                 "policy='fused' does not compose with retry/faults/breaker: "
                 "a fault inside a stacked loop cannot be attributed to one "
                 "member; use policy='packed' for fault-injected fleets"
             )
+        if refusal is not None:
+            raise InvalidParameterError(refusal)
         self.device_specs = None
         if devices is not None:
-            if (
-                retry is not None
-                or faults is not None
-                or breaker is not None
-                or policy == "fused"
-            ):
-                raise InvalidParameterError(
-                    "devices= (a heterogeneous fleet) does not compose with "
-                    "retry/faults/breaker or policy='fused': failover and "
-                    "fused stacking assume interchangeable devices; use a "
-                    "homogeneous n_devices= fleet for those"
-                )
             from repro.devices import resolve_device
 
             specs = tuple(resolve_device(d) for d in devices)
@@ -588,25 +594,28 @@ class BatchScheduler:
         self.admission = self._build_admission(
             admission, max_queue=max_queue, memory_limit_bytes=memory_limit_bytes
         )
+        self._check_limits(deadline, budget, guard)
+        self.deadline, self.budget, self.guard = deadline, budget, guard
+        self.priority = bool(priority)
+        self.breaker = self._build_breaker(breaker)
+        self._queue: list[Job] = []
+
+    @staticmethod
+    def _check_limits(deadline, budget, guard) -> None:
+        """Validate the deadline/budget/guard knobs serving shares."""
         if deadline is not None and not deadline > 0:
             raise InvalidParameterError(
                 f"deadline must be positive seconds, got {deadline!r}"
             )
-        self.deadline = deadline
         if budget is not None and not isinstance(budget, Budget):
             raise InvalidParameterError(
                 f"budget must be a repro Budget, got {type(budget).__name__}"
             )
-        self.budget = budget
-        self.priority = bool(priority)
-        self.breaker = self._build_breaker(breaker)
         if guard is not None and not hasattr(guard, "inspect"):
             raise InvalidParameterError(
                 "guard must provide inspect() (see repro.reliability.guard), "
                 f"got {type(guard).__name__}"
             )
-        self.guard = guard
-        self._queue: list[Job] = []
 
     @staticmethod
     def _build_admission(
@@ -841,18 +850,13 @@ class BatchScheduler:
                 # breaker only overrides the preference when that device
                 # is open).
                 preferred = n_run % self.n_devices
-            if self._overload_enabled:
-                executed[i] = self._contained_execute(
-                    i,
-                    effective[i],
-                    health=health,
-                    base_now=base_now,
-                    preferred_device=preferred,
-                )
-            else:
-                executed[i] = self._execute(
-                    i, effective[i], preferred_device=preferred
-                )
+            executed[i] = self._execute(
+                i,
+                effective[i],
+                health=health,
+                base_now=base_now,
+                preferred_device=preferred,
+            )
             base_now += _lane_duration(executed[i])
             n_run += 1
 
@@ -884,15 +888,6 @@ class BatchScheduler:
 
     # -- internals -----------------------------------------------------------
     @property
-    def _reliability_enabled(self) -> bool:
-        return (
-            self.retry is not None
-            or self.faults is not None
-            or self.checkpoint_dir is not None
-            or self.breaker is not None
-        )
-
-    @property
     def _overload_enabled(self) -> bool:
         """Any overload-control knob set: contain errors, never raise."""
         return (
@@ -911,31 +906,6 @@ class BatchScheduler:
         )
         return Budget.merge_all(job.budget, self.budget, deadline)
 
-    def _contained_execute(
-        self, index: int, job: Job, *, health, base_now, preferred_device=None
-    ):
-        """Execute with overload containment: a ReproError that escapes the
-        retry machinery (strict admission, configuration problems, exhausted
-        non-retryable faults) becomes a failed report, never an exception."""
-        from repro.reliability.retry import RecoveryReport
-
-        try:
-            return self._execute(
-                index,
-                job,
-                health=health,
-                base_now=base_now,
-                preferred_device=preferred_device,
-            )
-        except ReproError as exc:
-            exc.with_context(job=job.label)
-            return RecoveryReport(
-                result=None,
-                attempts=1,
-                errors=(str(exc),),
-                error_rows=(exc.to_row(),),
-            )
-
     def _execute(
         self,
         index: int,
@@ -945,85 +915,83 @@ class BatchScheduler:
         base_now=0.0,
         preferred_device=None,
     ):
-        """Run one job; returns a RecoveryReport (trivial on the fast path).
+        """Run one job through the attempt loop; returns its RecoveryReport.
 
-        Without any reliability option the job runs exactly as before —
-        one fresh engine, errors propagate.  With reliability enabled the
-        job goes through :func:`run_with_recovery`: per-job checkpoints,
-        injected faults, retries with failover (breaker-aware when *health*
-        is given); a job that exhausts its attempts yields a failed report
-        instead of aborting the batch.
+        Without any reliability option the loop has no policy: one attempt
+        on a fresh engine.  With reliability enabled the job gets per-job
+        checkpoints, injected faults and retries with failover
+        (breaker-picked devices when *health* is given), and a job that
+        exhausts its attempts yields a failed report.  A heterogeneous
+        fleet pins the job to its EFT-assigned device and that device's
+        spec.  Errors propagate unless an overload knob is set, which
+        contains any :class:`ReproError` as a failed report.
         """
-        from repro.engines import make_engine
+        from repro.reliability.retry import (
+            AttemptLoop,
+            ClockLedger,
+            RetryPolicy,
+            drive_attempts,
+        )
 
-        budget = self._effective_budget(job)
-        if not self._reliability_enabled:
-            from repro.reliability.retry import RecoveryReport
-
-            options = self._job_engine_options(job)
-            device_index = None
-            if self.device_specs is not None and preferred_device is not None:
-                # Heterogeneous fleet: the job runs on its assigned
-                # device's silicon.  CPU/library engines have no device to
-                # retarget; they keep the placement but not the spec.
-                device_index = preferred_device
-                from repro.engines import engine_accepts_device
-
-                if engine_accepts_device(job.engine):
-                    options.setdefault(
-                        "device", self.device_specs[device_index]
-                    )
-            engine = make_engine(job.engine, **options)
-            result = engine.optimize(
-                job.resolved_problem(),
-                n_particles=job.n_particles,
-                max_iter=job.max_iter,
-                params=job.resolved_params,
-                record_history=job.record_history,
-                budget=budget,
+        policy = self.retry
+        if policy is None and (
+            self.faults is not None
+            or self.checkpoint_dir is not None
+            or self.breaker is not None
+        ):
+            policy = RetryPolicy()
+        hetero = self.device_specs is not None
+        try:
+            loop = AttemptLoop(
+                job,
+                policy=policy,
+                ledger=ClockLedger(base_now),
+                options_for=self._job_engine_options,
+                spec_for=self.device_specs.__getitem__ if hetero else None,
+                injector=(
+                    self.faults.injector_for(index, job.label)
+                    if self.faults is not None
+                    else None
+                ),
+                checkpoint=self._checkpoint_manager(index),
+                budget=self._effective_budget(job),
                 guard=self.guard,
+                health=health,
+                preferred=preferred_device,
+                lane=preferred_device if hetero else None,
+                label=job.label,
             )
-            return RecoveryReport(
-                result=result,
-                attempts=1,
-                engines=(engine,),
-                device_index=device_index,
-            )
+            return drive_attempts(loop)
+        except ReproError as exc:
+            if not self._overload_enabled:
+                raise
+            return self._failed_report(exc, job.label)
 
+    @staticmethod
+    def _failed_report(exc: ReproError, label: str):
+        """The failed report of a job an escaped error ended."""
+        from repro.reliability.retry import RecoveryReport
+
+        exc.with_context(job=label)
+        return RecoveryReport(
+            result=None,
+            attempts=1,
+            errors=(str(exc),),
+            error_rows=(exc.to_row(),),
+        )
+
+    def _checkpoint_manager(self, index: int):
+        """Job *index*'s checkpoint manager, or ``None`` without a dir."""
+        if self.checkpoint_dir is None:
+            return None
         from pathlib import Path
 
         from repro.reliability.checkpoint import CheckpointManager
-        from repro.reliability.retry import RetryPolicy, run_with_recovery
 
-        injector = (
-            self.faults.injector_for(index, job.label)
-            if self.faults is not None
-            else None
-        )
-        manager = None
-        if self.checkpoint_dir is not None:
-            manager = CheckpointManager(
-                Path(self.checkpoint_dir) / f"job{index:04d}",
-                every=self.checkpoint_every,
-                keep=self.checkpoint_keep,
-            )
-        return run_with_recovery(
-            engine_name=job.engine,
-            problem=job.resolved_problem(),
-            n_particles=job.n_particles,
-            max_iter=job.max_iter,
-            params=job.resolved_params,
-            record_history=job.record_history,
-            engine_options=self._job_engine_options(job),
-            policy=self.retry or RetryPolicy(),
-            injector=injector,
-            checkpoint=manager,
-            budget=budget,
-            guard=self.guard,
-            health=health,
-            job_label=job.label,
-            preferred_device=preferred_device,
-            base_now=base_now,
+        return CheckpointManager(
+            Path(self.checkpoint_dir) / f"job{index:04d}",
+            every=self.checkpoint_every,
+            keep=self.checkpoint_keep,
         )
 
     def _execute_fused(self, indices, effective):
@@ -1038,7 +1006,6 @@ class BatchScheduler:
         instead of aborting the batch.
         """
         from repro.batch.fused import FusedGroupRunner
-        from repro.engines import make_engine
         from repro.reliability.retry import RecoveryReport
 
         labels = [effective[i].label for i in indices]
@@ -1047,49 +1014,24 @@ class BatchScheduler:
             engines = {}
             for i in indices:
                 job = effective[i]
-                engine = make_engine(
-                    job.engine, **self._job_engine_options(job)
-                )
-                manager = None
-                restore = None
-                if self.checkpoint_dir is not None:
-                    from pathlib import Path
-
-                    from repro.reliability.checkpoint import CheckpointManager
-
-                    manager = CheckpointManager(
-                        Path(self.checkpoint_dir) / f"job{i:04d}",
-                        every=self.checkpoint_every,
-                        keep=self.checkpoint_keep,
-                    )
-                    restore = manager.load_latest()
-                run = engine.start_run(
-                    job.resolved_problem(),
-                    n_particles=job.n_particles,
-                    max_iter=job.max_iter,
-                    params=job.resolved_params,
-                    record_history=job.record_history,
-                    checkpoint=manager,
-                    restore=restore,
+                manager = self._checkpoint_manager(i)
+                member = RunningJob(
+                    job,
+                    engine_options=self._job_engine_options(job),
                     budget=self._effective_budget(job),
                     guard=self.guard,
+                    checkpoint=manager,
+                    restore=manager.load_latest() if manager else None,
                 )
-                runs.append((i, run))
-                engines[i] = engine
+                runs.append((i, member.run))
+                engines[i] = member.engine
             runner = FusedGroupRunner(runs)
             results = runner.execute()
         except ReproError as exc:
             if not self._overload_enabled:
                 raise
-            exc.with_context(job=", ".join(labels))
             reports = {
-                i: RecoveryReport(
-                    result=None,
-                    attempts=1,
-                    errors=(str(exc),),
-                    error_rows=(exc.to_row(),),
-                )
-                for i in indices
+                i: self._failed_report(exc, ", ".join(labels)) for i in indices
             }
             row = {
                 "indices": list(indices),
@@ -1274,19 +1216,7 @@ class BatchScheduler:
             for key, bucket in ctx.launcher.stats.items():
                 into = merged.get(key)
                 if into is None:
-                    merged[key] = LaunchStats(
-                        kernel_name=bucket.kernel_name,
-                        section=bucket.section,
-                        launches=bucket.launches,
-                        total_elems=bucket.total_elems,
-                        seconds=bucket.seconds,
-                        body_seconds=bucket.body_seconds,
-                        bytes_read=bucket.bytes_read,
-                        bytes_written=bucket.bytes_written,
-                        bytes_l2=bucket.bytes_l2,
-                        flops=bucket.flops,
-                        occupancy_sum=bucket.occupancy_sum,
-                    )
+                    merged[key] = replace(bucket)
                 else:
                     into.launches += bucket.launches
                     into.total_elems += bucket.total_elems

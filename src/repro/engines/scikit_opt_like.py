@@ -21,9 +21,9 @@ signatures reproduced here:
 
 from __future__ import annotations
 
+from repro.core.engine import EngineRun
 from repro.core.parameters import PAPER_DEFAULTS, PSOParams
 from repro.core.problem import Problem
-from repro.core.results import OptimizeResult
 from repro.core.stopping import AnyOf, StallStop, StopCriterion
 from repro.engines.lib_base import LibraryEngineBase
 
@@ -48,7 +48,7 @@ class ScikitOptLikeEngine(LibraryEngineBase):
     #: Improvements smaller than this count as stagnation.
     early_stop_delta: float = 1.0e-12
 
-    def optimize(
+    def start_run(
         self,
         problem: Problem,
         *,
@@ -62,7 +62,9 @@ class ScikitOptLikeEngine(LibraryEngineBase):
         restore=None,
         budget=None,
         guard=None,
-    ) -> OptimizeResult:
+    ) -> EngineRun:
+        # Overriding start_run (not optimize) keeps the stepped protocol:
+        # hosts that drive iterations themselves get the early stop too.
         if self.early_stop_patience is None:
             combined = stop
         else:
@@ -71,7 +73,7 @@ class ScikitOptLikeEngine(LibraryEngineBase):
                 min_delta=self.early_stop_delta,
             )
             combined = stall if stop is None else AnyOf((stall, stop))
-        return super().optimize(
+        return super().start_run(
             problem,
             n_particles=n_particles,
             max_iter=max_iter,

@@ -87,51 +87,38 @@ class ProfileReport:
         return self.total_flops / self.total_kernel_seconds / 1e9
 
 
-def build_report(
-    records: Iterable[LaunchRecord],
-    sections: Mapping[str, float] | None = None,
-) -> ProfileReport:
-    """Aggregate a launch log (and optional clock sections) into a report."""
-    acc: dict[str, dict[str, float]] = {}
+def _aggregate(rows, sections) -> ProfileReport:
+    """Fold ``(kernel, launches, body_seconds, bytes_read, bytes_written,
+    flops, occupancy_sum)`` rows into a report, summing in row order."""
+    acc: dict[str, list[float]] = {}
     total_body = 0.0
     total_read = 0.0
     total_written = 0.0
     total_flops = 0.0
-    for rec in records:
-        body_time = rec.cost.seconds - rec.cost.t_launch_overhead
-        entry = acc.setdefault(
-            rec.kernel_name,
-            {
-                "launches": 0.0,
-                "seconds": 0.0,
-                "read": 0.0,
-                "written": 0.0,
-                "flops": 0.0,
-                "occ_sum": 0.0,
-            },
-        )
-        entry["launches"] += 1
-        entry["seconds"] += body_time
-        entry["read"] += rec.cost.bytes_read
-        entry["written"] += rec.cost.bytes_written
-        entry["flops"] += rec.cost.flops
-        entry["occ_sum"] += rec.cost.occupancy
-        total_body += body_time
-        total_read += rec.cost.bytes_read
-        total_written += rec.cost.bytes_written
-        total_flops += rec.cost.flops
+    for name, launches, body, read, written, flops, occ in rows:
+        entry = acc.setdefault(name, [0.0] * 6)
+        entry[0] += launches
+        entry[1] += body
+        entry[2] += read
+        entry[3] += written
+        entry[4] += flops
+        entry[5] += occ
+        total_body += body
+        total_read += read
+        total_written += written
+        total_flops += flops
 
     kernels = {
         name: KernelSummary(
             name=name,
-            launches=int(e["launches"]),
-            total_seconds=e["seconds"],
-            total_bytes_read=e["read"],
-            total_bytes_written=e["written"],
-            total_flops=e["flops"],
-            mean_occupancy=e["occ_sum"] / e["launches"] if e["launches"] else 0.0,
+            launches=int(launches),
+            total_seconds=body,
+            total_bytes_read=read,
+            total_bytes_written=written,
+            total_flops=flops,
+            mean_occupancy=occ / launches if launches else 0.0,
         )
-        for name, e in acc.items()
+        for name, (launches, body, read, written, flops, occ) in acc.items()
     }
     return ProfileReport(
         kernels=kernels,
@@ -140,6 +127,28 @@ def build_report(
         total_bytes_read=total_read,
         total_bytes_written=total_written,
         total_flops=total_flops,
+    )
+
+
+def build_report(
+    records: Iterable[LaunchRecord],
+    sections: Mapping[str, float] | None = None,
+) -> ProfileReport:
+    """Aggregate a launch log (and optional clock sections) into a report."""
+    return _aggregate(
+        (
+            (
+                rec.kernel_name,
+                1,
+                rec.cost.seconds - rec.cost.t_launch_overhead,
+                rec.cost.bytes_read,
+                rec.cost.bytes_written,
+                rec.cost.flops,
+                rec.cost.occupancy,
+            )
+            for rec in records
+        ),
+        sections,
     )
 
 
@@ -155,51 +164,18 @@ def build_report_from_stats(
     last ulp, which is why the Figure 5 / Table 3 experiment paths opt into
     ``record_launches=True`` and use :func:`build_report` instead.
     """
-    acc: dict[str, dict[str, float]] = {}
-    total_body = 0.0
-    total_read = 0.0
-    total_written = 0.0
-    total_flops = 0.0
-    for bucket in stats.values():
-        entry = acc.setdefault(
-            bucket.kernel_name,
-            {
-                "launches": 0.0,
-                "seconds": 0.0,
-                "read": 0.0,
-                "written": 0.0,
-                "flops": 0.0,
-                "occ_sum": 0.0,
-            },
-        )
-        entry["launches"] += bucket.launches
-        entry["seconds"] += bucket.body_seconds
-        entry["read"] += bucket.bytes_read
-        entry["written"] += bucket.bytes_written
-        entry["flops"] += bucket.flops
-        entry["occ_sum"] += bucket.occupancy_sum
-        total_body += bucket.body_seconds
-        total_read += bucket.bytes_read
-        total_written += bucket.bytes_written
-        total_flops += bucket.flops
-
-    kernels = {
-        name: KernelSummary(
-            name=name,
-            launches=int(e["launches"]),
-            total_seconds=e["seconds"],
-            total_bytes_read=e["read"],
-            total_bytes_written=e["written"],
-            total_flops=e["flops"],
-            mean_occupancy=e["occ_sum"] / e["launches"] if e["launches"] else 0.0,
-        )
-        for name, e in acc.items()
-    }
-    return ProfileReport(
-        kernels=kernels,
-        sections=dict(sections or {}),
-        total_kernel_seconds=total_body,
-        total_bytes_read=total_read,
-        total_bytes_written=total_written,
-        total_flops=total_flops,
+    return _aggregate(
+        (
+            (
+                b.kernel_name,
+                b.launches,
+                b.body_seconds,
+                b.bytes_read,
+                b.bytes_written,
+                b.flops,
+                b.occupancy_sum,
+            )
+            for b in stats.values()
+        ),
+        sections,
     )

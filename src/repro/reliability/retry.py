@@ -1,35 +1,34 @@
-"""Retry/failover policy: turn transient faults into completed runs.
+"""Retry/failover: the one attempt loop behind every host that retries.
 
-:func:`run_with_recovery` wraps one optimization run in an attempt loop.
-Each attempt runs on a **fresh engine** — a fresh engine is a fresh
-simulated device, which is exactly what failover means here: a sticky
-device-lost fault clears when the injector is re-attached to the new
-context, an OOM'd allocator is gone with its device, and a corrupted buffer
-never existed on the replacement.  Attempts resume from the newest readable
-checkpoint, so completed work is kept; a run with no checkpoints restarts
-from scratch (correct, just slower).
+:class:`AttemptLoop` is consulted only at attempt boundaries.
+:meth:`~AttemptLoop.start` begins attempt N as a fresh
+:class:`~repro.batch.dispatch.RunningJob` — a fresh simulated device, so a
+sticky device loss clears — choosing the engine (the CPU fallback on the
+last attempt, or when placement finds no healthy device), device spec,
+fault injector (its ordinals count across attempts) and a restore from the
+newest checkpoint, rerun from scratch if that snapshot does not fit.
+:meth:`~AttemptLoop.failed` banks the newest checkpoint, charges the lost
+work and the backoff, feeds the circuit breaker, annotates the error row
+and answers retry or give up.  :func:`run_with_recovery` and
+``BatchScheduler`` step each attempt to completion (:func:`drive_attempts`);
+``OptimizationService`` steps it with streaming, journal and watchdog.
 
-On the final attempt the policy can *degrade to a CPU engine*
-(``cpu_fallback``, default ``fastpso-seq``): the CPU substrate is immune to
-the injected GPU faults, and the fastpso family's bit-identical numerics
-contract means the trajectory and final gbest are unchanged — only the
-simulated timings differ.  The fallback first tries to restore the GPU
-checkpoint (same dtypes on both substrates); if the snapshot is
-incompatible (e.g. an fp16-storage variant), it reruns from scratch rather
-than failing.
-
-Everything the recovery machinery "spends" is accounted in **simulated
-time** on a dedicated recovery clock with two sections — ``lost_work``
-(simulated seconds computed since the last checkpoint and thrown away with
-the failed device) and ``retry_backoff`` (the exponential backoff delays) —
-which the batch layer merges into the fleet profile, so recovery overhead
-shows up in the same report as kernel time.
+The hosts' real differences are arguments: *placement* (``health`` +
+``preferred`` pick a device per attempt; ``lane`` pins a reserved lane
+that yields to the CPU only when its breaker is open) and the *ledger*,
+which prices failures in simulated seconds and times breaker events.
+:class:`ClockLedger` advances a recovery clock by the lost work, then the
+backoff (sections ``lost_work``/``retry_backoff``); :class:`SumLedger`
+keeps serve's journaled ``overhead += lost + backoff``.  The two round
+differently after a second failure, so each host keeps its own bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.batch.job import Job
 from repro.core.parameters import PAPER_DEFAULTS, PSOParams
 from repro.core.problem import Problem
 from repro.core.results import OptimizeResult
@@ -140,6 +139,299 @@ class RecoveryReport:
         return self.recovery_clock.now
 
 
+def as_retry_policy(retry) -> RetryPolicy | None:
+    """A host's ``retry=``: an attempt count becomes a policy; a policy or
+    ``None`` passes through; anything else (``True`` included) is refused."""
+    if retry is None or isinstance(retry, RetryPolicy):
+        return retry
+    if isinstance(retry, int) and not isinstance(retry, bool):
+        return RetryPolicy(max_attempts=retry)
+    raise InvalidParameterError(
+        "retry must be an attempt count or a RetryPolicy, got "
+        f"{type(retry).__name__}"
+    )
+
+
+class ClockLedger:
+    """Recovery priced on a sectioned clock (run_with_recovery, batch).
+
+    Breaker events sit at ``origin`` (the job's batch position) plus the
+    clock; a failure is timed after its lost work, before its backoff.
+    """
+
+    def __init__(self, origin: float = 0.0) -> None:
+        self.origin = origin
+        self.clock = SimClock()
+
+    @property
+    def now(self) -> float:
+        return self.origin + self.clock.now
+
+    def charge(self, lost: float, backoff: float | None, spent: float):
+        """Book a failure (``backoff=None``: giving up); returns its time."""
+        with self.clock.section("lost_work"):
+            self.clock.advance(lost)
+        failed_at = self.now
+        if backoff is not None:
+            with self.clock.section("retry_backoff"):
+                self.clock.advance(backoff)
+        return failed_at
+
+    def finished_at(self, elapsed: float) -> float:
+        return self.now + elapsed
+
+
+class SumLedger:
+    """Recovery priced as serve's journaled ``overhead += lost + backoff``;
+    a give-up is timed at the end of the lane it commits (overhead + spent).
+    """
+
+    def __init__(self, origin: float, overhead: float = 0.0) -> None:
+        self.origin = origin
+        self.overhead = overhead
+
+    @property
+    def now(self) -> float:
+        return self.origin + self.overhead
+
+    def charge(self, lost: float, backoff: float | None, spent: float):
+        """Book a failure (``backoff=None``: giving up); returns its time."""
+        if backoff is None:
+            return self.origin + (self.overhead + spent)
+        failed_at = self.now + spent
+        self.overhead += lost + backoff
+        return failed_at
+
+    def finished_at(self, elapsed: float) -> float:
+        return self.origin + (self.overhead + elapsed)
+
+
+@dataclass(eq=False)
+class AttemptLoop:
+    """The attempt state machine over one job (see the module docstring).
+
+    ``policy=None`` is a single attempt with nothing retryable and no CPU
+    fallback.  ``options_for(job)`` gives a job's engine options (hosts mix
+    in their graph default); ``spec_for(device)`` the spec a GPU attempt on
+    *device* runs on.  ``resume_from`` is a snapshot path to start from
+    until a checkpoint is banked; ``attempt`` and the ledger's overhead
+    carry over when a host resumes a job mid-retry.
+    """
+
+    job: Job
+    policy: RetryPolicy | None
+    ledger: ClockLedger | SumLedger
+    options_for: Callable | None = None
+    spec_for: Callable | None = None
+    injector: FaultInjector | None = None
+    checkpoint: CheckpointManager | None = None
+    budget: object = None
+    guard: object = None
+    health: object = None
+    preferred: int | None = None
+    lane: int | None = None
+    resume_from: object = None
+    label: str | None = None
+    attempt: int = 1
+    #: The current attempt: its run, device (``None`` on CPU) and pricing.
+    run: object = field(default=None, init=False)
+    device: int | None = field(default=None, init=False)
+    on_cpu: bool = field(default=False, init=False)
+    fell_back: bool = field(default=False, init=False)
+    lost: float = field(default=0.0, init=False)
+    backoff: float | None = field(default=None, init=False)
+    engines: list = field(default_factory=list, init=False)
+    errors: list = field(default_factory=list, init=False)
+    error_rows: list = field(default_factory=list, init=False)
+
+    @property
+    def fallback(self) -> str | None:
+        if self.policy is None:
+            return None
+        return self.policy.fallback_engine(self.job.engine)
+
+    @property
+    def retry_on(self) -> tuple:
+        """Exception types a failed attempt may be retried for."""
+        return self.policy.retry_on if self.policy is not None else ()
+
+    def _note(self, exc: Exception, text: str) -> None:
+        if isinstance(exc, ReproError):
+            exc.with_context(
+                job=self.label, device=self.device, attempt=self.attempt
+            )
+            self.error_rows.append(exc.to_row())
+        self.errors.append(text)
+
+    def _place(self) -> None:
+        """Put this attempt on a device, or on the CPU fallback."""
+        fallback, now = self.fallback, self.ledger.now
+        self.device = None
+        self.on_cpu = bool(
+            fallback and 1 < self.attempt == self.policy.max_attempts
+        )
+        if self.on_cpu:
+            return
+        if self.lane is not None:
+            self.device = self.lane
+            self.on_cpu = bool(
+                fallback
+                and self.attempt > 1
+                and self.health is not None
+                and not self.health.breakers[self.lane].allows(now)
+            )
+        elif self.health is not None:
+            self.device = self.health.pick_device(
+                now=now, preferred=self.preferred
+            )
+            if self.device is None and not fallback:
+                exc = CircuitOpenError(
+                    f"all {self.health.n_devices} device breaker(s) open; "
+                    "no CPU fallback configured"
+                )
+                self._note(exc, f"attempt {self.attempt}: {exc}")
+                raise exc
+            self.on_cpu = self.device is None
+        if self.on_cpu:
+            self.device = None
+
+    def start(self):
+        """Begin the current attempt and return its ``RunningJob``.
+
+        Raises :class:`~repro.errors.CircuitOpenError` when no breaker
+        admits the attempt and there is no CPU fallback.  Any other error
+        is the attempt's failure, exactly as if it had failed mid-run.
+        """
+        from repro.batch.dispatch import RunningJob
+        from repro.engines import engine_accepts_device
+        from repro.reliability.checkpoint import read_snapshot
+
+        self.run = None
+        self._place()
+        job = self.job
+        if self.on_cpu:
+            self.fell_back = True
+            job = job.with_overrides(engine=self.fallback, engine_options={})
+        options = (
+            self.options_for(job)
+            if self.options_for is not None
+            else dict(job.engine_options)
+        )
+        spec = (
+            self.spec_for(self.device)
+            if self.spec_for is not None and self.device is not None
+            else None
+        )
+        if spec is not None and engine_accepts_device(job.engine):
+            options.setdefault("device", spec)
+        restore = None
+        if self.checkpoint is not None:
+            restore = self.checkpoint.load_latest()
+        banked = restore is not None
+        if restore is None and self.resume_from is not None:
+            restore = read_snapshot(self.resume_from)
+        kwargs = dict(
+            engine_options=options,
+            budget=self.budget,
+            guard=self.guard,
+            checkpoint=self.checkpoint,
+            injector=self.injector,
+        )
+        try:
+            self.run = RunningJob(job, restore=restore, **kwargs)
+        except CheckpointError:
+            if not banked:
+                raise
+            # The banked snapshot does not fit this attempt's engine (e.g. a
+            # CPU fallback reading an fp16-storage checkpoint): rerun from
+            # scratch rather than dying on the recovery path itself.
+            self.run = RunningJob(job, **kwargs)
+        self.engines.append(self.run.engine)
+        return self.run
+
+    def failed(self, exc: Exception, *, stalled: bool = False) -> bool:
+        """Price the current attempt's failure; ``True`` means retry.
+
+        The newest checkpoint's simulated seconds are banked and the rest
+        of the attempt is lost; a retry also serves this failure's backoff
+        and moves on to the next attempt.  Stalls count as retryable.
+        """
+        run = self.run
+        if run is not None:
+            name = run.engine.name
+        else:
+            name = self.fallback if self.on_cpu else self.job.engine
+        self._note(exc, f"attempt {self.attempt} [{name}]: {exc}")
+        spent = float(run.engine.clock.now) if run is not None else 0.0
+        latest = None
+        if self.checkpoint is not None:
+            latest = self.checkpoint.load_latest()
+        banked = 0.0 if latest is None else float(latest.clock_state["now"])
+        self.lost = max(0.0, spent - banked)
+        retry = (
+            self.policy is not None
+            and (stalled or isinstance(exc, self.policy.retry_on))
+            and self.attempt < self.policy.max_attempts
+        )
+        self.backoff = None
+        if retry:
+            self.backoff = self.policy.backoff_for(self.attempt - 1)
+        failed_at = self.ledger.charge(self.lost, self.backoff, spent)
+        # A lane-pinned host charges its lane even for a CPU attempt.
+        device = self.device if self.device is not None else self.lane
+        if self.health is not None and device is not None:
+            self.health.record_failure(device, now=failed_at)
+        if retry:
+            self.attempt += 1
+        return retry
+
+    def succeeded(self, result: OptimizeResult) -> None:
+        """Close the attempt: a GPU success resets its device's breaker."""
+        if self.health is not None and self.device is not None:
+            now = self.ledger.finished_at(result.elapsed_seconds)
+            self.health.record_success(self.device, now=now)
+
+    def report(self, result: OptimizeResult | None) -> RecoveryReport:
+        """The :class:`RecoveryReport` of a :class:`ClockLedger` loop."""
+        return RecoveryReport(
+            result=result,
+            attempts=self.attempt,
+            engines=tuple(self.engines),
+            errors=tuple(self.errors),
+            fell_back_to_cpu=self.fell_back,
+            recovery_clock=self.ledger.clock,
+            error_rows=tuple(self.error_rows),
+            device_index=self.device if result is not None else None,
+        )
+
+
+def drive_attempts(loop: AttemptLoop) -> RecoveryReport:
+    """Step each attempt of *loop* to completion (run_with_recovery, batch).
+
+    Exceptions outside the policy's ``retry_on`` propagate unchanged — all
+    of them when the loop has no policy.
+    """
+    while True:
+        try:
+            result = loop.start().drive()
+        except CircuitOpenError:
+            return loop.report(None)
+        except loop.retry_on as exc:
+            if loop.failed(exc):
+                continue
+            return loop.report(None)
+        loop.succeeded(result)
+        return loop.report(result)
+
+
+@dataclass(frozen=True)
+class _StopJob(Job):
+    """A :class:`Job` carrying the extra stop criterion that
+    :func:`run_with_recovery` accepts (``RunningJob`` passes it on)."""
+
+    stop: StopCriterion | None = None
+
+
 def run_with_recovery(
     *,
     engine_name: str,
@@ -172,8 +464,8 @@ def run_with_recovery(
     (if any) is re-attached to each fresh engine; its fault ordinals count
     across attempts, so one-shot faults don't re-fire on the retried run.
 
-    ``budget``/``guard`` pass straight through to ``engine.optimize`` —
-    a budgeted attempt that expires returns a normal result with a
+    ``budget``/``guard`` pass straight through to the engine run — a
+    budgeted attempt that expires returns a normal result with a
     ``status`` instead of raising, so it never burns a retry.
 
     ``health`` (a :class:`~repro.reliability.breaker.FleetHealth`) places
@@ -185,137 +477,30 @@ def run_with_recovery(
     time is ``base_now`` plus this job's simulated recovery overhead, so
     trip/cool-down ordinals are deterministic for a fixed workload.
     """
-    # Local import: repro.engines -> core.engine would otherwise complete a
-    # cycle through this module when the package initialises.
-    from repro.engines import make_engine
-
-    policy = policy or RetryPolicy()
-    options = dict(engine_options or {})
-    recovery_clock = SimClock()
-    engines: list = []
-    errors: list[str] = []
-    error_rows: list[dict] = []
-    fell_back = False
-    device: int | None = None
-
-    def _annotate(exc, attempt):
-        if isinstance(exc, ReproError):
-            exc.with_context(job=job_label, device=device, attempt=attempt)
-            error_rows.append(exc.to_row())
-
-    for attempt in range(1, policy.max_attempts + 1):
-        name, opts = engine_name, options
-        on_cpu = False
-        fallback = policy.fallback_engine(engine_name)
-        if attempt == policy.max_attempts and attempt > 1 and fallback:
-            # Last chance: degrade to the CPU substrate, which the injected
-            # GPU faults cannot touch.  Bit-identical numerics by contract.
-            name, opts, fell_back, on_cpu = fallback, {}, True, True
-
-        device = None
-        if health is not None and not on_cpu:
-            device = health.pick_device(
-                now=base_now + recovery_clock.now, preferred=preferred_device
-            )
-            if device is None:
-                # Every breaker is open: no healthy device to place this
-                # attempt on.  Degrade to the CPU substrate if the policy
-                # allows it, otherwise record the refusal and give up.
-                if fallback:
-                    name, opts, fell_back, on_cpu = fallback, {}, True, True
-                else:
-                    exc = CircuitOpenError(
-                        f"all {health.n_devices} device breaker(s) open; "
-                        "no CPU fallback configured"
-                    )
-                    _annotate(exc, attempt)
-                    errors.append(f"attempt {attempt}: {exc}")
-                    break
-
-        engine = make_engine(name, **opts)
-        engines.append(engine)
-        if injector is not None:
-            engine.attach_fault_injector(injector)
-        restore = checkpoint.load_latest() if checkpoint is not None else None
-
-        try:
-            try:
-                result = engine.optimize(
-                    problem,
-                    n_particles=n_particles,
-                    max_iter=max_iter,
-                    params=params,
-                    stop=stop,
-                    record_history=record_history,
-                    checkpoint=checkpoint,
-                    restore=restore,
-                    budget=budget,
-                    guard=guard,
-                )
-            except CheckpointError:
-                if restore is None:
-                    raise
-                # Snapshot incompatible with this attempt's engine (e.g. a
-                # CPU fallback reading an fp16-storage checkpoint): rerun
-                # from scratch on yet another fresh engine instead of dying
-                # on the recovery path itself.
-                engine = make_engine(name, **opts)
-                engines.append(engine)
-                if injector is not None:
-                    engine.attach_fault_injector(injector)
-                result = engine.optimize(
-                    problem,
-                    n_particles=n_particles,
-                    max_iter=max_iter,
-                    params=params,
-                    stop=stop,
-                    record_history=record_history,
-                    checkpoint=checkpoint,
-                    budget=budget,
-                    guard=guard,
-                )
-            if health is not None and device is not None:
-                health.record_success(
-                    device,
-                    now=base_now + recovery_clock.now + engine.clock.now,
-                )
-            return RecoveryReport(
-                result=result,
-                attempts=attempt,
-                engines=tuple(engines),
-                errors=tuple(errors),
-                fell_back_to_cpu=fell_back,
-                recovery_clock=recovery_clock,
-                error_rows=tuple(error_rows),
-                device_index=None if on_cpu else device,
-            )
-        except policy.retry_on as exc:
-            _annotate(exc, attempt)
-            errors.append(f"attempt {attempt} [{engine.name}]: {exc}")
-            # Work since the newest checkpoint dies with this device.
-            latest = (
-                checkpoint.load_latest() if checkpoint is not None else None
-            )
-            banked = (
-                float(latest.clock_state["now"]) if latest is not None else 0.0
-            )
-            with recovery_clock.section("lost_work"):
-                recovery_clock.advance(max(0.0, engine.clock.now - banked))
-            if health is not None and device is not None:
-                health.record_failure(
-                    device, now=base_now + recovery_clock.now
-                )
-            if attempt < policy.max_attempts:
-                with recovery_clock.section("retry_backoff"):
-                    recovery_clock.advance(policy.backoff_for(attempt - 1))
-
-    return RecoveryReport(
-        result=None,
-        attempts=attempt,
-        engines=tuple(engines),
-        errors=tuple(errors),
-        fell_back_to_cpu=fell_back,
-        recovery_clock=recovery_clock,
-        error_rows=tuple(error_rows),
-        device_index=None,
+    if not isinstance(problem, Problem):
+        raise InvalidParameterError("run_with_recovery() requires a Problem")
+    job = _StopJob(
+        problem=problem,
+        dim=problem.dim,
+        n_particles=n_particles,
+        max_iter=max_iter,
+        engine=engine_name,
+        params=params,
+        record_history=record_history,
+        engine_options=engine_options or {},
+        stop=stop,
+    )
+    return drive_attempts(
+        AttemptLoop(
+            job,
+            policy=policy or RetryPolicy(),
+            ledger=ClockLedger(base_now),
+            injector=injector,
+            checkpoint=checkpoint,
+            budget=budget,
+            guard=guard,
+            health=health,
+            preferred=preferred_device,
+            label=job_label,
+        )
     )

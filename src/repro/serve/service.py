@@ -45,19 +45,19 @@ working, submissions are refused with a structured
 
 Fault tolerance — retry, watchdog, CPU failover
 -----------------------------------------------
-``retry`` wires a :class:`~repro.reliability.retry.RetryPolicy` into
-dispatch: a failed attempt banks the newest checkpoint, charges the lost
-simulated work plus exponential backoff to the job's overhead, and goes
-around on a fresh engine (a fresh simulated device).  On the final
-attempt — or when the lane's circuit breaker trips open mid-job — the
-run degrades to the policy's CPU fallback, whose bit-identical numerics
-keep the trajectory unchanged.  ``watchdog_seconds`` adds a progress
-lease on the same loop: an attempt that advances simulated time past the
-lease without a progress mark is declared stalled
-(:class:`~repro.errors.StalledRunError`) and retried like any transient
-fault.  ``faults`` attaches a :class:`~repro.reliability.faults
-.FaultPlan`'s injectors to dispatched jobs, the serve-level version of
-the batch fault drills.
+Dispatch drives the shared attempt loop
+(:class:`~repro.reliability.retry.AttemptLoop`), pinned to the reserved
+lane.  Under ``retry`` a failed attempt banks the newest checkpoint,
+charges the lost simulated work plus exponential backoff to the job's
+journaled overhead, and goes around on a fresh engine (a fresh simulated
+device); on the final attempt — or when the lane's breaker is open — it
+degrades to the policy's CPU fallback, whose bit-identical numerics keep
+the trajectory.  ``watchdog_seconds`` adds a progress lease to this
+host's step loop: an attempt that advances simulated time past the lease
+without a progress mark is stalled (:class:`~repro.errors
+.StalledRunError`) and retried like a transient fault.  ``faults``
+attaches a :class:`~repro.reliability.faults.FaultPlan`'s injectors to
+dispatched jobs; unlike in the batch scheduler it implies no retry.
 
 Who drives execution
 --------------------
@@ -95,9 +95,14 @@ from repro.errors import (
     StalledRunError,
 )
 from repro.io import result_from_dict, result_to_dict
-from repro.reliability.checkpoint import CheckpointManager, read_snapshot
+from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.faults import FaultPlan
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.retry import (
+    AttemptLoop,
+    RetryPolicy,
+    SumLedger,
+    as_retry_policy,
+)
 from repro.reliability.snapshot import ensure_capturable, params_to_spec
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.events import ServiceEvent, events_to_json
@@ -458,39 +463,14 @@ class OptimizationService:
         self.admission = BatchScheduler._build_admission(
             admission, max_queue=max_queue, memory_limit_bytes=memory_limit_bytes
         )
-        if deadline is not None and not deadline > 0:
-            raise InvalidParameterError(
-                f"deadline must be positive seconds, got {deadline!r}"
-            )
-        self.deadline = deadline
-        if budget is not None and not isinstance(budget, Budget):
-            raise InvalidParameterError(
-                f"budget must be a repro Budget, got {type(budget).__name__}"
-            )
-        self.budget = budget
+        BatchScheduler._check_limits(deadline, budget, guard)
+        self.deadline, self.budget, self.guard = deadline, budget, guard
         self.graph = graph
-        if guard is not None and not hasattr(guard, "inspect"):
-            raise InvalidParameterError(
-                "guard must provide inspect() (see repro.reliability.guard), "
-                f"got {type(guard).__name__}"
-            )
-        self.guard = guard
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
 
-        if isinstance(retry, bool):
-            raise InvalidParameterError(
-                "retry must be an attempt count or a RetryPolicy, got a bool"
-            )
-        if isinstance(retry, int):
-            retry = RetryPolicy(max_attempts=retry)
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise InvalidParameterError(
-                "retry must be an attempt count or a RetryPolicy, got "
-                f"{type(retry).__name__}"
-            )
-        self.retry = retry
+        self.retry = as_retry_policy(retry)
         if faults is not None and not isinstance(faults, FaultPlan):
             raise InvalidParameterError(
                 f"faults must be a FaultPlan, got {type(faults).__name__}"
@@ -1040,57 +1020,6 @@ class OptimizationService:
         except CheckpointError:
             return None
 
-    def _start_attempt(
-        self,
-        ticket: JobTicket,
-        run_job: Job,
-        budget,
-        device: int,
-        manager: CheckpointManager | None,
-        injector,
-        *,
-        on_cpu: bool,
-    ) -> RunningJob:
-        """Build one attempt's engine/run, restored from the newest state."""
-        restore = None
-        from_manager = False
-        if manager is not None:
-            restore = manager.load_latest()
-            from_manager = restore is not None
-        if restore is None and ticket._restore_path is not None:
-            restore = read_snapshot(ticket._restore_path)
-        options = effective_engine_options(run_job, self.graph)
-        spec = self._spec_for_device(device)
-        if spec is not None and not on_cpu:
-            from repro.engines import engine_accepts_device
-
-            if engine_accepts_device(run_job.engine):
-                options.setdefault("device", spec)
-        try:
-            return RunningJob(
-                run_job,
-                engine_options=options,
-                budget=budget,
-                guard=self.guard,
-                checkpoint=manager,
-                restore=restore,
-                injector=injector,
-            )
-        except CheckpointError:
-            if not from_manager:
-                raise
-            # The banked checkpoint is incompatible with this attempt's
-            # engine: rerun from scratch rather than dying on the
-            # recovery path itself (mirrors run_with_recovery).
-            return RunningJob(
-                run_job,
-                engine_options=options,
-                budget=budget,
-                guard=self.guard,
-                checkpoint=manager,
-                injector=injector,
-            )
-
     def _journal_checkpoint(
         self, ticket: JobTicket, run: RunningJob, manager, injector
     ) -> None:
@@ -1113,12 +1042,12 @@ class OptimizationService:
     ) -> None:
         """Host-run one dispatched job and commit it to the timeline.
 
-        The attempt loop wires the reliability stack into serving: each
-        attempt may be watched by the watchdog lease, checkpointed at the
-        service cadence, failed over per the retry policy (fresh engine =
-        fresh simulated device; CPU fallback on the last attempt or when
-        the lane's breaker trips), and every transition is journaled
-        before it takes effect.
+        Attempts come from the shared :class:`~repro.reliability.retry
+        .AttemptLoop`, pinned to the reserved lane: engine choice, restore,
+        CPU failover and the price of a failure all live there.  This host
+        owns the step loop — cancel, progress streaming, journaling,
+        checkpoint records, the watchdog lease and cooperative yields — and
+        journals every transition before it takes effect.
         """
         job = ticket.effective_job
         ticket.status = "running"
@@ -1151,49 +1080,34 @@ class OptimizationService:
             state = resume.get("injector")
             if state is not None:
                 injector.load_state(state)
-        policy = self.retry
-        attempt = resume["attempt"] if resume is not None else 1
-        overhead = resume["overhead"] if resume is not None else 0.0
         skip_stalled = bool(resume and resume.get("skip_stalled"))
         manager = self._checkpoint_manager_for(ticket, job)
         lease = self.watchdog_seconds
+        loop = AttemptLoop(
+            job,
+            policy=self.retry,
+            ledger=SumLedger(
+                start, resume["overhead"] if resume is not None else 0.0
+            ),
+            options_for=lambda j: effective_engine_options(j, self.graph),
+            spec_for=self._spec_for_device,
+            injector=injector,
+            checkpoint=manager,
+            budget=budget,
+            guard=self.guard,
+            health=self._health,
+            lane=device,
+            resume_from=ticket._restore_path,
+            label=job.label,
+            attempt=resume["attempt"] if resume is not None else 1,
+        )
 
         while True:
-            fallback = (
-                policy.fallback_engine(job.engine)
-                if policy is not None
-                else None
-            )
-            on_cpu = bool(
-                fallback
-                and policy is not None
-                and attempt == policy.max_attempts
-                and attempt > 1
-            )
-            if (
-                not on_cpu
-                and fallback
-                and attempt > 1
-                and self._health is not None
-                and not self._health.breakers[device].allows(start + overhead)
-            ):
-                # The lane's own breaker tripped open on this job's
-                # failures: degrade straight to the CPU substrate.
-                on_cpu = True
-            run_job = (
-                job
-                if not on_cpu
-                else job.with_overrides(engine=fallback, engine_options={})
-            )
-
             run = None
             failure: ReproError | None = None
             cancelled = stalled = False
             try:
-                run = self._start_attempt(
-                    ticket, run_job, budget, device, manager, injector,
-                    on_cpu=on_cpu,
-                )
+                run = loop.start()
             except ReproError as exc:
                 failure = exc
 
@@ -1252,24 +1166,21 @@ class OptimizationService:
                 except ReproError as exc:
                     failure = exc
 
-            if cancelled:
-                self._checkpoint_cancelled(ticket, run)
-                result = run.finish(status="cancelled")
-                self._complete(
-                    ticket, device, stream, start, overhead, result,
-                    cancelled=True, attempt=attempt, on_cpu=on_cpu,
-                )
-                return
             if failure is None and not stalled:
-                result = run.finish()
+                if cancelled:
+                    self._checkpoint_cancelled(ticket, run)
+                result = run.finish(status="cancelled" if cancelled else None)
+                loop.succeeded(result)
                 self._complete(
-                    ticket, device, stream, start, overhead, result,
-                    cancelled=False, attempt=attempt, on_cpu=on_cpu,
+                    ticket, device, stream, start, loop.ledger.overhead,
+                    result, cancelled=cancelled, attempt=loop.attempt,
+                    on_cpu=loop.on_cpu,
                 )
                 return
 
             # The attempt failed (contained error) or outlived its lease.
             fail_sim = float(run.engine.clock.now) if run is not None else 0.0
+            overhead = loop.ledger.overhead
             fail_time = start + overhead + fail_sim
             if stalled:
                 failure = StalledRunError(
@@ -1277,42 +1188,9 @@ class OptimizationService:
                     f"simulated since the last progress mark "
                     f"(lease {lease:g}s)"
                 )
-                failure.with_context(
-                    job=job.label, device=device, attempt=attempt
-                )
-            retryable = policy is not None and (
-                stalled or isinstance(failure, policy.retry_on)
-            )
+            attempt = loop.attempt
+            retrying = loop.failed(failure, stalled=stalled)
             error_text = f"{type(failure).__name__}: {failure}"
-            if not retryable or attempt >= policy.max_attempts:
-                if stalled and not skip_stalled:
-                    self._emit(
-                        "stalled",
-                        time=fail_time,
-                        ticket=ticket,
-                        attempt=attempt,
-                        lease=lease,
-                        error=error_text,
-                    )
-                skip_stalled = False
-                self._fail(
-                    ticket, device, stream, start, overhead + fail_sim,
-                    failure, attempt=attempt,
-                )
-                return
-
-            # Bank what the newest checkpoint holds; the rest died with
-            # the attempt.  Lost work plus exponential backoff become
-            # overhead on this job's lane — run_with_recovery's
-            # arithmetic, serve-side.
-            snap = manager.load_latest() if manager is not None else None
-            banked = (
-                float(snap.clock_state["now"]) if snap is not None else 0.0
-            )
-            lost = max(0.0, fail_sim - banked)
-            backoff = policy.backoff_for(attempt - 1)
-            if self._health is not None:
-                self._health.record_failure(device, now=fail_time)
             if stalled and not skip_stalled:
                 self._emit(
                     "stalled",
@@ -1323,11 +1201,16 @@ class OptimizationService:
                     error=error_text,
                 )
             skip_stalled = False
-            overhead += lost + backoff
+            if not retrying:
+                self._fail(
+                    ticket, device, stream, start, overhead + fail_sim,
+                    failure, attempt=attempt,
+                )
+                return
             retry_extra = None
             if self._journal is not None:
                 retry_extra = {
-                    "overhead": overhead,
+                    "overhead": loop.ledger.overhead,
                     "injector": (
                         injector.state_dict() if injector is not None else None
                     ),
@@ -1339,10 +1222,9 @@ class OptimizationService:
                 _extra=retry_extra,
                 attempt=attempt,
                 error=error_text,
-                lost_seconds=lost,
-                backoff_seconds=backoff,
+                lost_seconds=loop.lost,
+                backoff_seconds=loop.backoff,
             )
-            attempt += 1
 
     def _checkpoint_cancelled(self, ticket: JobTicket, run: RunningJob) -> None:
         """Snapshot a mid-run cancel so :meth:`resubmit` can resume it."""
@@ -1385,8 +1267,6 @@ class OptimizationService:
             ticket.status = "degraded"
         else:
             ticket.status = result.status
-        if self._health is not None and not on_cpu:
-            self._health.record_success(device, now=placement.end_seconds)
         extra = None
         if self._journal is not None:
             # The exact committed duration rides along: IEEE addition is
@@ -1440,8 +1320,6 @@ class OptimizationService:
         placement = self._timeline.commit(device, stream, start, duration)
         ticket.placement = placement
         ticket.status = "failed"
-        if self._health is not None:
-            self._health.record_failure(device, now=placement.end_seconds)
         detail = {"error": f"{type(exc).__name__}: {exc}"}
         if attempt > 1:
             detail["attempts"] = attempt

@@ -184,3 +184,40 @@ class TestRecovery:
         kwargs = dict(run_kwargs, n_particles=-5)
         with pytest.raises(InvalidParameterError):
             run_with_recovery(**kwargs)
+
+
+class TestRetryArgument:
+    """Both hosts normalise ``retry=`` the same way, at construction."""
+
+    @pytest.fixture(params=["batch", "serve"])
+    def host(self, request):
+        if request.param == "batch":
+            from repro.batch import BatchScheduler
+
+            return BatchScheduler
+        from repro.serve import OptimizationService
+
+        return OptimizationService
+
+    def test_attempt_count_becomes_a_policy(self, host):
+        assert host(retry=3).retry == RetryPolicy(max_attempts=3)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, "3"])
+    def test_non_counts_are_refused_up_front(self, host, bad):
+        with pytest.raises(InvalidParameterError, match="attempt count"):
+            host(retry=bad)
+
+    def test_batch_attempt_count_runs_a_faulted_batch(self):
+        from repro.batch import BatchScheduler, mixed_workload
+        from repro.reliability import FaultPlan
+
+        jobs = mixed_workload(4, base_seed=3)
+        counted = BatchScheduler(
+            retry=3, faults=FaultPlan.drill(4, seed=3)
+        ).run(jobs)
+        explicit = BatchScheduler(
+            retry=RetryPolicy(max_attempts=3),
+            faults=FaultPlan.drill(4, seed=3),
+        ).run(jobs)
+        assert counted.total_retries > 0
+        assert counted.to_dict() == explicit.to_dict()
