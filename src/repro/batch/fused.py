@@ -67,7 +67,7 @@ from repro.core.topology import social_positions
 from repro.errors import EvaluationError, GraphReplayError, InvalidParameterError
 from repro.functions.inplace import make_inplace_evaluator
 from repro.gpusim.costmodel import kernel_cost
-from repro.gpusim.graph import LaunchGraph
+from repro.gpusim.graph import traced_capture
 from repro.gpusim.launch import resource_aware_config
 
 __all__ = [
@@ -197,23 +197,16 @@ class _Member:
         return self.run.engine
 
 
-def _traced_semantics(run, t):
-    """One externally traced ``run_semantics`` call (the eager-member analogue
-    of :meth:`IterationRunner._run_traced`): returns ``(trace, launches,
-    rng_blocks)``."""
+def _traced_semantics(member: _Member):
+    """One traced ``run_semantics`` call at the member's iteration."""
+    run = member.run
     engine = run.engine
-    launcher = engine.ctx.launcher
-    clock = engine.clock
-    captured: list = []
-    launcher.capture = captured
-    clock.begin_trace()
-    before = run.rng.position
-    try:
-        run.run_semantics(t)
-    finally:
-        trace = clock.end_trace()
-        launcher.capture = None
-    return trace, captured, run.rng.position - before
+    return traced_capture(
+        engine.clock,
+        engine.ctx.launcher,
+        run.rng,
+        lambda: run.run_semantics(member.t),
+    )
 
 
 def _build_spec_map(engine) -> dict:
@@ -300,10 +293,12 @@ class FusedGroupRunner:
             member.solo_reason = "no-gpu-context"
             return
         if runner.info["mode"] == "graph":
-            # The stacked engine drives member iterations itself, splicing
-            # per-member replay closures into fused rounds — the runner must
-            # settle on the Python replay tier, not promote to the native
-            # one-call step (which bypasses those closures).
+            # Pin the runner to the Python replay tier.  The checks below
+            # expect phase "replay" after RAMP_GRAPH steps (a promotion
+            # would leave it at "native-verify"), and the fast loop rebinds
+            # the member's swarm arrays to row views of the stacked
+            # tensors, while a NativePlan keeps the raw addresses of the
+            # arrays it was built on.
             runner.allow_native = False
             for _ in range(RAMP_GRAPH):
                 if member.stopped or member.t >= run.max_iter:
@@ -346,19 +341,13 @@ class FusedGroupRunner:
         if member.stopped:
             member.solo_reason = "stopped-during-ramp"
             return None
-        trace, launches, blocks = _traced_semantics(run, member.t)
-        graph = LaunchGraph(trace=trace, launches=launches, rng_blocks=blocks)
+        graph = _traced_semantics(member)
         member.stopped = run.after_iteration(member.t)
         member.t += 1
         if member.stopped:
             member.solo_reason = "stopped-during-ramp"
             return None
-        trace2, launches2, blocks2 = _traced_semantics(run, member.t)
-        ok = (
-            graph.trace_matches(trace2)
-            and graph.launches_match(launches2)
-            and graph.rng_blocks == blocks2
-        )
+        ok = graph.matches(_traced_semantics(member))
         member.stopped = run.after_iteration(member.t)
         member.t += 1
         if not ok:
@@ -644,25 +633,11 @@ class FusedGroupRunner:
                         f"recorded {m.graph.rng_blocks}"
                     )
                 improved = int(np.count_nonzero(mask[m.rows]))
-                clock = m.engine.clock
-                totals = clock.section_totals
-                totals_get = totals.get
-                # Accumulate ``clock.now`` in a local between dynamic
-                # slots: the additions run in the same order on the same
-                # floats, so the clock value stays bit-identical while the
-                # per-entry attribute round-trips disappear.
-                now = clock.now
-                for label, seconds, dynamic in m.graph.trace:
-                    if dynamic:
-                        clock.now = now
-                        with clock.section(label):
-                            m.engine._charge_pbest_copy(improved, d)
-                        now = clock.now
-                    else:
-                        now += seconds
-                        if label is not None:
-                            totals[label] = totals_get(label, 0.0) + seconds
-                clock.now = now
+                engine = m.engine
+                m.graph.charge(
+                    engine.clock,
+                    lambda: engine._charge_pbest_copy(improved, d),
+                )
                 if m.mode == "graph":
                     m.run.runner.info["replays"] += 1
                 m.fast_replays += 1

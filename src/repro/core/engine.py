@@ -523,18 +523,19 @@ class Engine(ABC):
         """
         raise NotImplementedError
 
-    def _graph_build_native(self, graph, problem, params, state, rng):
-        """Build the native (one-C-call-per-iteration) replay tier.
+    def _graph_build_native(self, graph, problem, params, state):
+        """This engine's part of the native (one-C-call) tier.
 
-        Called by :class:`~repro.gpusim.graph.IterationRunner` after the
-        first verified Python replay.  Returns either ``(step, verify)`` —
-        ``step()`` runs one full iteration through ``_fastpath.c`` and
-        ``verify(run_replay)`` shadow-checks one iteration bitwise before
-        promotion (see :func:`repro.gpusim.fastpath.verify_step`) — or a
-        reason string naming why this run is not native-eligible.  The base
-        implementation opts out; engines whose captured iteration matches
-        the fast path's shape (float32 global-memory storage, global
-        topology) override it.
+        Called by :func:`repro.gpusim.fastpath.build_native` with the
+        run's captured :class:`~repro.gpusim.graph.LaunchGraph`.  Returns a
+        reason string naming why this run is not native-eligible, or
+        ``(eval_fn, charge)``: the pure evaluation function (positions ->
+        float64 values) and ``charge(improved)``, which charges the clock
+        for one iteration from the capture — no cost-model calls — given
+        the number of improved particles.  The shared builder owns
+        everything else (plan, step, verification gate).  The base
+        implementation opts out; engines whose iteration matches the fast
+        path's shape override it.
         """
         return "engine-has-no-native-plan"
 

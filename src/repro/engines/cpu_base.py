@@ -264,86 +264,19 @@ class CpuEngineBase(Engine):
 
         return replay, []
 
-    def _graph_build_native(self, graph, problem, params, state, rng):
-        """The one-C-call iteration tier (see :mod:`repro.gpusim.fastpath`).
+    def _graph_build_native(self, graph, problem, params, state):
+        """This engine's part of the native tier (see
+        :func:`repro.gpusim.fastpath.build_native`).
 
         CPU engines keep the same float32 array numerics as the CUDA port,
-        so the very same ``fastpath_step`` applies; only the clock charges
-        differ (the roofline seconds resolved below, identical floats to
-        the eager path's).  Global topology only: the C step reads a single
-        social attractor row.
+        so the very same ``fastpath_step`` applies.  The captured trace is
+        pure clock charges, so one iteration's charges are the trace
+        replayed, with the live pbest-copy charge in its dynamic slot.
         """
-        from repro.gpusim import fastpath
-
-        if params.topology != "global":
-            return f"native-unsupported-topology:{params.topology}"
-        lib = fastpath.load()
-        if lib is None:
-            return "native-unavailable"
-        n, d = state.n_particles, state.dim
-        n_elems = n * d
-        if graph.rng_blocks != 2 * ((n_elems + 3) // 4):
-            return "native-rng-shape-mismatch"
+        d = state.dim
         clock = self.clock
-        prof = problem.evaluator.profile()
-        eval_s = cpu_loop_cost(
-            self.cpu,
-            n_elems,
-            threads=self.threads,
-            flops_per_elem=prof.flops_per_elem + prof.reduction_flops_per_elem,
-            bytes_per_elem=_F32,
-            transcendental_per_elem=prof.sfu_per_elem,
-        ).seconds
-        scan_s = cpu_loop_cost(
-            self.cpu, n, threads=self.threads,
-            flops_per_elem=1.0, bytes_per_elem=8.0,
-        ).seconds
-        eff_threads = max(
-            1, int(round(self.threads * self.rng_parallel_efficiency))
-        )
-        rng_s = cpu_loop_cost(
-            self.cpu, 2 * n_elems, rng_per_elem=1.0, threads=eff_threads
-        ).seconds
-        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
-        update_s = cpu_loop_cost(
-            self.cpu,
-            n_elems,
-            threads=self.threads,
-            flops_per_elem=10.0 + clamp_flops,
-            bytes_per_elem=5 * _F32,
-        ).seconds
-        evaluate = problem.evaluator.evaluate
 
-        l_w = self._ws.array("l_weights", (n, d), np.float32)
-        g_w = self._ws.array("g_weights", (n, d), np.float32)
-        pos_bounds = None
-        if params.clip_positions:
-            pos_bounds = (problem.lower_bounds, problem.upper_bounds)
-        plan = fastpath.NativePlan(lib, state, rng, l_w, g_w, params, pos_bounds)
+        def charge(improved: int) -> None:
+            graph.charge(clock, lambda: self._charge_pbest_copy(improved, d))
 
-        def step() -> None:
-            with clock.section("eval"):
-                values = evaluate(state.positions)
-                clock.advance(eval_s)
-            p = self._scheduled_params(params)
-            vb = self._current_velocity_bounds(problem, p)
-            vlo = vhi = None
-            if vb is not None:
-                vlo = vb[0].astype(np.float32)
-                vhi = vb[1].astype(np.float32)
-            improved = plan.step(values, float(p.inertia), vlo, vhi)
-            with clock.section("pbest"):
-                clock.advance(scan_s)
-                self._charge_pbest_copy(improved, d)
-            with clock.section("gbest"):
-                clock.advance(scan_s)
-            with clock.section("swarm"):
-                clock.advance(rng_s)
-                clock.advance(update_s)
-
-        def verify(run_replay) -> bool:
-            return fastpath.verify_step(
-                plan, run_replay, evaluate, self, problem, params
-            )
-
-        return step, verify
+        return problem.evaluator.evaluate, charge

@@ -111,6 +111,11 @@ class MultiGpuFastPSOEngine(Engine):
         for worker in self.workers:
             worker.ctx.attach_fault_injector(injector)
 
+    def _graph_blockers(self) -> str | None:
+        if any(w.ctx.launcher.record_launches for w in self.workers):
+            return "record-launches"
+        return None
+
     # -- the hooks are unused; the loop below drives the workers directly --
     def _initialize(self, *a, **k):  # pragma: no cover - not reachable
         raise NotImplementedError
@@ -194,21 +199,7 @@ class MultiGpuFastPSOEngine(Engine):
         # graph eligibility.
         from repro.gpusim.graph import IterationRunner
 
-        eager_reason = None
-        if not self.graph_enabled:
-            eager_reason = "graph=False"
-        elif stop is not None:
-            eager_reason = "stop-criterion"
-        elif callback is not None:
-            eager_reason = "callback"
-        elif tracker is not None:
-            eager_reason = "budget"
-        elif guard is not None:
-            eager_reason = "health-guard"
-        elif self._fault_injector is not None:
-            eager_reason = "fault-injector"
-        elif any(w.ctx.launcher.record_launches for w in self.workers):
-            eager_reason = "record-launches"
+        eager_reason = self._graph_eager_reason(stop, callback, tracker, guard)
         runners = [
             IterationRunner(
                 worker, problem, params, state, rng, eager_reason=eager_reason

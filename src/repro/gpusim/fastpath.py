@@ -12,9 +12,12 @@ operating in place on the run's stable buffers, and provides:
   workspace weight buffers and the RNG key schedule, plus the per-call
   :meth:`~NativePlan.step` that syncs the scalar gbest fields in/out and
   advances the Philox cursor;
-* :func:`verify_step` — the promotion gate used by
-  :class:`~repro.gpusim.graph.IterationRunner`: it runs the *trusted*
-  Python replay on the real state and the C step on shadow copies of the
+* :func:`build_native` — the one native builder, called by
+  :class:`~repro.gpusim.graph.IterationRunner` after the first verified
+  Python replay: the shared refusals, the plan, and the step (evaluate,
+  one C call, then the engine's charges for the captured iteration);
+* :func:`verify_step` — the promotion gate: it runs the *trusted* Python
+  replay on the real state and the C step on shadow copies of the
   pre-iteration state, then compares every output buffer bitwise.  The
   real run is therefore never touched by unverified native code; any
   mismatch simply keeps the run on the Python replay tier.
@@ -39,7 +42,9 @@ import numpy as np
 
 from repro.gpusim import native
 
-__all__ = ["load", "available", "NativePlan", "verify_step", "ENV_GATE"]
+__all__ = [
+    "load", "available", "NativePlan", "build_native", "verify_step", "ENV_GATE"
+]
 
 ENV_GATE = "REPRO_NO_NATIVE_FASTPATH"
 
@@ -271,13 +276,13 @@ def available() -> bool:
 class NativePlan:
     """The per-run native binding: one struct, one hot call per iteration.
 
-    Built by an engine's ``_graph_build_native`` hook after the first
-    verified Python replay.  The struct holds raw addresses of the run's
-    stable buffers (swarm matrices, workspace weight buffers, RNG key
-    schedule) plus three small plan-owned buffers for the scalar gbest
-    fields; :meth:`step` syncs those scalars from/to the ``SwarmState``
-    around the C call, so host-side observers (history recording,
-    multi-GPU best exchange) keep seeing plain Python floats.
+    Built by :func:`build_native` after the first verified Python replay.
+    The struct holds raw addresses of the run's stable buffers (swarm
+    matrices, workspace weight buffers, RNG key schedule) plus three small
+    plan-owned buffers for the scalar gbest fields; :meth:`step` syncs
+    those scalars from/to the ``SwarmState`` around the C call, so
+    host-side observers (history recording, multi-GPU best exchange) keep
+    seeing plain Python floats.
 
     ``state.gbest_position`` is re-pointed at the plan's own ``(d,)``
     buffer so the C claim can update it in place; an identity check each
@@ -379,6 +384,68 @@ class NativePlan:
         return int(improved)
 
 
+def _velocity_bounds_f32(engine, problem, p):
+    """The engine's current velocity bounds as float32 ``(lo, hi)``, or
+    ``(None, None)`` when the run does not clamp."""
+    vb = engine._current_velocity_bounds(problem, p)
+    if vb is None:
+        return None, None
+    return vb[0].astype(np.float32), vb[1].astype(np.float32)
+
+
+def build_native(engine, graph, problem, params, state, rng):
+    """Build the native tier for one run from its captured *graph*.
+
+    Returns ``(step, verify)`` — ``step()`` runs one full iteration and
+    ``verify(run_replay)`` is the :func:`verify_step` promotion gate — or a
+    reason string naming why the run stays on the Python replay tier.
+
+    The engine hook ``engine._graph_build_native(graph, problem, params,
+    state)`` is asked first; it returns its own refusal, or ``(eval_fn,
+    charge)``: the pure evaluation function (positions -> float64 values)
+    and ``charge(improved)``, which charges the clock for one iteration
+    from the capture.  The refusals every engine shares follow: the C step
+    reads one social attractor row (global topology only), needs the
+    compiled library, and consumes exactly the two ``ceil(n*d/4)``-block
+    weight draws.
+    """
+    parts = engine._graph_build_native(graph, problem, params, state)
+    if isinstance(parts, str):
+        return parts
+    if params.topology != "global":
+        return f"native-unsupported-topology:{params.topology}"
+    lib = load()
+    if lib is None:
+        return "native-unavailable"
+    n, d = state.n_particles, state.dim
+    if graph.rng_blocks != 2 * ((n * d + 3) // 4):
+        return "native-rng-shape-mismatch"
+    eval_fn, charge = parts
+    pos_bounds = None
+    if params.clip_positions:
+        pos_bounds = (problem.lower_bounds, problem.upper_bounds)
+    plan = NativePlan(
+        lib,
+        state,
+        rng,
+        engine._ws.array("l_weights", (n, d), np.float32),
+        engine._ws.array("g_weights", (n, d), np.float32),
+        params,
+        pos_bounds,
+    )
+
+    def step() -> None:
+        values = eval_fn(state.positions)
+        p = engine._scheduled_params(params)
+        vlo, vhi = _velocity_bounds_f32(engine, problem, p)
+        charge(plan.step(values, float(p.inertia), vlo, vhi))
+
+    def verify(run_replay) -> bool:
+        return verify_step(plan, run_replay, eval_fn, engine, problem, params)
+
+    return step, verify
+
+
 def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) -> bool:
     """Promotion gate: replay the real iteration, shadow-run the C step.
 
@@ -402,7 +469,7 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
     pre_gpos = np.ascontiguousarray(state.gbest_position, dtype=np.float32).copy()
     pre_block = rng.position
     p = engine._scheduled_params(params)
-    vb = engine._current_velocity_bounds(problem, p)
+    vlo, vhi = _velocity_bounds_f32(engine, problem, p)
 
     run_replay()
 
@@ -417,10 +484,6 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
             and values.shape == (n,)
         ):
             return False
-        vlo = vhi = None
-        if vb is not None:
-            vlo = vb[0].astype(np.float32)
-            vhi = vb[1].astype(np.float32)
         sh_l = np.empty((n, d), dtype=np.float32)
         sh_g = np.empty((n, d), dtype=np.float32)
         sh_gval = np.array([pre_gval], dtype=np.float64)

@@ -34,12 +34,13 @@ The lifecycle, driven by :class:`IterationRunner`:
     a repro bug, not a user condition); later replays run flat.
 ``native-verify`` / ``native``
     The third tier (``_fastpath.c``): after the first verified Python
-    replay, a native-eligible plan (global-memory float32 engines with the
-    global topology; see ``Engine._graph_build_native``) is promoted to one
-    C call per iteration.  Promotion is gated by one shadow-verified
-    iteration — the trusted Python replay runs on the real state while the
-    C step runs on copies, and every output buffer must match bitwise.  Any
-    mismatch, missing compiler, failed self-test, unsupported shape or
+    replay, a native-eligible run (global-memory float32 engines with the
+    global topology; built from the capture by
+    :func:`repro.gpusim.fastpath.build_native`) is promoted to one C call
+    per iteration.  Promotion is gated by one shadow-verified iteration —
+    the trusted Python replay runs on the real state while the C step runs
+    on copies, and every output buffer must match bitwise.  Any mismatch,
+    missing compiler, failed self-test, unsupported shape or
     ``REPRO_NO_NATIVE_FASTPATH=1`` silently keeps the run on the Python
     replay tier; the trajectory is bit-identical on every tier by
     construction.  ``info["native"]`` records the outcome (``"active"`` or
@@ -53,9 +54,9 @@ sequence of float additions* on the clock as the eager path: one
 alloc/free calls (pool hits advance the clock natively and keep the
 allocator statistics truthful), and the same dynamic charges through the
 same helpers.  The native tier keeps this exactly: the C call replaces the
-array *semantics* only, while the clock charges, allocator calls and
-dynamic pbest-copy accounting still run through the same Python helpers in
-the same order.  Profiler statistics are aggregated per graph — replayed
+array *semantics* only; its clock charges are the captured ones, in
+captured order, with the dynamic pbest-copy charge still going through the
+engine's helper.  Profiler statistics are aggregated per graph — replayed
 launches touch no :class:`~repro.gpusim.launch.LaunchStats` until
 :meth:`IterationRunner.finalize` folds ``replays x captured-cost`` into the
 launcher's buckets in one update per kernel.
@@ -66,9 +67,12 @@ or an engine without a replay plan.  Checkpoint *capture* composes with
 replay (snapshots read state the replay keeps current); a *restored* run
 rebuilds its runner from scratch, so the graph is re-captured after resume
 and can never replay stale bindings — and re-promotes to the native tier
-when eligible.  Hosts that drive a runner's replay directly (the fused
-multi-swarm ramp) set ``allow_native = False`` before stepping, pinning
-the runner to the Python replay tier whose phase transitions they rely on.
+when eligible.  The fused multi-swarm ramp sets ``allow_native = False``
+before stepping, pinning the runner to the Python replay tier: it expects
+phase ``replay`` once its ramp is done, and its fast loop rebinds the
+swarm arrays to views of stacked storage, while a
+:class:`~repro.gpusim.fastpath.NativePlan` keeps the raw addresses of the
+arrays it was built on.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from typing import Callable
 
 from repro.errors import GraphReplayError
 
-__all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner"]
+__all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner", "traced_capture"]
 
 
 #: One recorded launch: (kernel_name, section, n_elems, config, cost).
@@ -131,6 +135,48 @@ class LaunchGraph:
                 return False
         return True
 
+    def matches(self, other: "LaunchGraph") -> bool:
+        """*other* is the same iteration shape: charges, launches and RNG
+        consumption all match (dynamic slots wildcarded)."""
+        return (
+            self.trace_matches(other.trace)
+            and self.launches_match(other.launches)
+            and self.rng_blocks == other.rng_blocks
+        )
+
+    def launch_seconds(self, section: str) -> tuple[float, ...]:
+        """The captured launches' modelled seconds in *section*, in order."""
+        return tuple(
+            cost.seconds
+            for _name, sec, _n, _config, cost in self.launches
+            if sec == section
+        )
+
+    def charge(self, clock, dynamic: Callable[[], None]) -> None:
+        """Replay the captured charge sequence onto *clock*.
+
+        Static slots add their captured seconds to ``clock.now`` and to their
+        section's total; each dynamic slot calls *dynamic* inside its
+        section, which charges the slot's live (data-dependent) cost.  The
+        additions run in the captured order on the same floats, so the clock
+        ends bit-identical to an eager iteration's.  ``clock.now`` is kept in
+        a local between dynamic slots; the clock must not be tracing.
+        """
+        totals = clock.section_totals
+        totals_get = totals.get
+        now = clock.now
+        for label, seconds, is_dynamic in self.trace:
+            if is_dynamic:
+                clock.now = now
+                with clock.section(label):
+                    dynamic()
+                now = clock.now
+            else:
+                now += seconds
+                if label is not None:
+                    totals[label] = totals_get(label, 0.0) + seconds
+        clock.now = now
+
     def flush_stats(self, stats: dict, replays: int) -> None:
         """Fold *replays* executions of every captured launch into *stats*.
 
@@ -148,6 +194,31 @@ class LaunchGraph:
                 bucket = LaunchStats(kernel_name=name, section=section)
                 stats[key] = bucket
             bucket.add_many(cost, n_elems, replays)
+
+
+def traced_capture(clock, launcher, rng, body: Callable[[], None]) -> LaunchGraph:
+    """Run *body* once with the clock trace and the launcher's capture sink
+    attached, and return what it charged, launched and drew.
+
+    *launcher* may be ``None`` (CPU engines, or a replay that bypasses the
+    launch pipeline); the graph's launch list is then empty.  Tracing never
+    changes the float accumulation, so the traced iteration is an ordinary
+    one.
+    """
+    captured: list = []
+    if launcher is not None:
+        launcher.capture = captured
+    clock.begin_trace()
+    rng_before = rng.position
+    try:
+        body()
+    finally:
+        trace = clock.end_trace()
+        if launcher is not None:
+            launcher.capture = None
+    return LaunchGraph(
+        trace=trace, launches=captured, rng_blocks=rng.position - rng_before
+    )
 
 
 #: Clock section labels of Algorithm 1's loop body, in execution order.
@@ -197,8 +268,8 @@ class IterationRunner:
         self.rng = rng
         self.phase = "eager" if eager_reason is not None else "warmup"
         self.graph: LaunchGraph | None = None
-        #: Hosts that drive the Python replay directly (fused multi-swarm
-        #: ramp) set this False before stepping to pin the replay tier.
+        #: The fused multi-swarm ramp sets this False before stepping to pin
+        #: the replay tier (see the module docstring).
         self.allow_native = True
         self._replay: Callable[[], None] | None = None
         self._native: Callable[[], None] | None = None
@@ -229,22 +300,6 @@ class IterationRunner:
             engine._update_gbest(self.state)
         with clock.section("swarm"):
             engine._update_swarm(self.problem, self.params, self.state, self.rng)
-
-    def _run_traced(self) -> tuple[list, list, int]:
-        """One eager iteration with the trace and capture sinks attached."""
-        clock = self.engine.clock
-        captured: list = []
-        if self._launcher is not None:
-            self._launcher.capture = captured
-        clock.begin_trace()
-        rng_before = self.rng.position
-        try:
-            self._run_eager()
-        finally:
-            trace = clock.end_trace()
-            if self._launcher is not None:
-                self._launcher.capture = None
-        return trace, captured, self.rng.position - rng_before
 
     # -- lifecycle -----------------------------------------------------------
     def run_iteration(self, t: int) -> None:
@@ -279,22 +334,20 @@ class IterationRunner:
             if phase == "warmup":
                 self.phase = "capture"
             return
+        clock = self.engine.clock
         if phase == "capture":
-            trace, launches, rng_blocks = self._run_traced()
-            self.graph = LaunchGraph(
-                trace=trace, launches=launches, rng_blocks=rng_blocks
+            self.graph = traced_capture(
+                clock, self._launcher, self.rng, self._run_eager
             )
             self.info["captured_at"] = t
             self.phase = "validate"
             return
         if phase == "validate":
-            trace, launches, rng_blocks = self._run_traced()
             graph = self.graph
-            if not (
-                graph.trace_matches(trace)
-                and graph.launches_match(launches)
-                and graph.rng_blocks == rng_blocks
-            ):
+            observed = traced_capture(
+                clock, self._launcher, self.rng, self._run_eager
+            )
+            if not graph.matches(observed):
                 # Data-dependent iteration shape: stay eager for this run.
                 self._demote("iteration-shape-changed")
                 return
@@ -311,25 +364,19 @@ class IterationRunner:
             self.phase = "first-replay"
             return
         # phase == "first-replay": verified replay, then go flat.
-        clock = self.engine.clock
-        clock.begin_trace()
-        rng_before = self.rng.position
-        try:
-            self._replay()
-        finally:
-            trace = clock.end_trace()
+        replayed = traced_capture(clock, None, self.rng, self._replay)
         self.info["replays"] += 1
         graph = self.graph
-        if not graph.trace_matches(trace):
+        if not graph.trace_matches(replayed.trace):
             raise GraphReplayError(
                 "replayed iteration charged the clock differently from its "
                 "captured iteration; the engine's replay plan is out of "
                 "sync with its eager path"
             )
-        if self.rng.position - rng_before != graph.rng_blocks:
+        if replayed.rng_blocks != graph.rng_blocks:
             raise GraphReplayError(
                 "replayed iteration consumed "
-                f"{self.rng.position - rng_before} RNG blocks; capture "
+                f"{replayed.rng_blocks} RNG blocks; capture "
                 f"recorded {graph.rng_blocks}"
             )
         self.phase = "replay"
@@ -348,15 +395,18 @@ class IterationRunner:
         if os.environ.get("REPRO_NO_NATIVE_FASTPATH"):
             self.info["native"] = "disabled-by-env"
             return
+        from repro.gpusim import fastpath
+
         try:
-            built = self.engine._graph_build_native(
-                self.graph, self.problem, self.params, self.state, self.rng
+            built = fastpath.build_native(
+                self.engine, self.graph, self.problem, self.params,
+                self.state, self.rng,
             )
         except Exception:
             self.info["native"] = "native-build-failed"
             return
-        if built is None or isinstance(built, str):
-            self.info["native"] = built or "engine-has-no-native-plan"
+        if isinstance(built, str):
+            self.info["native"] = built
             return
         self._native, self._native_verify = built
         self.phase = "native-verify"

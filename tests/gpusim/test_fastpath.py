@@ -70,6 +70,40 @@ def assert_identical(a, b):
     assert list(a.history.gbest_values) == list(b.history.gbest_values)
 
 
+def assert_same_gpu_accounting(native_engine, replay_engine, eager_engine):
+    """The native GPU step makes the eager iteration's real allocator calls,
+    so Table 4's counters match eager exactly.  Its profile matches the
+    Python replay tier exactly, since both fold replayed launches with
+    ``add_many``; against eager, whose per-launch adds round differently in
+    the last bits, every count and every section total matches."""
+    stats = native_engine.ctx.allocator.stats
+    assert stats == replay_engine.ctx.allocator.stats
+    assert stats == eager_engine.ctx.allocator.stats
+    report = native_engine.profile_report()
+    assert report == replay_engine.profile_report()
+    eager_report = eager_engine.profile_report()
+    assert report.sections == eager_report.sections
+    assert report.kernels.keys() == eager_report.kernels.keys()
+    for kernel, summary in report.kernels.items():
+        eager_summary = eager_report.kernels[kernel]
+        assert summary.launches == eager_summary.launches
+        assert summary.total_bytes_read == eager_summary.total_bytes_read
+        assert summary.total_bytes_written == eager_summary.total_bytes_written
+        assert summary.total_flops == eager_summary.total_flops
+
+
+def assert_native_parity(name, problem, monkeypatch, **kwargs):
+    """*name* goes native and matches the Python replay tier and eager."""
+    nat_engine, nat_result = run(name, problem, **kwargs)
+    assert nat_engine.graph_info["native"] == "active", name
+    monkeypatch.setenv(ENV_GATE, "1")
+    _, gated_result = run(name, problem, **kwargs)
+    monkeypatch.delenv(ENV_GATE)
+    _, eager_result = run(name, problem, graph=False, **kwargs)
+    assert_identical(nat_result, gated_result)
+    assert_identical(nat_result, eager_result)
+
+
 @needs_native
 class TestNativeTierParity:
     @pytest.mark.parametrize("name", NATIVE_ENGINES)
@@ -87,10 +121,12 @@ class TestNativeTierParity:
         assert gated_engine.graph_info["native_replays"] == 0
 
         monkeypatch.delenv(ENV_GATE)
-        _, eager_result = run(name, problem, graph=False)
+        eager_engine, eager_result = run(name, problem, graph=False)
 
         assert_identical(nat_result, gated_result)
         assert_identical(nat_result, eager_result)
+        if hasattr(nat_engine, "ctx"):
+            assert_same_gpu_accounting(nat_engine, gated_engine, eager_engine)
 
     def test_lifecycle_counters(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
@@ -105,13 +141,10 @@ class TestNativeTierParity:
 
     def test_odd_tail_shapes(self, monkeypatch):
         """n*d not divisible by 4 exercises the partial final Philox block
-        and the SIMD remainder loops."""
+        and the SIMD remainder loops, on every native engine."""
         problem = Problem.from_benchmark("sphere", 7)
-        nat_engine, nat_result = run("fastpso", problem, n=13)
-        assert nat_engine.graph_info["native"] == "active"
-        monkeypatch.setenv(ENV_GATE, "1")
-        _, gated_result = run("fastpso", problem, n=13)
-        assert_identical(nat_result, gated_result)
+        for name in NATIVE_ENGINES:
+            assert_native_parity(name, problem, monkeypatch, n=13)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -124,12 +157,10 @@ class TestNativeTierParity:
         ids=["clip-positions", "no-clamp", "static-clamp", "inertia-schedule"],
     )
     def test_parameter_variants(self, problem, overrides, monkeypatch):
+        """Clamp, clip and schedule variants, on every native engine."""
         params = replace(PAPER_DEFAULTS, seed=7, **overrides)
-        nat_engine, nat_result = run("fastpso", problem, params=params)
-        assert nat_engine.graph_info["native"] == "active"
-        monkeypatch.setenv(ENV_GATE, "1")
-        _, gated_result = run("fastpso", problem, params=params)
-        assert_identical(nat_result, gated_result)
+        for name in NATIVE_ENGINES:
+            assert_native_parity(name, problem, monkeypatch, params=params)
 
     def test_self_test_known_answer(self):
         lib = fastpath.load()

@@ -198,7 +198,7 @@ class TestCrashRecovery:
     ):
         import shutil
 
-        import repro.serve.service as service_mod
+        import repro.batch.dispatch as dispatch_mod
 
         wal = tmp_path / "wal"
         shutil.copytree(reference.journal_dir, wal)
@@ -206,7 +206,9 @@ class TestCrashRecovery:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("recovery re-ran a finished job")
 
-        monkeypatch.setattr(service_mod, "RunningJob", boom)
+        # The attempt loop imports RunningJob from its home module when an
+        # attempt starts, so that is where a re-run would be caught.
+        monkeypatch.setattr(dispatch_mod, "RunningJob", boom)
         recovered = OptimizationService.recover(wal, **KW)
         for ours, theirs in zip(recovered._tickets, reference._tickets):
             assert ours.status == "completed"
