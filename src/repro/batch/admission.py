@@ -47,6 +47,10 @@ __all__ = [
 
 ADMISSION_MODES = ("degrade", "strict")
 
+#: The reason :meth:`AdmissionPolicy.admit_one` gives when it admits a
+#: job unchanged.
+ADMIT_REASON = "fits"
+
 #: Allocator slack: size-class rounding plus transient eval scratch.
 _SLACK = 1.25
 
@@ -300,7 +304,7 @@ class AdmissionPolicy:
                 label=job.label,
                 priority=job.priority,
                 action="admit",
-                reason="fits",
+                reason=ADMIT_REASON,
                 job=job,
             )
 

@@ -131,6 +131,10 @@ class FleetHealth:
         )
         self._ordinal += 1
 
+    def add_device(self) -> None:
+        """Give a newly provisioned device a closed breaker."""
+        self.breakers.append(CircuitBreaker(self.policy))
+
     def pick_device(
         self, *, now: float, preferred: int | None = None
     ) -> int | None:

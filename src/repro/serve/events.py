@@ -63,6 +63,11 @@ class ServiceEvent:
             "detail": dict(self.detail),
         }
 
+    @classmethod
+    def from_row(cls, row: dict) -> "ServiceEvent":
+        """Inverse of :meth:`to_row` (crash recovery decodes the journal)."""
+        return cls(**dict(row, detail=dict(row["detail"])))
+
 
 def events_to_json(events) -> str:
     """Canonical JSON rendering of an event log.

@@ -8,7 +8,10 @@ happened; not journaled means it never happened*.  After SIGKILL,
 :meth:`~repro.serve.service.OptimizationService.recover` replays the
 journal to rebuild the exact service state, resumes the in-flight job
 from its newest checkpoint, and continues — byte-identical to a run that
-was never interrupted.
+was never interrupted.  Replay applies each event record through
+``OptimizationService._apply``, the same transition function the live
+service calls right after appending the record, so a journaled event
+means the same thing live and in recovery.
 
 File format (version 1), one record per line::
 

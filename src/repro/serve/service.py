@@ -31,6 +31,11 @@ With ``journal_dir`` set, every state transition is appended to a
 submits (with the full job spec), admission verdicts, dispatches,
 progress watermarks, checkpoint references, retries, cancellations and
 completions (with the exact committed duration and the full result).
+One method, ``OptimizationService._apply``, is the single transition
+function for every event kind: live code builds the event, journals it,
+and only then applies it through ``_apply``; recovery decodes each
+journaled event and feeds it through the same ``_apply``, so live and
+recovered state cannot drift apart.
 The write-ahead ordering gives crash recovery its invariant — *journaled
 means it happened; not journaled means it never happened* — so
 :meth:`OptimizationService.recover` rebuilds the exact service state
@@ -71,10 +76,12 @@ executes the job, and ends at the job's terminal state.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.batch.admission import ADMIT_REASON
 from repro.batch.dispatch import (
     FleetTimeline,
     LanePlacement,
@@ -493,14 +500,8 @@ class OptimizationService:
         if breaker_policy is not None:
             from repro.reliability.breaker import FleetHealth
 
-            # Sized for the largest fleet autoscaling may provision, so a
-            # scaled-up device has a breaker from the start.
-            ceiling = (
-                self._autoscaler.policy.max_devices
-                if self._autoscaler is not None
-                else n_devices
-            )
-            self._health = FleetHealth(ceiling, policy=breaker_policy)
+            # Grows with the fleet: _apply adds a breaker on each scale_up.
+            self._health = FleetHealth(n_devices, policy=breaker_policy)
 
         self._timeline = FleetTimeline(
             n_devices, streams_per_device=streams_per_device
@@ -602,14 +603,25 @@ class OptimizationService:
             self._enter_read_only(exc)
 
     def _emit(
-        self, kind: str, *, time: float, ticket=None, _extra=None, **detail
+        self, kind: str, *, time: float, ticket=None, _job_id=None,
+        _tenant=None, _extra=None, _job=None, _result=None, _duration=None,
+        _lane=None, _resumed_from=None, **detail,
     ) -> None:
+        """Journal one transition, apply it, then log it.
+
+        *ticket* (or ``_job_id``/``_tenant`` for a ticket the event
+        creates) names the job; ``_extra`` is the journal-only payload;
+        ``_job`` … ``_resumed_from`` are the live inputs :meth:`_apply`
+        would otherwise decode from that payload.
+        """
+        if ticket is not None:
+            _job_id, _tenant = ticket.job_id, ticket.tenant
         event = ServiceEvent(
             ordinal=len(self._events),
             time=float(time),
             kind=kind,
-            job_id=ticket.job_id if ticket is not None else None,
-            tenant=ticket.tenant if ticket is not None else None,
+            job_id=_job_id,
+            tenant=_tenant,
             detail=detail,
         )
         # Write-ahead: the transition is durable before it takes effect.
@@ -617,7 +629,112 @@ class OptimizationService:
         if _extra:
             record["extra"] = _extra
         self._journal_append(record)
+        self._apply(
+            event, job=_job, result=_result, duration=_duration, lane=_lane,
+            resumed_from=_resumed_from,
+        )
         self._events.append(event)
+
+    def _apply(
+        self,
+        event: ServiceEvent,
+        *,
+        job: Job | None = None,
+        result: OptimizeResult | None = None,
+        duration: float | None = None,
+        lane: tuple[int, int, float] | None = None,
+        resumed_from: int | None = None,
+    ) -> None:
+        """The one transition function for every event kind.
+
+        Applies *event* to the tickets, the queue, the fleet timeline and
+        the breaker fleet.  Live code reaches it through :meth:`_emit`,
+        right after the record is journaled; crash recovery feeds it each
+        journaled event, decoded.  The inputs an event row does not carry
+        come alongside: the submitted or degraded *job* (``None`` when its
+        spec could not be journaled), the terminal *result*, the exact
+        committed *duration* and the reserved *lane* ``(device, stream,
+        start)``.
+        """
+        kind, detail = event.kind, event.detail
+        if kind in ("submit", "refused"):
+            if job is None:
+                # The crashed service could not serialize this job; the
+                # stub keeps ids/counters aligned but cannot be re-run.
+                stub = Job(problem="sphere", dim=1, name=detail.get("label"))
+            ticket = JobTicket(
+                self, event.job_id, event.tenant,
+                job if job is not None else stub,
+            )
+            ticket._recoverable = job is not None
+            ticket.arrival = event.time
+            ticket.priority = self._quota_for(event.tenant).job_priority(
+                ticket.job.priority
+            )
+            # A refusal's detail does not carry the resume link.
+            ticket.resumed_from = detail.get("resumed_from", resumed_from)
+            if "restore" in detail:
+                ticket._restore_path = Path(detail["restore"])
+            self._tickets.append(ticket)
+            self._now = max(self._now, event.time)
+            if kind == "refused":
+                ticket.status = ticket.admission_action = "refused"
+                ticket.admission_reason = detail["reason"]
+                ticket._finalize()
+        elif kind == "scale_up":
+            self._timeline.add_device(at=detail["lanes_open_at"])
+            if self._health is not None:
+                self._health.add_device()
+        elif kind == "scale_down":
+            self._timeline.retire_device(detail["device"])
+        elif kind in ("admit", "degrade", "shed"):
+            ticket = self._tickets[event.job_id]
+            ticket.admission_action = kind
+            if kind == "admit":
+                # Admission's only admit reason; the record carries none.
+                ticket.admission_reason = (
+                    ADMIT_REASON if self.admission is not None else ""
+                )
+                return
+            ticket.admission_reason = detail["reason"]
+            if kind == "shed":
+                ticket.status = "shed"
+                ticket._finalize()
+            elif job is not None:
+                ticket.effective_job = job
+            else:
+                ticket._recoverable = False
+        elif kind == "dispatch":
+            self._tickets[event.job_id].status = "running"
+        elif kind == "cancel" and detail["phase"] == "queued":
+            ticket = self._tickets[event.job_id]
+            if ticket in self._pending:  # replay re-queues after the log
+                self._pending.remove(ticket)
+            ticket.status = "cancelled"
+            ticket._finalize()
+        elif kind in ("complete", "failed", "cancel"):
+            ticket = self._tickets[event.job_id]
+            device, stream, start = lane
+            ticket.placement = self._timeline.commit(
+                device, stream, start, duration
+            )
+            ticket.result = result
+            if kind == "cancel":
+                ticket.status = "cancelled"
+                if detail["checkpoint"] is not None:
+                    ticket.checkpoint_path = Path(detail["checkpoint"])
+            else:
+                ticket.status = (
+                    "failed" if kind == "failed" else detail["status"]
+                )
+            ticket._finalize()
+        # "stalled" and "retry" change no ticket, queue or fleet state.
+
+    def _enqueue(self, ticket: JobTicket) -> None:
+        """Queue *ticket* in dispatch order: priority, then submission."""
+        bisect.insort(
+            self._pending, ticket, key=lambda t: (-t.priority, t.job_id)
+        )
 
     # -- submission ----------------------------------------------------------
     async def submit(
@@ -673,12 +790,6 @@ class OptimizationService:
             # The journal died while earlier work was being dispatched.
             return self._refuse(job, tenant, arrival, _resumed_from)
 
-        ticket = JobTicket(self, len(self._tickets), tenant, job)
-        ticket.arrival = arrival
-        ticket.resumed_from = _resumed_from
-        quota = self._quota_for(tenant)
-        ticket.priority = quota.job_priority(job.priority)
-        self._tickets.append(ticket)
         submit_detail: dict = {"label": job.label}
         if restore is not None:
             submit_detail["restore"] = str(restore)
@@ -688,21 +799,18 @@ class OptimizationService:
         if self._journal is not None:
             submit_extra = {"job": job_to_spec(job)}
         self._emit(
-            "submit", time=arrival, ticket=ticket, _extra=submit_extra,
-            **submit_detail,
+            "submit", time=arrival, _job_id=len(self._tickets),
+            _tenant=tenant, _extra=submit_extra, _job=job, **submit_detail,
         )
-
+        ticket = self._tickets[-1]
         if not self._admission_verdict(ticket):
             return ticket
-
-        ticket._restore_path = Path(restore) if restore is not None else None
 
         # Autoscaler observation: the queue as this arrival finds it (the
         # new job is not yet counted — idle streaks would otherwise never
         # accumulate under sparse arrivals).
         self._autoscale_tick(now=arrival)
-        self._pending.append(ticket)
-        self._pending.sort(key=lambda t: (-t.priority, t.job_id))
+        self._enqueue(ticket)
 
         # Eagerly run whatever can start at this instant (an idle fleet
         # serves the job before submit() returns).
@@ -719,50 +827,44 @@ class OptimizationService:
         Raises :class:`~repro.errors.AdmissionError` in strict mode (after
         recording the shed).
         """
-        job = ticket.job
         arrival = ticket.arrival
-        quota = self._quota_for(ticket.tenant)
-        refusal = self._quota_refusal(ticket, quota)
+        refusal = self._quota_refusal(ticket, self._quota_for(ticket.tenant))
         if refusal is not None:
             self._shed(ticket, refusal, source="quota")
             return False
-
-        if self.admission is not None:
-            try:
-                decision = self.admission.admit_one(
-                    job,
-                    submit_order=ticket.job_id,
-                    streams_per_device=self.streams_per_device,
-                    device_mem_bytes=self._device_mem_bytes(),
-                    queue_depth=len(self._pending),
-                )
-            except AdmissionError:
-                # Strict mode refuses loudly; the shed still goes on the
-                # record so replayed logs show the refusal.
-                self._record_shed(ticket, "strict admission refusal", "admission")
-                raise
-            ticket.admission_action = decision.action
-            ticket.admission_reason = decision.reason
-            if decision.action == "shed":
-                self._shed(ticket, decision.reason, source="admission")
-                return False
-            if decision.action == "degrade":
-                ticket.effective_job = decision.job
-                degrade_extra = None
-                if self._journal is not None:
-                    degrade_extra = {"job": job_to_spec(decision.job)}
-                self._emit(
-                    "degrade",
-                    time=arrival,
-                    ticket=ticket,
-                    _extra=degrade_extra,
-                    reason=decision.reason,
-                    n_particles=decision.job.n_particles,
-                )
-            else:
-                self._emit("admit", time=arrival, ticket=ticket)
+        if self.admission is None:
+            self._emit("admit", time=arrival, ticket=ticket)
+            return True
+        try:
+            decision = self.admission.admit_one(
+                ticket.job,
+                submit_order=ticket.job_id,
+                streams_per_device=self.streams_per_device,
+                device_mem_bytes=self._device_mem_bytes(),
+                queue_depth=len(self._pending),
+            )
+        except AdmissionError:
+            # Strict mode refuses loudly; the shed still goes on the
+            # record so replayed logs show the refusal.
+            self._shed(ticket, "strict admission refusal", source="admission")
+            raise
+        if decision.action == "shed":
+            self._shed(ticket, decision.reason, source="admission")
+            return False
+        if decision.action == "degrade":
+            degrade_extra = None
+            if self._journal is not None:
+                degrade_extra = {"job": job_to_spec(decision.job)}
+            self._emit(
+                "degrade",
+                time=arrival,
+                ticket=ticket,
+                _extra=degrade_extra,
+                _job=decision.job,
+                reason=decision.reason,
+                n_particles=decision.job.n_particles,
+            )
         else:
-            ticket.admission_action = "admit"
             self._emit("admit", time=arrival, ticket=ticket)
         return True
 
@@ -770,29 +872,22 @@ class OptimizationService:
         self, job: Job, tenant: str, arrival: float, resumed_from: int | None
     ) -> JobTicket:
         """Refuse a submission in degraded read-only mode."""
-        ticket = JobTicket(self, len(self._tickets), tenant, job)
-        ticket.arrival = arrival
-        ticket.resumed_from = resumed_from
-        ticket.priority = self._quota_for(tenant).job_priority(job.priority)
-        self._tickets.append(ticket)
-        self._now = max(self._now, arrival)
-        ticket.status = "refused"
-        ticket.admission_action = "refused"
         row = dict(self._journal_error_row or {})
         row["job"] = job.label
         self.refusals.append(row)
-        ticket.admission_reason = row.get("message", "journal unwritable")
         # The journal is the thing that broke, so the refusal itself
         # cannot be journaled: this event is memory-only by design.
         self._emit(
             "refused",
             time=arrival,
-            ticket=ticket,
-            reason=ticket.admission_reason,
+            _job_id=len(self._tickets),
+            _tenant=tenant,
+            _job=job,
+            _resumed_from=resumed_from,
+            reason=row.get("message", "journal unwritable"),
             error=row.get("error"),
         )
-        ticket._finalize()
-        return ticket
+        return self._tickets[-1]
 
     async def resubmit(
         self, job_id: int, *, at: float | None = None
@@ -868,26 +963,17 @@ class OptimizationService:
                 )
         return None
 
-    def _record_shed(
-        self, ticket: JobTicket, reason: str, source: str
-    ) -> None:
-        ticket.status = "shed"
-        ticket.admission_action = "shed"
-        ticket.admission_reason = reason
+    def _shed(self, ticket: JobTicket, reason: str, *, source: str) -> None:
+        """Record a shed; strict admission also refuses a quota shed loudly."""
         self._emit(
             "shed", time=ticket.arrival, ticket=ticket, reason=reason,
             source=source,
         )
-        ticket._finalize()
-
-    def _shed(self, ticket: JobTicket, reason: str, *, source: str) -> None:
         mode = self.admission.mode if self.admission is not None else "degrade"
         if source == "quota" and mode == "strict":
-            self._record_shed(ticket, reason, source)
             raise AdmissionError(
                 f"job {ticket.job.label!r} refused admission: {reason}"
             ).with_context(job=ticket.job.label)
-        self._record_shed(ticket, reason, source)
 
     # -- cancellation --------------------------------------------------------
     def cancel(self, job_id: int) -> bool:
@@ -904,15 +990,7 @@ class OptimizationService:
         """
         ticket = self._get_ticket(job_id)
         if ticket.status == "queued":
-            self._pending.remove(ticket)
-            ticket.status = "cancelled"
-            self._emit(
-                "cancel",
-                time=self._now,
-                ticket=ticket,
-                phase="queued",
-            )
-            ticket._finalize()
+            self._emit("cancel", time=self._now, ticket=ticket, phase="queued")
             return True
         if ticket.status == "running":
             ticket.cancel_requested = True
@@ -951,12 +1029,8 @@ class OptimizationService:
             # new dispatch decision — exactly the uninterrupted order.
             while self._resume:
                 job_id = next(iter(self._resume))
-                info = self._resume[job_id]
                 await self._execute(
-                    self._tickets[job_id],
-                    info["device"],
-                    info["stream"],
-                    info["start"],
+                    self._tickets[job_id], *self._resume[job_id]["lane"]
                 )
             while self._pending:
                 if until is not None and until._done.is_set():
@@ -1050,7 +1124,6 @@ class OptimizationService:
         journals every transition before it takes effect.
         """
         job = ticket.effective_job
-        ticket.status = "running"
         resume = self._resume.pop(ticket.job_id, None)
         if resume is None:
             self._emit(
@@ -1167,14 +1240,15 @@ class OptimizationService:
                     failure = exc
 
             if failure is None and not stalled:
+                checkpoint = None
                 if cancelled:
-                    self._checkpoint_cancelled(ticket, run)
+                    checkpoint = self._checkpoint_cancelled(ticket, run)
                 result = run.finish(status="cancelled" if cancelled else None)
                 loop.succeeded(result)
                 self._complete(
-                    ticket, device, stream, start, loop.ledger.overhead,
-                    result, cancelled=cancelled, attempt=loop.attempt,
-                    on_cpu=loop.on_cpu,
+                    ticket, (device, stream, start), loop.ledger.overhead,
+                    result, cancelled=cancelled, checkpoint=checkpoint,
+                    attempt=loop.attempt, on_cpu=loop.on_cpu,
                 )
                 return
 
@@ -1202,9 +1276,12 @@ class OptimizationService:
                 )
             skip_stalled = False
             if not retrying:
-                self._fail(
-                    ticket, device, stream, start, overhead + fail_sim,
-                    failure, attempt=attempt,
+                detail = {"error": error_text}
+                if attempt > 1:
+                    detail["attempts"] = attempt
+                self._finish(
+                    "failed", ticket, (device, stream, start),
+                    overhead + fail_sim, detail,
                 )
                 return
             retry_extra = None
@@ -1226,113 +1303,93 @@ class OptimizationService:
                 backoff_seconds=loop.backoff,
             )
 
-    def _checkpoint_cancelled(self, ticket: JobTicket, run: RunningJob) -> None:
+    def _checkpoint_cancelled(
+        self, ticket: JobTicket, run: RunningJob
+    ) -> Path | None:
         """Snapshot a mid-run cancel so :meth:`resubmit` can resume it."""
         if self.checkpoint_dir is None or run.iterations_run == 0:
-            return
+            return None
         try:
             snapshot = run.snapshot()
         except CheckpointError:
             # Custom-objective problems cannot be rebuilt from a snapshot
             # document; the cancel still returns the best-so-far result.
-            return
+            return None
         manager = CheckpointManager(
             self.checkpoint_dir / f"job{ticket.job_id:06d}",
             label=f"job{ticket.job_id:06d}",
         )
-        ticket.checkpoint_path = manager.save(snapshot)
+        return manager.save(snapshot)
 
     def _complete(
         self,
         ticket: JobTicket,
-        device: int,
-        stream: int,
-        start: float,
+        lane: tuple[int, int, float],
         overhead: float,
         result: OptimizeResult,
         *,
         cancelled: bool,
+        checkpoint: Path | None,
         attempt: int,
-        on_cpu: bool = False,
+        on_cpu: bool,
     ) -> None:
         """Commit a terminal result (recovery overhead included) and emit."""
         duration = overhead + result.elapsed_seconds
-        placement = self._timeline.commit(device, stream, start, duration)
-        ticket.placement = placement
-        ticket.result = result
-        if (
-            ticket.admission_action == "degrade"
-            and result.status == "completed"
-        ):
-            ticket.status = "degraded"
-        else:
-            ticket.status = result.status
-        extra = None
-        if self._journal is not None:
-            # The exact committed duration rides along: IEEE addition is
-            # not associative, so replay must commit the same float the
-            # live run did, not recompute it from parts.
-            extra = {"duration": duration, "result": result_to_dict(result)}
         if cancelled:
             detail: dict = {
                 "phase": "running",
                 "iterations": result.iterations,
                 "best_value": float(result.best_value),
                 "checkpoint": (
-                    str(ticket.checkpoint_path)
-                    if ticket.checkpoint_path is not None
-                    else None
+                    str(checkpoint) if checkpoint is not None else None
                 ),
             }
         else:
+            degraded = (
+                ticket.admission_action == "degrade"
+                and result.status == "completed"
+            )
             detail = {
-                "status": ticket.status,
+                "status": "degraded" if degraded else result.status,
                 "best_value": float(result.best_value),
                 "iterations": result.iterations,
-                "latency": ticket.latency_seconds,
+                "latency": lane[2] + duration - ticket.arrival,
             }
             if attempt > 1:
                 detail["attempts"] = attempt
         if on_cpu:
             detail["cpu_fallback"] = True
-        self._emit(
+        self._finish(
             "cancel" if cancelled else "complete",
-            time=placement.end_seconds,
-            ticket=ticket,
-            _extra=extra,
-            **detail,
+            ticket, lane, duration, detail, result=result,
         )
-        ticket._finalize()
-        self._autoscale_tick(now=placement.end_seconds)
 
-    def _fail(
+    def _finish(
         self,
+        kind: str,
         ticket: JobTicket,
-        device: int,
-        stream: int,
-        start: float,
+        lane: tuple[int, int, float],
         duration: float,
-        exc: ReproError,
+        detail: dict,
         *,
-        attempt: int = 1,
+        result: OptimizeResult | None = None,
     ) -> None:
-        """Contain a job failure: record it, never unwind the service."""
-        placement = self._timeline.commit(device, stream, start, duration)
-        ticket.placement = placement
-        ticket.status = "failed"
-        detail = {"error": f"{type(exc).__name__}: {exc}"}
-        if attempt > 1:
-            detail["attempts"] = attempt
-        extra = {"duration": duration} if self._journal is not None else None
+        """Emit a terminal event at its lane's end, then observe the fleet."""
+        # start + duration is the very float FleetTimeline.commit produces.
+        end = lane[2] + duration
+        extra = None
+        if self._journal is not None:
+            # The exact committed duration rides along: IEEE addition is
+            # not associative, so replay must commit the same float the
+            # live run did, not recompute it from parts.
+            extra = {"duration": duration}
+            if result is not None:
+                extra["result"] = result_to_dict(result)
         self._emit(
-            "failed",
-            time=placement.end_seconds,
-            ticket=ticket,
-            _extra=extra,
-            **detail,
+            kind, time=end, ticket=ticket, _extra=extra, _result=result,
+            _duration=duration, _lane=lane, **detail,
         )
-        ticket._finalize()
-        self._autoscale_tick(now=placement.end_seconds)
+        self._autoscale_tick(now=end)
 
     # -- autoscaling ---------------------------------------------------------
     def _autoscale_tick(self, *, now: float) -> None:
@@ -1371,18 +1428,16 @@ class OptimizationService:
         action, reason = decision
         if action == "up":
             boot_at = now + self._autoscaler.policy.boot_seconds
-            index = self._timeline.add_device(at=boot_at)
             self._emit(
                 "scale_up",
                 time=now,
-                device=index,
+                device=self._timeline.n_devices,
                 lanes_open_at=boot_at,
                 queue_depth=queue_depth,
                 active_devices=n_active,
                 reason=reason,
             )
         else:
-            self._timeline.retire_device(victim)
             self._emit(
                 "scale_down",
                 time=now,
@@ -1432,6 +1487,13 @@ class OptimizationService:
     def _replay_journal(self) -> None:
         """Apply every surviving journal record to the fresh service.
 
+        Each journaled event is decoded and fed through :meth:`_apply`, the
+        same transition function the live service runs, so recovered and
+        live state cannot drift apart.  What only recovery needs stays
+        here: the in-flight lanes, retry attempts and overhead, fault
+        injector state and the breaker outcomes (live, the attempt loop
+        records those at the same event times).
+
         ``submit()`` is a multi-record transaction (submit, verdict,
         autoscale observation); a crash can land between any two of its
         records.  Replay detects a transaction cut short mid-way — a
@@ -1441,7 +1503,8 @@ class OptimizationService:
         continues exactly where the uninterrupted one would be.
         """
         records = self._journal.existing_records
-        inflight: dict[int, dict] = {}
+        health = self._health
+        inflight: dict[int, tuple[int, int, float]] = {}
         retried: dict[int, dict] = {}
         injector_state: dict[int, dict | None] = {}
         tail_needs_tick = False
@@ -1449,19 +1512,53 @@ class OptimizationService:
         for i, record in enumerate(records):
             kind = record.get("type")
             if kind == "event":
-                self._replay_event(record, inflight, retried, injector_state)
-                if record["event"]["kind"] in ("admit", "degrade"):
+                event = ServiceEvent.from_row(record["event"])
+                extra = record.get("extra") or {}
+                job_id, detail = event.job_id, event.detail
+                spec = extra.get("job")
+                lane = None
+                if event.kind in ("complete", "failed", "cancel"):
+                    lane = inflight.pop(job_id, None)  # None: queued cancel
+                self._apply(
+                    event,
+                    job=job_from_spec(spec) if spec is not None else None,
+                    result=(
+                        result_from_dict(extra["result"])
+                        if "result" in extra
+                        else None
+                    ),
+                    duration=extra.get("duration"),
+                    lane=lane,
+                )
+                self._events.append(event)
+                if event.kind == "dispatch":
+                    inflight[job_id] = (
+                        detail["device"], detail["stream"], event.time
+                    )
+                elif event.kind == "retry":
+                    retried[job_id] = {
+                        "attempt": detail["attempt"],
+                        "overhead": extra["overhead"],
+                    }
+                    injector_state[job_id] = extra.get("injector")
+                    if health is not None:
+                        health.record_failure(
+                            inflight[job_id][0], now=event.time
+                        )
+                elif lane is not None and health is not None:
+                    if event.kind == "failed":
+                        health.record_failure(lane[0], now=event.time)
+                    elif not detail.get("cpu_fallback"):
+                        health.record_success(lane[0], now=event.time)
+                elif event.kind in ("admit", "degrade"):
                     # A verdict as the journal's final record means the
                     # crash hit before the submit's autoscale tick.
                     tail_needs_tick = i == len(records) - 1
-                if (
-                    record["event"]["kind"] == "stalled"
-                    and i == len(records) - 1
-                ):
+                elif event.kind == "stalled" and i == len(records) - 1:
                     # Crash between "stalled" and its paired "retry"/
                     # "failed": the resumed attempt re-detects the same
                     # stall and must not journal it twice.
-                    stall_tail_job = record["event"]["job_id"]
+                    stall_tail_job = job_id
             elif kind == "checkpoint":
                 injector_state[record["job_id"]] = record.get("injector")
             elif kind == "scale_obs":
@@ -1506,44 +1603,38 @@ class OptimizationService:
                 last_row = last["event"]
                 terminal = last_row["kind"] in ("complete", "failed") or (
                     last_row["kind"] == "cancel"
-                    and (last_row.get("detail") or {}).get("phase") == "running"
+                    and last_row["detail"].get("phase") == "running"
                 )
                 if terminal:
                     redo_tick_time = last_row["time"]
 
-        # A submit cut off before its verdict: the last ticket is queued
-        # with no admission action on record.
+        # A submit cut off before its verdict (the last ticket is queued
+        # with no admission action on record) or before its autoscale tick.
+        # A verdict needs the job, so an unrecoverable tail only gets its
+        # tick back.
         tail = self._tickets[-1] if self._tickets else None
+        if tail is None or tail.status != "queued":
+            tail = None
         redo_verdict = (
             tail is not None
-            and not tail._done.is_set()
-            and tail.status == "queued"
             and tail.admission_action == ""
-            and tail.job_id not in inflight
-            and getattr(tail, "_recoverable", True)
+            and tail._recoverable
         )
-
+        if not (redo_verdict or tail_needs_tick):
+            tail = None
         for ticket in self._tickets:
-            if ticket._done.is_set() or ticket.status != "queued":
+            if ticket.finished or ticket is tail:
                 continue
-            if ticket.job_id in inflight:
-                continue
-            if ticket is tail and (redo_verdict or tail_needs_tick):
-                continue  # enqueued below, after its submit tail re-runs
-            if not getattr(ticket, "_recoverable", True):
-                ticket.status = "failed"
-                ticket.admission_reason = (
-                    "job spec could not be journaled; not recoverable"
-                )
-                ticket._finalize()
-                continue
-            self._pending.append(ticket)
-        self._pending.sort(key=lambda t: (-t.priority, t.job_id))
+            if not ticket._recoverable:
+                self._fail_unrecoverable(ticket)
+                inflight.pop(ticket.job_id, None)
+            elif ticket.status == "queued":
+                self._enqueue(ticket)
 
         if redo_tick_time is not None:
             self._autoscale_tick(now=redo_tick_time)
 
-        if tail is not None and (redo_verdict or tail_needs_tick):
+        if tail is not None:
             queued = True
             if redo_verdict:
                 try:
@@ -1554,26 +1645,15 @@ class OptimizationService:
                     queued = False
             if queued:
                 self._autoscale_tick(now=tail.arrival)
-                self._pending.append(tail)
-                self._pending.sort(key=lambda t: (-t.priority, t.job_id))
+                if tail._recoverable:
+                    self._enqueue(tail)
+                else:
+                    self._fail_unrecoverable(tail)
 
-        for job_id, info in inflight.items():
-            ticket = self._tickets[job_id]
-            if ticket._done.is_set():
-                continue
-            if not getattr(ticket, "_recoverable", True):
-                ticket.status = "failed"
-                ticket.admission_reason = (
-                    "job spec could not be journaled; not recoverable"
-                )
-                ticket._finalize()
-                continue
-            ticket.status = "running"
+        for job_id, lane in inflight.items():
             retry = retried.get(job_id)
             self._resume[job_id] = {
-                "device": info["device"],
-                "stream": info["stream"],
-                "start": info["start"],
+                "lane": lane,
                 "attempt": retry["attempt"] + 1 if retry else 1,
                 "overhead": retry["overhead"] if retry else 0.0,
                 "injector": injector_state.get(job_id),
@@ -1583,145 +1663,14 @@ class OptimizationService:
             {"type": "recovered", "n_events": len(self._events)}
         )
 
-    def _replay_event(
-        self,
-        record: dict,
-        inflight: dict,
-        retried: dict,
-        injector_state: dict,
-    ) -> None:
-        row = record["event"]
-        extra = record.get("extra") or {}
-        kind = row["kind"]
-        job_id = row["job_id"]
-        detail = dict(row.get("detail") or {})
-        self._events.append(
-            ServiceEvent(
-                ordinal=row["ordinal"],
-                time=row["time"],
-                kind=kind,
-                job_id=job_id,
-                tenant=row.get("tenant"),
-                detail=detail,
-            )
+    @staticmethod
+    def _fail_unrecoverable(ticket: JobTicket) -> None:
+        """Finalize a ticket whose job spec never reached the journal."""
+        ticket.status = "failed"
+        ticket.admission_reason = (
+            "job spec could not be journaled; not recoverable"
         )
-
-        if kind == "submit":
-            spec = extra.get("job")
-            if spec is not None:
-                job = job_from_spec(spec)
-            else:
-                # The crashed service could not serialize this job; the
-                # stub keeps ids/counters aligned but cannot be re-run.
-                job = Job(problem="sphere", dim=1, name=detail.get("label"))
-            ticket = JobTicket(self, len(self._tickets), row["tenant"], job)
-            ticket.arrival = row["time"]
-            ticket.resumed_from = detail.get("resumed_from")
-            ticket.priority = self._quota_for(row["tenant"]).job_priority(
-                job.priority
-            )
-            if spec is None:
-                ticket._recoverable = False
-            if "restore" in detail:
-                ticket._restore_path = Path(detail["restore"])
-            self._tickets.append(ticket)
-            self._now = max(self._now, row["time"])
-            return
-        if kind in ("scale_up", "scale_down"):
-            if kind == "scale_up":
-                self._timeline.add_device(at=detail["lanes_open_at"])
-            else:
-                self._timeline.retire_device(detail["device"])
-            return
-        if job_id is None:
-            return
-
-        ticket = self._tickets[job_id]
-        if kind == "admit":
-            ticket.admission_action = "admit"
-        elif kind == "degrade":
-            ticket.admission_action = "degrade"
-            ticket.admission_reason = detail.get("reason", "")
-            spec = extra.get("job")
-            if spec is not None:
-                ticket.effective_job = job_from_spec(spec)
-            else:
-                ticket._recoverable = False
-        elif kind == "shed":
-            ticket.status = "shed"
-            ticket.admission_action = "shed"
-            ticket.admission_reason = detail.get("reason", "")
-            ticket._finalize()
-        elif kind == "refused":  # pragma: no cover - never journaled
-            ticket.status = "refused"
-            ticket._finalize()
-        elif kind == "dispatch":
-            ticket.status = "running"
-            inflight[job_id] = {
-                "device": detail["device"],
-                "stream": detail["stream"],
-                "start": row["time"],
-            }
-        elif kind == "retry":
-            retried[job_id] = {
-                "attempt": detail["attempt"],
-                "overhead": extra["overhead"],
-            }
-            injector_state[job_id] = extra.get("injector")
-            if self._health is not None:
-                self._health.record_failure(
-                    inflight[job_id]["device"], now=row["time"]
-                )
-        elif kind == "complete":
-            info = inflight.pop(job_id)
-            placement = self._timeline.commit(
-                info["device"], info["stream"], info["start"],
-                extra["duration"],
-            )
-            ticket.placement = placement
-            ticket.result = result_from_dict(extra["result"])
-            ticket.status = detail["status"]
-            if self._health is not None and not detail.get("cpu_fallback"):
-                self._health.record_success(
-                    info["device"], now=placement.end_seconds
-                )
-            ticket._finalize()
-        elif kind == "failed":
-            info = inflight.pop(job_id, None)
-            if info is not None:
-                placement = self._timeline.commit(
-                    info["device"], info["stream"], info["start"],
-                    extra["duration"],
-                )
-                ticket.placement = placement
-                if self._health is not None:
-                    self._health.record_failure(
-                        info["device"], now=placement.end_seconds
-                    )
-            ticket.status = "failed"
-            ticket._finalize()
-        elif kind == "cancel":
-            if detail.get("phase") == "queued":
-                ticket.status = "cancelled"
-                ticket._finalize()
-                return
-            info = inflight.pop(job_id)
-            placement = self._timeline.commit(
-                info["device"], info["stream"], info["start"],
-                extra["duration"],
-            )
-            ticket.placement = placement
-            ticket.result = result_from_dict(extra["result"])
-            ticket.status = "cancelled"
-            if detail.get("checkpoint"):
-                ticket.checkpoint_path = Path(detail["checkpoint"])
-            if self._health is not None and not detail.get("cpu_fallback"):
-                self._health.record_success(
-                    info["device"], now=placement.end_seconds
-                )
-            ticket._finalize()
-        # "stalled" carries no state: the paired "retry"/"failed" event
-        # holds the breaker and overhead bookkeeping.
+        ticket._finalize()
 
     # -- reporting -----------------------------------------------------------
     def report(self) -> ServiceReport:

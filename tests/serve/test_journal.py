@@ -13,11 +13,15 @@ import json
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.batch import Job
+from repro.core.problem import Problem
 from repro.errors import JournalError
-from repro.serve import OptimizationService
+from repro.reliability.faults import FaultPlan, FaultSpec
+from repro.reliability.retry import RetryPolicy
+from repro.serve import AutoscalePolicy, OptimizationService
 from repro.serve.journal import (
     JOURNAL_SCHEMA_VERSION,
     JournalKillPoint,
@@ -48,6 +52,75 @@ def reference(tmp_path_factory):
     root = tmp_path_factory.mktemp("journal_ref")
     service = OptimizationService(journal_dir=root / "wal", **KW)
     drive(service)
+    return service
+
+
+# The mixed drill journals every event kind a live service does: a burst
+# that scales the fleet up and back down, a memory-ladder degrade (64x8 at
+# 10 000 B over 2 lanes halves to 32 particles), a device-lost retry, a
+# queued cancel, a max_queue shed, and a late arrival after the fleet
+# drained (scale-down, then a scale-up that provisions a fresh index).
+MIXED_JOBS = [
+    Job(
+        "sphere", dim=8, n_particles=64 if s == 2 else 32, max_iter=8,
+        engine="fastpso", seed=s,
+    )
+    for s in range(9)
+]
+MIXED_ARRIVALS = [i * 1e-5 for i in range(8)] + [1.0]
+MIXED_CANCEL = 5  # the client cancels this job while it is still queued
+MIXED_KW = dict(
+    n_devices=1,
+    streams_per_device=2,
+    checkpoint_every=3,
+    journal_fsync=False,  # kill points fire in-process; fsync adds nothing
+    autoscale=AutoscalePolicy(
+        min_devices=1, max_devices=2, queue_high=1, idle_observations=1
+    ),
+    max_queue=2,
+    memory_limit_bytes=10_000,
+    faults=FaultPlan({1: (FaultSpec("device_lost", after=6),)}, seed=3),
+    retry=RetryPolicy(max_attempts=2, backoff_seconds=1e-4),
+)
+
+
+def drive_mixed(service, start=0):
+    async def main():
+        for i, (job, at) in enumerate(zip(MIXED_JOBS, MIXED_ARRIVALS)):
+            if i >= start:
+                await service.submit(job, at=at)
+            # Re-issued after a crash between this submit and the cancel.
+            if i == MIXED_CANCEL and service.status(i)["status"] == "queued":
+                service.cancel(i)
+        await service.drain()
+
+    asyncio.run(main())
+
+
+def ticket_state(service):
+    """Every observable of every ticket, for recovered-vs-live equality."""
+    return [
+        (
+            t.to_row(),
+            t.admission_action,
+            t.admission_reason,
+            t.effective_job,
+            t.placement,
+        )
+        for t in service._tickets
+    ]
+
+
+@pytest.fixture(scope="module")
+def mixed_reference(tmp_path_factory):
+    root = tmp_path_factory.mktemp("journal_mixed")
+    service = OptimizationService(journal_dir=root / "wal", **MIXED_KW)
+    drive_mixed(service)
+    kinds = {e.kind for e in service.events}
+    assert kinds >= {
+        "submit", "admit", "degrade", "shed", "dispatch", "retry",
+        "complete", "cancel", "scale_up", "scale_down",
+    }, kinds
     return service
 
 
@@ -192,6 +265,122 @@ class TestCrashRecovery:
                 f"divergence after kill at record {seq} "
                 f"({records[seq].get('type')})"
             )
+
+    def test_every_record_of_the_mixed_drill_is_a_valid_kill_point(
+        self, mixed_reference, tmp_path
+    ):
+        """Kill after each record of the mixed drill; recovery must match
+        the uninterrupted run's event log and every ticket's state."""
+        records, _ = read_journal(mixed_reference.journal_dir / "service.wal")
+        expected = ticket_state(mixed_reference)
+        for seq in range(len(records)):
+            wal = tmp_path / f"wal{seq:03d}"
+            service = OptimizationService(
+                journal_dir=wal,
+                journal_kill_at=seq,
+                journal_kill_mode="raise",
+                **MIXED_KW,
+            )
+            with pytest.raises(JournalKillPoint):
+                drive_mixed(service)
+            recovered = OptimizationService.recover(wal, **MIXED_KW)
+            drive_mixed(recovered, start=len(recovered.status()))
+            where = f"kill at record {seq} ({records[seq].get('type')})"
+            assert (
+                recovered.events_json() == mixed_reference.events_json()
+            ), where
+            assert ticket_state(recovered) == expected, where
+
+    def test_unjournaled_job_is_failed_but_keeps_its_scale_tick(
+        self, tmp_path
+    ):
+        """A job whose spec cannot be journaled (custom objective) cannot be
+        rebuilt: recovery fails it wherever the crash leaves it unfinished.
+        Cut off between its verdict and its autoscale tick, it still gets
+        the tick, so the fleet scales exactly as when the tick survived."""
+        custom = Problem.from_callable(
+            lambda x: np.sum(x * x, axis=1), 8, (-5.0, 5.0), vectorized=True
+        )
+        jobs = [
+            Job(
+                custom if s == 2 else "sphere", dim=8, n_particles=32,
+                max_iter=8, engine="fastpso", seed=s,
+            )
+            for s in range(4)
+        ]
+        arrivals = [i * 1e-5 for i in range(4)]
+        kw = dict(
+            n_devices=1,
+            streams_per_device=1,
+            checkpoint_every=3,
+            journal_fsync=False,
+            autoscale=AutoscalePolicy(1, 2, queue_high=1, idle_observations=1),
+        )
+
+        def run(service, start=0):
+            async def main():
+                for i in range(start, len(jobs)):
+                    await service.submit(jobs[i], at=arrivals[i])
+                await service.drain()
+
+            asyncio.run(main())
+
+        reference = OptimizationService(journal_dir=tmp_path / "ref", **kw)
+        run(reference)
+        assert [t.status for t in reference._tickets] == ["completed"] * 4
+        records, _ = read_journal(reference.journal_dir / "service.wal")
+
+        def seq_of(kind, job_id=None):
+            for record in records:
+                row = record.get("event") or {}
+                if row.get("kind") == kind and row.get("job_id") == job_id:
+                    return record["seq"]
+            raise AssertionError(f"no {kind} record for job {job_id}")
+
+        # Job 2 is lost when the crash leaves it journaled but unfinished.
+        lost = range(seq_of("submit", 2), seq_of("complete", 2))
+        logs = {}
+        for seq in range(len(records)):
+            wal = tmp_path / f"wal{seq:03d}"
+            service = OptimizationService(
+                journal_dir=wal, journal_kill_at=seq,
+                journal_kill_mode="raise", **kw,
+            )
+            with pytest.raises(JournalKillPoint):
+                run(service)
+            recovered = OptimizationService.recover(wal, **kw)
+            run(recovered, start=len(recovered.status()))
+            statuses = [t.status for t in recovered._tickets]
+            where = f"kill at record {seq}"
+            if seq in lost:
+                assert statuses == [
+                    "completed", "completed", "failed", "completed"
+                ], where
+                assert "not recoverable" in (
+                    recovered._tickets[2].admission_reason
+                ), where
+            else:
+                assert statuses == ["completed"] * 4, where
+                assert (
+                    recovered.events_json() == reference.events_json()
+                ), where
+            logs[seq] = recovered.events_json()
+
+        # Job 2's tick (scale_obs right after its admit) scales the fleet
+        # up.  A crash before, inside or after that tick recovers to the
+        # same log: the redone tick keeps the observation and its decision.
+        verdict = seq_of("admit", 2)
+        scale_up = seq_of("scale_up")
+        assert records[verdict + 1]["type"] == "scale_obs"
+        assert scale_up == verdict + 2
+        assert logs[verdict] == logs[verdict + 1] == logs[scale_up]
+        first_scale = next(
+            e for e in json.loads(logs[verdict])["events"]
+            if e["kind"].startswith("scale")
+        )
+        assert (first_scale["kind"], first_scale["time"]) == (
+            "scale_up", arrivals[2],
+        )
 
     def test_finished_results_served_without_rerunning(
         self, reference, tmp_path, monkeypatch

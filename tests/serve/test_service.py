@@ -9,6 +9,8 @@ from repro.batch import Job
 from repro.core.budget import Budget
 from repro.engines import make_engine
 from repro.errors import AdmissionError, ConfigurationError, InvalidParameterError
+from repro.reliability.breaker import BreakerPolicy
+from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.serve import (
     AutoscalePolicy,
     OptimizationService,
@@ -283,6 +285,38 @@ class TestAutoscaling:
             OptimizationService(
                 n_devices=5, autoscale=AutoscalePolicy(max_devices=4)
             )
+
+    def test_breaker_fleet_grows_with_the_timeline(self, tmp_path):
+        # Device indices are never reused: a scale-up after a scale-down
+        # provisions index max_devices, which must get a breaker of its
+        # own.  Job 5 loses that device, so its breaker trips open.
+        kw = dict(
+            n_devices=1,
+            streams_per_device=1,
+            autoscale=AutoscalePolicy(1, 2, queue_high=1, idle_observations=1),
+            breaker=BreakerPolicy(failure_threshold=1),
+            faults=FaultPlan({5: (FaultSpec("device_lost", after=6),)}),
+            retry=2,
+        )
+
+        async def main(service):
+            for s in range(4):
+                await service.submit(JOB.with_overrides(seed=s), at=0.0)
+            for s in range(8):
+                await service.submit(JOB.with_overrides(seed=10 + s), at=1.0)
+            await service.drain()
+
+        service = OptimizationService(journal_dir=tmp_path / "wal", **kw)
+        asyncio.run(main(service))
+        assert [t.status for t in service._tickets] == ["completed"] * 12
+        assert service.n_devices == 3
+        assert len(service._health.breakers) == service.n_devices
+        rows = service._health.to_rows()
+        assert [(r["device"], r["event"]) for r in rows] == [(2, "open")]
+        recovered = OptimizationService.recover(tmp_path / "wal", **kw)
+        assert len(recovered._health.breakers) == recovered.n_devices == 3
+        assert recovered._health.to_rows() == rows
+        assert recovered.events_json() == service.events_json()
 
     def test_decisions_are_replayable(self):
         async def run_once():
