@@ -11,7 +11,11 @@ and drives them through **one** loop:
 
 * one stacked evaluation, pbest update and velocity/position update per
   iteration over all ``m`` swarms (NumPy amortises its per-op dispatch the
-  way a batched kernel amortises launches);
+  way a batched kernel amortises launches).  A stacked group is just a
+  taller matrix, so it has no numerics of its own: each same-function row
+  block is scored by one call to the registry function's own evaluator,
+  and the velocity update is :func:`repro.core.swarm._eq4_update` with
+  per-row coefficient columns;
 * one batched per-swarm gbest reduction (``argmin`` over the ``(m, n)``
   view — first-tie semantics identical to the two-pass parallel reducer);
 * per-swarm Philox streams, clocks, launchers and allocators: every member
@@ -58,17 +62,21 @@ so a fused lane is never shorter than its longest member.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from repro.core.problem import Problem
-from repro.core.swarm import position_update, velocity_update
+from repro.core.schema import BuiltinEvaluation
+from repro.core.swarm import _eq4_update, position_update, velocity_update
 from repro.core.swarm import draw_weights
 from repro.core.topology import social_positions
 from repro.errors import EvaluationError, GraphReplayError, InvalidParameterError
-from repro.functions.inplace import make_inplace_evaluator
+from repro.functions.base import _REGISTRY
 from repro.gpusim.costmodel import kernel_cost
 from repro.gpusim.graph import traced_capture
 from repro.gpusim.launch import resource_aware_config
+from repro.gpusim.tensorcore import fragment_multiply_add
 
 __all__ = [
     "FUSABLE_ENGINES",
@@ -90,14 +98,42 @@ FUSABLE_ENGINES = frozenset({"fastpso", "gpu-pso"})
 RAMP_GRAPH = 4
 RAMP_EAGER = 3
 
-_NAN_MESSAGE = (
-    "evaluation produced NaN fitness values; FastPSO treats NaN "
-    "as a user error rather than silently ranking it"
-)
-
 
 def _job_dim(job) -> int:
     return job.problem.dim if isinstance(job.problem, Problem) else job.dim
+
+
+def _stack_key(problem):
+    """The registry class whose evaluator may score *problem*'s rows stacked
+    with other members', or ``None`` to evaluate the member on its own.
+
+    Only a parameter-free registry function is the same function for every
+    member naming it: ``Shifted``/``Rotated`` wrappers carry per-member
+    parameters, and a user callable must never see ``m*n`` rows.
+    """
+    evaluator = problem.evaluator
+    if type(evaluator) is not BuiltinEvaluation:
+        return None
+    cls = type(evaluator.function)
+    return cls if _REGISTRY.get(cls.name) is cls else None
+
+
+def _stacks_exactly(evaluate, members, pos, n) -> bool:
+    """Whether *evaluate* on the members' stacked rows equals, row for row,
+    each member's own evaluator on its own rows."""
+    try:
+        got = evaluate(pos[members[0].rows.start:members[-1].rows.stop])
+    except EvaluationError:
+        raise
+    except Exception:
+        return False
+    return all(
+        np.array_equal(
+            got[k * n:(k + 1) * n],
+            m.run.problem.evaluator.evaluate(m.run.state.positions),
+        )
+        for k, m in enumerate(members)
+    )
 
 
 def fusion_key(job, engine_options=None):
@@ -436,7 +472,6 @@ class FusedGroupRunner:
         pv = np.empty(rows, np.float64)
         values = np.empty(rows, np.float64)
         mask = np.empty(rows, bool)
-        p64 = np.empty((rows, d), np.float64)
         stacked_update = mode in ("scratch", "wmma")
         # One combined (2, n, d) Philox draw per member per round replaces
         # the two (n, d) weight draws when the matrix element count is
@@ -477,7 +512,7 @@ class FusedGroupRunner:
                 is not None
                 for m in fast
             )
-            vb_lo = vb_hi = None
+            vb_lo = vb_hi = vb3 = None
             if any_clamp:
                 # Members without a clamp keep +/-inf rows: clipping to an
                 # infinite band is the identity (NaN and -0.0 included).
@@ -512,32 +547,27 @@ class FusedGroupRunner:
             c23 = c2_col.reshape(m_count, n, 1)
             l3 = l_mat if combined_draw else l_mat.reshape(shape3)
             g3 = g_mat if combined_draw else g_mat.reshape(shape3)
-            vb_lo3 = vb_lo.reshape(shape3) if any_clamp else None
-            vb_hi3 = vb_hi.reshape(shape3) if any_clamp else None
+            if any_clamp:
+                vb3 = (vb_lo.reshape(shape3), vb_hi.reshape(shape3))
             clip_lo3 = clip_lo.reshape(shape3) if any_clip else None
             clip_hi3 = clip_hi.reshape(shape3) if any_clip else None
-            if mode == "scratch":
-                s1 = np.empty(shape3, np.float32)
-                s2 = np.empty(shape3, np.float32)
+            multiply_add = scratch = None
+            if mode == "wmma":
+                multiply_add = fragment_multiply_add
+            else:
+                scratch = (
+                    np.empty(shape3, np.float32),
+                    np.empty(shape3, np.float32),
+                )
 
-        eval_blocks = self._eval_blocks(fast, p64, pos, n, d)
+        eval_blocks = self._eval_blocks(fast, pos, n)
 
         for _ in range(n_rounds):
             for m in fast:
                 m.rng_before = m.run.rng.position
-            # -- eval: one stacked pass over all swarms ----------------------
-            np.copyto(p64, pos)
-            for (row_lo, row_hi, fn, block_members) in eval_blocks:
-                if fn is not None:
-                    out = fn(p64[row_lo:row_hi])
-                    if np.any(np.isnan(out)):
-                        raise EvaluationError(_NAN_MESSAGE)
-                    values[row_lo:row_hi] = out
-                else:
-                    for m in block_members:
-                        values[m.rows] = m.run.problem.evaluator.evaluate(
-                            m.run.state.positions
-                        )
+            # -- eval: one evaluator call per stacked row block --------------
+            for rows_k, evaluate in eval_blocks:
+                values[rows_k] = evaluate(pos[rows_k])
             # -- pbest: one stacked compare-and-claim ------------------------
             np.less(values, pv, out=mask)
             pv[mask] = values[mask]
@@ -574,28 +604,10 @@ class FusedGroupRunner:
                     if vb is not None:
                         vb_lo[block] = vb[0].astype(np.float32)
                         vb_hi[block] = vb[1].astype(np.float32)
-                if mode == "scratch":
-                    np.subtract(pb3, pos3, out=s1)
-                    np.multiply(l3, s1, out=s1)
-                    np.multiply(s1, c13, out=s1)
-                    np.subtract(social3, pos3, out=s2)
-                    np.multiply(g3, s2, out=s2)
-                    np.multiply(s2, c23, out=s2)
-                    np.multiply(vel3, w3, out=vel3)
-                    np.add(vel3, s1, out=vel3)
-                    np.add(vel3, s2, out=vel3)
-                else:  # wmma
-                    from repro.gpusim.tensorcore import fragment_multiply_add
-
-                    cog = pb3 - pos3
-                    soc = social3 - pos3
-                    base = vel3 * w3
-                    term1 = fragment_multiply_add(l3, cog)
-                    term2 = fragment_multiply_add(g3, soc)
-                    np.add(base, c13 * term1, out=vel3)
-                    vel3 += c23 * term2
-                if any_clamp:
-                    np.clip(vel3, vb_lo3, vb_hi3, out=vel3)
+                _eq4_update(
+                    vel3, pos3, pb3, social3, l3, g3, w3, c13, c23, vb3,
+                    out=vel3, multiply_add=multiply_add, scratch=scratch,
+                )
                 np.add(pos3, vel3, out=pos3)
                 if any_clip:
                     np.clip(pos3, clip_lo3, clip_hi3, out=pos3)
@@ -653,51 +665,26 @@ class FusedGroupRunner:
 
         self.saved_seconds_per_round = self._merged_saving(fast, n, d)
 
-    def _eval_blocks(self, fast, p64, pos, n, d):
-        """Contiguous same-problem row blocks with self-verified in-place
-        evaluators (``fn=None`` blocks fall back to the members' own
-        evaluators, still stacked row-wise)."""
-        blocks = []
-        start = 0
-        while start < len(fast):
-            end = start
-            name = fast[start].run.problem.name
-            while (
-                end < len(fast) and fast[end].run.problem.name == name
-            ):
-                end += 1
-            blocks.append((start, end))
-            start = end
+    def _eval_blocks(self, fast, pos, n):
+        """``(rows, evaluate)`` pairs covering the stacked rows.
 
-        np.copyto(p64, pos)
-        out_blocks = []
-        for (b_lo, b_hi) in blocks:
-            block_members = fast[b_lo:b_hi]
-            row_lo, row_hi = b_lo * n, b_hi * n
-            name = block_members[0].run.problem.name
-            fn = make_inplace_evaluator(name, row_hi - row_lo, d)
-            if fn is not None:
-                # Trust, but verify: the in-place evaluator must reproduce
-                # every member's standard evaluator bit-for-bit on the
-                # current positions before the loop relies on it.
-                try:
-                    got = fn(p64[row_lo:row_hi])
-                    for k, m in enumerate(block_members):
-                        ref = np.asarray(
-                            m.run.problem.evaluator.evaluate(
-                                m.run.state.positions
-                            ),
-                            dtype=np.float64,
-                        )
-                        if not np.array_equal(got[k * n:(k + 1) * n], ref):
-                            fn = None
-                            break
-                except EvaluationError:
-                    raise
-                except Exception:
-                    fn = None
-            out_blocks.append((row_lo, row_hi, fn, block_members))
-        return out_blocks
+        Contiguous members sharing a :func:`_stack_key` form one block,
+        scored by one call to the first member's own evaluator; every other
+        member is a block of its own.  Trust, but verify: a stacked block
+        must reproduce each member's own evaluator bit-for-bit on the
+        current positions, or it splits back into per-member blocks.
+        """
+        blocks = []
+        # An unstackable member keys on itself, so it never joins a block.
+        for _, group in groupby(fast, lambda m: _stack_key(m.run.problem) or m):
+            members = list(group)
+            rows = slice(members[0].rows.start, members[-1].rows.stop)
+            evaluate = members[0].run.problem.evaluator.evaluate
+            if len(members) == 1 or _stacks_exactly(evaluate, members, pos, n):
+                blocks.append((rows, evaluate))
+            else:
+                blocks += [(m.rows, m.run.problem.evaluator.evaluate) for m in members]
+        return blocks
 
     # -- the lane (makespan) model --------------------------------------------
     def _merged_saving(self, fast, n, d) -> float:

@@ -183,6 +183,30 @@ def velocity_update(
     (mixed-precision promotion would otherwise change intermediate
     rounding).
 
+    This wrapper only reads ``w, c1, c2`` from *params*.  The op sequence
+    lives once, in :func:`_eq4_update`, which the fused multi-swarm loop
+    calls with per-row coefficient columns and which
+    ``gpusim/_fastpath.c`` mirrors.
+    """
+    if out is None:
+        out = np.empty_like(velocities)
+    w, c1, c2 = map(np.float32, (params.inertia, params.cognitive, params.social))
+    return _eq4_update(
+        velocities, positions, pbest_positions, social_positions, l_weights,
+        g_weights, w, c1, c2, velocity_bounds, out, multiply_add, scratch,
+    )
+
+
+def _eq4_update(
+    velocities, positions, pbest_positions, social_positions, l_weights,
+    g_weights, w, c1, c2, velocity_bounds, out, multiply_add, scratch,
+) -> np.ndarray:
+    """The one Python statement of the Eq. (4) numerics, written to *out*.
+
+    ``w, c1, c2`` are float32 scalars, or float32 ``(m, n, 1)`` per-row
+    columns for ``m`` swarms stacked on ``(m, n, d)`` views; an IEEE
+    multiply by either gives each row its own swarm's result.
+
     The scratch fast path's operation sequence is a compatibility
     contract: ``gpusim/_fastpath.c`` mirrors it op-for-op (same order,
     same ``-ffp-contract=off`` no-FMA arithmetic) so the native iteration
@@ -191,12 +215,6 @@ def velocity_update(
     self-test and the promotion gate will otherwise demote every run to
     the Python replay tier.
     """
-    if out is None:
-        out = np.empty_like(velocities)
-    w = np.float32(params.inertia)
-    c1 = np.float32(params.cognitive)
-    c2 = np.float32(params.social)
-
     if (
         scratch is not None
         and multiply_add is None
@@ -218,27 +236,24 @@ def velocity_update(
         np.multiply(velocities, w, out=out)
         np.add(out, s1, out=out)
         np.add(out, s2, out=out)
-        if velocity_bounds is not None:
-            lo, hi = velocity_bounds
-            np.clip(out, lo.astype(np.float32), hi.astype(np.float32), out=out)
-        return out
-
-    cog_pull = pbest_positions - positions
-    soc_pull = social_positions - positions
-    if multiply_add is None:
-        np.multiply(velocities, w, out=out)
-        out += c1 * (l_weights * cog_pull)
-        out += c2 * (g_weights * soc_pull)
     else:
-        base = velocities * w
-        term1 = multiply_add(l_weights, cog_pull)
-        term2 = multiply_add(g_weights, soc_pull)
-        np.add(base, c1 * term1, out=out)
-        out += c2 * term2
+        cog_pull = pbest_positions - positions
+        soc_pull = social_positions - positions
+        if multiply_add is None:
+            np.multiply(velocities, w, out=out)
+            out += c1 * (l_weights * cog_pull)
+            out += c2 * (g_weights * soc_pull)
+        else:
+            base = velocities * w
+            term1 = multiply_add(l_weights, cog_pull)
+            term2 = multiply_add(g_weights, soc_pull)
+            np.add(base, c1 * term1, out=out)
+            out += c2 * term2
 
     if velocity_bounds is not None:
         lo, hi = velocity_bounds
-        np.clip(out, lo.astype(np.float32), hi.astype(np.float32), out=out)
+        lo, hi = lo.astype(np.float32, copy=False), hi.astype(np.float32, copy=False)
+        np.clip(out, lo, hi, out=out)
     return out
 
 

@@ -520,6 +520,9 @@ class OptimizationService:
         self._journal_error_row: dict | None = None
         #: Crash-resume state per job id (built by :meth:`recover`).
         self._resume: dict[int, dict] = {}
+        #: Arrival of the last journaled admitted submit (set by
+        #: :meth:`recover`): its closing dispatch pass may have been cut off.
+        self._owed_pass_at: float | None = None
         if self.journal_dir is not None:
             try:
                 self._journal = ServiceJournal(
@@ -1023,6 +1026,10 @@ class OptimizationService:
         before enqueueing an arrival at *t*, which may overtake them);
         *until* stops as soon as that ticket turns terminal.
         """
+        if exclusive and t == self._owed_pass_at:
+            # Recovered service: redo the last submit's closing pass at
+            # this instant before the new arrival can overtake its jobs.
+            exclusive = False
         async with self._lock:
             # Crash-resumed in-flight jobs first: pre-crash they were
             # already executing, so their remaining events precede any
@@ -1649,6 +1656,12 @@ class OptimizationService:
                     self._enqueue(tail)
                 else:
                     self._fail_unrecoverable(tail)
+
+        # A queued submit ends with ``_advance(arrival)``, which journals
+        # nothing when it dispatches nothing, so it may or may not have run.
+        last = self._tickets[-1] if self._tickets else None
+        if last is not None and last.admission_action in ("admit", "degrade"):
+            self._owed_pass_at = last.arrival
 
         for job_id, lane in inflight.items():
             retry = retried.get(job_id)

@@ -22,8 +22,11 @@ from repro.batch.admission import estimate_group_bytes
 from repro.batch.fused import FUSABLE_ENGINES, fusion_key, plan_fused_groups
 from repro.core.budget import Budget
 from repro.core.parameters import PAPER_DEFAULTS
+from repro.core.problem import Problem
 from repro.engines import make_engine
 from repro.errors import InvalidParameterError
+from repro.functions import Sphere, available_functions, make_function
+from repro.functions.transforms import Shifted
 from repro.io import result_to_dict
 
 MB = 1024 * 1024
@@ -168,6 +171,68 @@ class TestBitIdenticalGoldens:
         assert batch.fused_rows[0]["n_fused"] == 4
         for job, outcome in zip(jobs, batch.outcomes):
             assert result_to_dict(outcome.result) == result_to_dict(_solo(job))
+
+    def test_every_registry_function_stacks(self, monkeypatch):
+        """Each same-function row block is scored by one call to the
+        registry evaluator on all of its members' rows, for every built-in
+        function, and every member still equals its solo run."""
+        n = 16
+        stacked_calls = {}
+        for name in available_functions():
+            cls = type(make_function(name))
+
+            def spy(self, positions, _name=name, _orig=cls.evaluate):
+                if len(positions) == 2 * n:
+                    stacked_calls[_name] = stacked_calls.get(_name, 0) + 1
+                return _orig(self, positions)
+
+            monkeypatch.setattr(cls, "evaluate", spy)
+        jobs = [
+            Job(name, dim=4, n_particles=n, max_iter=10, seed=500 + i)
+            for i, name in enumerate(2 * available_functions())
+        ]
+        batch = BatchScheduler(streams_per_device=2, policy="fused").run(jobs)
+        (row,) = batch.fused_rows
+        assert row["n_fused"] == len(jobs)
+        assert row["fast_rounds"] > 0
+        # One stacked call per fused round, plus the group-start check.
+        assert stacked_calls == {
+            name: row["fast_rounds"] + 1 for name in available_functions()
+        }
+        for job, outcome in zip(jobs, batch.outcomes):
+            assert result_to_dict(outcome.result) == result_to_dict(_solo(job))
+
+    def test_parameterised_and_user_objectives_run_per_member(self):
+        """Two shift offsets under one name, and a user callable: none of
+        them is the same function for every member, so each member is
+        evaluated on its own rows and a callable never sees ``m*n``."""
+        n, d = 16, 4
+        rows_seen = []
+
+        def objective(x):
+            rows_seen.append(len(x))
+            return np.sum(x * x, axis=1)
+
+        custom = Problem.from_callable(
+            objective, d, (-5.0, 5.0), vectorized=True
+        )
+        problems = [
+            Problem.from_benchmark(Shifted(Sphere(), np.full(d, 1.5)), d),
+            Problem.from_benchmark(Shifted(Sphere(), np.full(d, -2.0)), d),
+            custom,
+            custom,
+        ]
+        jobs = [
+            Job(problem, dim=d, n_particles=n, max_iter=12, seed=700 + i)
+            for i, problem in enumerate(problems)
+        ]
+        batch = BatchScheduler(streams_per_device=2, policy="fused").run(jobs)
+        (row,) = batch.fused_rows
+        assert row["n_fused"] == len(jobs)
+        assert row["fast_rounds"] > 0
+        for job, outcome in zip(jobs, batch.outcomes):
+            assert result_to_dict(outcome.result) == result_to_dict(_solo(job))
+        assert rows_seen and max(rows_seen) == n
 
     def test_simulated_seconds_survive_fusing(self):
         jobs = _family("fastpso", 4)

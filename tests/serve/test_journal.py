@@ -37,10 +37,10 @@ ARRIVALS = [0.0, 1e-5, 2e-5]
 KW = dict(n_devices=1, streams_per_device=2, checkpoint_every=5)
 
 
-def drive(service, start=0):
+def drive(service, start=0, arrivals=ARRIVALS):
     async def main():
         for i in range(start, len(JOBS)):
-            await service.submit(JOBS[i], at=ARRIVALS[i])
+            await service.submit(JOBS[i], at=arrivals[i])
         await service.drain()
 
     asyncio.run(main())
@@ -246,8 +246,20 @@ class TestCrashRecovery:
                 ours.result.elapsed_seconds == theirs.result.elapsed_seconds
             )
 
-    def test_every_record_is_a_valid_kill_point(self, reference, tmp_path):
-        """Exhaustive sweep: no crash window between any two records."""
+    @pytest.mark.parametrize(
+        "arrivals",
+        [ARRIVALS, [0.0, 0.0, 0.0]],
+        ids=["spaced", "same-instant"],
+    )
+    def test_every_record_is_a_valid_kill_point(self, tmp_path, arrivals):
+        """Exhaustive sweep: no crash window between any two records.
+
+        With every job arriving at one instant, a crash inside a submit
+        leaves that submit's closing dispatch pass undone; the next
+        same-instant submit must still see the jobs it would have started.
+        """
+        reference = OptimizationService(journal_dir=tmp_path / "ref", **KW)
+        drive(reference, arrivals=arrivals)
         records, _ = read_journal(reference.journal_dir / "service.wal")
         for seq in range(len(records)):
             wal = tmp_path / f"wal{seq:03d}"
@@ -258,9 +270,9 @@ class TestCrashRecovery:
                 **KW,
             )
             with pytest.raises(JournalKillPoint):
-                drive(service)
+                drive(service, arrivals=arrivals)
             recovered = OptimizationService.recover(wal, **KW)
-            drive(recovered, start=len(recovered.status()))
+            drive(recovered, start=len(recovered.status()), arrivals=arrivals)
             assert recovered.events_json() == reference.events_json(), (
                 f"divergence after kill at record {seq} "
                 f"({records[seq].get('type')})"
