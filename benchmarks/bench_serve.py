@@ -18,7 +18,7 @@ Two contracts are asserted in the same pass:
   (best value, best position, solo runtime) against fresh solo runs of
   the same job specs: serving adds queueing, never arithmetic.
 - **Journal overhead** — the pinned drill is repeated with the
-  write-ahead journal enabled (per-record fsync on and off) and the
+  write-ahead journal enabled (group-committed fsync on and off) and the
   host-wall overhead recorded; the journaled event logs must stay
   byte-identical to the unjournaled run, so durability never changes a
   decision, only costs host time.

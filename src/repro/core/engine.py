@@ -15,6 +15,7 @@ fastpso-omp are one algorithm on three execution substrates.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -257,9 +258,10 @@ class Engine(ABC):
         (:mod:`repro.core.diagnostics`).  Callback execution is host-side
         and costs no simulated time.
 
-        ``checkpoint`` enables periodic on-disk snapshots: pass a
-        :class:`~repro.reliability.checkpoint.CheckpointManager`, or a
-        directory path to get one with default cadence/retention.
+        ``checkpoint`` enables periodic snapshots: pass a
+        :class:`~repro.reliability.checkpoint.CheckpointManager` (or any
+        object with its ``due``/``save`` methods), or a directory path to
+        get a manager with default cadence/retention.
         ``restore`` resumes a previous run from a
         :class:`~repro.reliability.snapshot.RunSnapshot` (or a checkpoint
         file path): the run continues bit-identically — same trajectory,
@@ -346,7 +348,7 @@ class Engine(ABC):
             from repro.reliability.checkpoint import CheckpointManager
             from repro.reliability.snapshot import ensure_capturable
 
-            if not isinstance(checkpoint, CheckpointManager):
+            if isinstance(checkpoint, (str, os.PathLike)):
                 checkpoint = CheckpointManager(checkpoint)
             # Fail now, not at the first due iteration mid-run.
             ensure_capturable(problem)

@@ -100,7 +100,7 @@ def build_parser(prog: str = "python -m repro.serve") -> argparse.ArgumentParser
     parser.add_argument(
         "--no-journal-fsync",
         action="store_true",
-        help="skip per-record fsync (faster, crash-consistent only)",
+        help="never fsync the journal (faster, crash-consistent only)",
     )
     parser.add_argument(
         "--retry",
@@ -177,6 +177,7 @@ def _service_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _finish(service, args: argparse.Namespace) -> int:
+    service.close()
     report = service.report()
     print(report.summary())
     if service.read_only:

@@ -1,8 +1,8 @@
 """Write-ahead journal for the serving layer: durable state transitions.
 
 Every state transition the service makes — submit, admission verdict,
-dispatch, progress watermark, checkpoint reference, retry, cancel,
-completion — is appended here **before** it takes effect in memory.  The
+dispatch, progress watermark, checkpoint, retry, cancel, completion — is
+appended here **before** it takes effect in memory.  The
 resulting invariant is what crash recovery stands on: *journaled means it
 happened; not journaled means it never happened*.  After SIGKILL,
 :meth:`~repro.serve.service.OptimizationService.recover` replays the
@@ -21,13 +21,35 @@ File format (version 1), one record per line::
 The framing mirrors the checkpoint header (:mod:`repro.reliability
 .checkpoint`): an ASCII magic, a format version, a CRC-32 of the payload
 bytes and the payload length — everything needed to validate a record
-without parsing it.  Appends are flushed and fsynced per record (the
-directory itself is fsynced once at creation via
-:func:`repro.io.fsync_directory`), so an acknowledged transition survives
-power loss.  The reader is torn-tail tolerant: a record interrupted
-mid-write fails its length/CRC check and parsing stops there — by the
-write-ahead ordering, the corresponding transition never took effect, so
-dropping the tail is exactly correct.
+without parsing it.  The reader is torn-tail tolerant: a record
+interrupted mid-write fails its length/CRC check and parsing stops there
+— by the write-ahead ordering, the corresponding transition never took
+effect, so dropping the tail is exactly correct.
+
+A ``"checkpoint"`` record carries the whole
+:meth:`~repro.reliability.snapshot.RunSnapshot.to_payload` document of
+an in-flight job's resume point, so the journal is the service's one
+durable artifact: ``service.wal`` is the only file in its directory.
+(An older journal's checkpoint record holds a ``"path"`` to a checkpoint
+file instead; recovery still reads those.)
+
+Group commit
+------------
+:meth:`ServiceJournal.append` writes and flushes every record before the
+caller applies its transition, so the write-ahead order holds and a
+process crash (SIGKILL) never loses an appended record.  Power-loss
+durability comes from :meth:`ServiceJournal.commit`, one ``fsync`` over
+every record appended since the last commit (none when nothing was
+appended; the directory itself is fsynced once at creation via
+:func:`repro.io.fsync_directory`).  The service commits only where
+control returns to a caller — the end of ``submit``/``resubmit``, a
+queued ``cancel``, ``drain``, ``JobTicket.wait``, ``recover`` and
+``close`` — never inside the step loop.  That keeps the invariant
+*acked ⇒ durable*: what a caller was told happened survives power loss.
+The progress and checkpoint records a run appends between two commits
+may be lost to a power cut, which is harmless — runs are deterministic,
+so the recovered run appends the same records again; only the inputs
+(submits and cancels) must be durable before they are acknowledged.
 
 Each record carries a dense ``seq`` number; :class:`ServiceJournal`
 truncates any torn tail when it reopens an existing journal for append,
@@ -35,12 +57,13 @@ so recovery continues the sequence without gaps.
 
 Deterministic kill points
 -------------------------
-``kill_at``/``kill_mode`` turn the journal into a crash harness: after
-the record with that sequence number is durable, the writer either
-SIGKILLs its own process (``"sigkill"``, the CI smoke) or raises
-:class:`JournalKillPoint` (``"raise"``, for in-process tests).  Either
-way the record *is* on disk and the transition it announces has not yet
-been applied — the exact window recovery must handle.
+``kill_at``/``kill_mode`` turn the journal into a crash harness: once
+the record with that sequence number is appended, the writer commits
+it, then either SIGKILLs its own process (``"sigkill"``, the CI smoke)
+or raises :class:`JournalKillPoint` (``"raise"``, for in-process
+tests).  Either way the record *is* on disk and the transition it
+announces has not yet been applied — the exact window recovery must
+handle.
 """
 
 from __future__ import annotations
@@ -162,9 +185,9 @@ class ServiceJournal:
 
     Opening an existing journal parses it (the surviving records are kept
     on :attr:`existing_records` for recovery), truncates any torn tail,
-    and continues the sequence.  ``fsync=False`` trades power-loss
-    durability for speed (process-crash durability remains — the
-    benchmark's journal-overhead section measures the difference).
+    and continues the sequence.  ``fsync=False`` never fsyncs, trading
+    power-loss durability for speed (process-crash durability remains —
+    the benchmark's journal-overhead section measures the difference).
     """
 
     def __init__(
@@ -198,35 +221,44 @@ class ServiceJournal:
             self._fh.seek(valid_bytes)
         #: Sequence number of the next record (== records written so far).
         self.next_seq = len(self.existing_records)
+        #: Whether records were appended since the last :meth:`commit`.
+        self._uncommitted = False
         fsync_directory(self.directory)
 
-    @property
-    def checkpoints_dir(self) -> Path:
-        """Where per-job checkpoint managers under this journal live."""
-        return self.directory / "checkpoints"
-
     def append(self, record: dict) -> int:
-        """Durably append one record; returns its sequence number.
+        """Append one record; returns its sequence number.
 
-        The record is written, flushed and (by default) fsynced before
-        this returns — the caller may then apply the transition.  Raises
-        ``OSError`` when the directory has become unwritable (the service
-        turns that into degraded read-only mode).
+        The record is written and flushed before this returns — the
+        caller may then apply the transition; it becomes power-loss
+        durable at the next :meth:`commit`.  Raises ``OSError`` when the
+        directory has become unwritable (the service turns that into
+        degraded read-only mode).
         """
         seq = self.next_seq
         framed = _frame({"seq": seq, **record})
         self._fh.write(framed)
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self._uncommitted = True
         self.next_seq = seq + 1
         if self.kill_at is not None and seq == self.kill_at:
+            self.commit()
             if self.kill_mode == "raise":
                 raise JournalKillPoint(seq)
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
         return seq
 
+    def commit(self) -> None:
+        """fsync every record appended since the last commit.
+
+        A no-op when nothing was appended, or with ``fsync=False``.
+        Raises ``OSError`` like :meth:`append`.
+        """
+        if self.fsync and self._uncommitted:
+            os.fsync(self._fh.fileno())
+        self._uncommitted = False
+
     def close(self) -> None:
+        """Close the file (without a commit: callers commit first)."""
         try:
             self._fh.close()
         except OSError:  # pragma: no cover - close failures are benign

@@ -29,8 +29,9 @@ Durability — the write-ahead journal
 With ``journal_dir`` set, every state transition is appended to a
 :class:`~repro.serve.journal.ServiceJournal` **before** it takes effect:
 submits (with the full job spec), admission verdicts, dispatches,
-progress watermarks, checkpoint references, retries, cancellations and
-completions (with the exact committed duration and the full result).
+progress watermarks, checkpoints (the whole run snapshot), retries,
+cancellations and completions (with the exact committed duration and the
+full result).  The journal file is the service's one durable artifact.
 One method, ``OptimizationService._apply``, is the single transition
 function for every event kind: live code builds the event, journals it,
 and only then applies it through ``_apply``; recovery decodes each
@@ -41,9 +42,20 @@ means it happened; not journaled means it never happened* — so
 :meth:`OptimizationService.recover` rebuilds the exact service state
 after SIGKILL: queued tickets re-enter admission in their original
 order, the in-flight job resumes bit-identically from its newest
-checkpoint, finished results are served from the journal without
+checkpoint record, finished results are served from the journal without
 re-running, and the post-recovery event log is byte-identical to an
-uninterrupted run.  If the journal directory becomes unwritable the
+uninterrupted run.
+
+Records are written and flushed as they are appended (process-crash
+durable) and fsynced by group commit: one ``fsync`` per call that
+returns control to a caller — ``submit``/``resubmit`` on every path,
+a queued ``cancel``, ``drain``, ``JobTicket.wait``, ``recover`` and
+:meth:`OptimizationService.close` — and never in the step loop.  So
+*acked ⇒ durable*: every submit and cancel a caller has heard back about
+survives power loss.  The progress and checkpoint records of a running
+job need no commit of their own: the run is deterministic, so after a
+power cut the recovered run appends the same records again.  If the
+journal directory becomes unwritable (an append or a commit fails) the
 service degrades to **read-only mode**: status and streaming keep
 working, submissions are refused with a structured
 :class:`~repro.errors.JournalError` row.
@@ -102,7 +114,7 @@ from repro.errors import (
     StalledRunError,
 )
 from repro.io import result_from_dict, result_to_dict
-from repro.reliability.checkpoint import CheckpointManager
+from repro.reliability.checkpoint import CheckpointManager, read_snapshot
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import (
     AttemptLoop,
@@ -110,7 +122,11 @@ from repro.reliability.retry import (
     SumLedger,
     as_retry_policy,
 )
-from repro.reliability.snapshot import ensure_capturable, params_to_spec
+from repro.reliability.snapshot import (
+    RunSnapshot,
+    ensure_capturable,
+    params_to_spec,
+)
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.events import ServiceEvent, events_to_json
 from repro.serve.journal import ServiceJournal, job_from_spec, job_to_spec
@@ -317,6 +333,49 @@ class ServiceReport:
         )
 
 
+class _HeldCheckpoints:
+    """Checkpoint policy of a journaled job: the newest snapshot stays in
+    memory and the step loop journals each one as a ``"checkpoint"``
+    record, so the journal holds the only durable copy.
+
+    Stands in for :class:`~repro.reliability.checkpoint.CheckpointManager`
+    wherever the engine and the attempt loop use one (``due``, ``save``,
+    ``saves``, ``load_latest``); *latest* seeds a crash-resumed job.
+    """
+
+    due = CheckpointManager.due
+
+    def __init__(self, every: int, latest: RunSnapshot | None = None) -> None:
+        self.every = every
+        self.latest = latest
+        self.saves = 0
+
+    def save(self, snapshot: RunSnapshot) -> None:
+        self.latest = snapshot
+        self.saves += 1
+
+    def load_latest(self) -> RunSnapshot | None:
+        return self.latest
+
+
+def _newest_snapshot(records) -> tuple[RunSnapshot | None, dict | None]:
+    """The newest readable snapshot among a job's ``"checkpoint"`` records
+    (oldest first) and the record it came from, else ``(None, None)``.
+
+    A record carries the snapshot document itself; an older journal's
+    record names a checkpoint file by ``"path"`` instead.
+    """
+    for record in reversed(records):
+        try:
+            if "snapshot" in record:
+                return RunSnapshot.from_payload(record["snapshot"]), record
+            if record.get("path") is not None:
+                return read_snapshot(record["path"]), record
+        except CheckpointError:
+            continue  # e.g. a pruned or damaged checkpoint file
+    return None, None
+
+
 class OptimizationService:
     """Async front-end serving PSO jobs on the simulated fleet.
 
@@ -352,8 +411,8 @@ class OptimizationService:
         consumers and mid-run cancels coarser).
     journal_dir:
         Directory for the write-ahead journal (see the module docstring's
-        durability section).  ``journal_fsync=False`` trades power-loss
-        durability for append speed.
+        durability section).  ``journal_fsync=False`` never fsyncs,
+        trading power-loss durability for speed.
     retry:
         An attempt count or a full :class:`~repro.reliability.retry
         .RetryPolicy`; transient failures and watchdog stalls retry from
@@ -367,13 +426,16 @@ class OptimizationService:
         advances more than this between progress marks is declared
         stalled and retried under ``retry``.
     checkpoint_every:
-        Iteration cadence of the per-job checkpoint managers backing
-        retry/watchdog recovery and crash resume.
+        Iteration cadence of the per-job checkpoints backing retry/watchdog
+        recovery and crash resume (journal records when journaled, files
+        under ``checkpoint_dir`` otherwise).
     journal_kill_at / journal_kill_mode:
         Deterministic crash harness (tests/CI only): crash — via SIGKILL
         or an in-process :class:`~repro.serve.journal.JournalKillPoint`
         — immediately after the journal record with that sequence number
         is durable.
+
+    Call :meth:`close` when done with a journaled service.
     """
 
     def __init__(
@@ -605,6 +667,23 @@ class OptimizationService:
         except OSError as exc:
             self._enter_read_only(exc)
 
+    def _commit(self) -> None:
+        """Group commit: make every appended record durable before
+        control returns to a caller (see the module docstring)."""
+        if self._journal is None:
+            return
+        try:
+            self._journal.commit()
+        except OSError as exc:
+            self._enter_read_only(exc)
+
+    def close(self) -> None:
+        """Commit the journal and close its file: the last call on a
+        journaled service."""
+        self._commit()
+        if self._journal is not None:
+            self._journal.close()
+
     def _emit(
         self, kind: str, *, time: float, ticket=None, _job_id=None,
         _tenant=None, _extra=None, _job=None, _result=None, _duration=None,
@@ -781,8 +860,26 @@ class OptimizationService:
                 f"arrivals must be non-decreasing: at={arrival} precedes "
                 f"the service clock {self._now}"
             )
+        try:
+            return await self._arrive(
+                job, tenant, arrival, restore, _resumed_from
+            )
+        finally:
+            # Acked => durable, on every path: sheds, refusals and the
+            # strict-mode AdmissionError included.
+            self._commit()
+
+    async def _arrive(
+        self,
+        job: Job,
+        tenant: str,
+        arrival: float,
+        restore: str | Path | None,
+        resumed_from: int | None,
+    ) -> JobTicket:
+        """The body of :meth:`submit`: everything an arrival journals."""
         if self._read_only:
-            return self._refuse(job, tenant, arrival, _resumed_from)
+            return self._refuse(job, tenant, arrival, resumed_from)
 
         # Run everything that starts strictly before this arrival, so the
         # queue the new job sees (and quota/admission/autoscale decisions)
@@ -791,13 +888,13 @@ class OptimizationService:
         self._now = arrival
         if self._read_only:
             # The journal died while earlier work was being dispatched.
-            return self._refuse(job, tenant, arrival, _resumed_from)
+            return self._refuse(job, tenant, arrival, resumed_from)
 
         submit_detail: dict = {"label": job.label}
         if restore is not None:
             submit_detail["restore"] = str(restore)
-        if _resumed_from is not None:
-            submit_detail["resumed_from"] = _resumed_from
+        if resumed_from is not None:
+            submit_detail["resumed_from"] = resumed_from
         submit_extra = None
         if self._journal is not None:
             submit_extra = {"job": job_to_spec(job)}
@@ -994,6 +1091,7 @@ class OptimizationService:
         ticket = self._get_ticket(job_id)
         if ticket.status == "queued":
             self._emit("cancel", time=self._now, ticket=ticket, phase="queued")
+            self._commit()
             return True
         if ticket.status == "running":
             ticket.cancel_requested = True
@@ -1008,12 +1106,19 @@ class OptimizationService:
         fleet makespan, so later submissions must arrive after everything
         that drained.
         """
-        await self._advance(math.inf)
+        try:
+            await self._advance(math.inf)
+        finally:
+            self._commit()
         self._now = max(self._now, self._timeline.makespan_seconds)
 
     async def _finish_job(self, ticket: JobTicket) -> None:
-        while not ticket._done.is_set():
-            await self._advance(math.inf, until=ticket)
+        """Drive until *ticket* is terminal (:meth:`JobTicket.wait`)."""
+        try:
+            while not ticket._done.is_set():
+                await self._advance(math.inf, until=ticket)
+        finally:
+            self._commit()
 
     async def _advance(
         self, t: float, *, exclusive: bool = False, until=None
@@ -1069,31 +1174,34 @@ class OptimizationService:
 
     # -- execution -----------------------------------------------------------
     def _checkpoint_manager_for(
-        self, ticket: JobTicket, job: Job
-    ) -> CheckpointManager | None:
-        """The per-job checkpoint manager backing retry/crash recovery.
+        self, ticket: JobTicket, job: Job, latest: RunSnapshot | None
+    ) -> CheckpointManager | _HeldCheckpoints | None:
+        """The per-job checkpoints backing retry/crash recovery.
 
+        Journaled, the snapshots are held in memory and journaled as
+        records (*latest* seeds a crash-resumed job); otherwise, with
+        retry or a watchdog, they are files under ``checkpoint_dir``.
         ``None`` when nothing needs mid-run checkpoints, when there is
         nowhere durable to put them, or when the job cannot be captured
         (custom problems/schedules keep their legacy no-checkpoint path).
         """
-        if self._journal is not None:
-            base = self._journal.checkpoints_dir
-        elif (
-            self.retry is not None or self.watchdog_seconds is not None
-        ) and self.checkpoint_dir is not None:
-            base = self.checkpoint_dir
-        else:
+        journaled = self._journal is not None
+        if not journaled and not (
+            (self.retry is not None or self.watchdog_seconds is not None)
+            and self.checkpoint_dir is not None
+        ):
             return None
         try:
             ensure_capturable(job.resolved_problem())
             params_to_spec(job.resolved_params)
         except CheckpointError:
             return None
+        if journaled:
+            return _HeldCheckpoints(self.checkpoint_every, latest)
         label = f"job{ticket.job_id:06d}"
         try:
             return CheckpointManager(
-                base / label,
+                self.checkpoint_dir / label,
                 every=self.checkpoint_every,
                 keep=3,
                 label=label,
@@ -1104,13 +1212,14 @@ class OptimizationService:
     def _journal_checkpoint(
         self, ticket: JobTicket, run: RunningJob, manager, injector
     ) -> None:
-        path = manager.latest_path()
+        if self._journal is None:
+            return
         self._journal_append(
             {
                 "type": "checkpoint",
                 "job_id": ticket.job_id,
                 "iteration": run.iterations_run,
-                "path": str(path) if path is not None else None,
+                "snapshot": manager.latest.to_payload(),
                 "clock_now": float(run.engine.clock.now),
                 "injector": (
                     injector.state_dict() if injector is not None else None
@@ -1156,12 +1265,22 @@ class OptimizationService:
             if self.faults is not None
             else None
         )
+        # The injector state recovery found for a crash-resumed job.  A
+        # retry record's state is where the next attempt starts counting.
+        # A checkpoint record's state is where the uninterrupted run
+        # stood, so it is applied again once the restore (which launches
+        # the init kernels once more) is done.
+        reload = None
         if injector is not None and resume is not None:
-            state = resume.get("injector")
+            state = resume["injector"]
             if state is not None:
                 injector.load_state(state)
-        skip_stalled = bool(resume and resume.get("skip_stalled"))
-        manager = self._checkpoint_manager_for(ticket, job)
+                if resume["from_checkpoint"]:
+                    reload = state
+        skip_stalled = bool(resume and resume["skip_stalled"])
+        manager = self._checkpoint_manager_for(
+            ticket, job, resume["snapshot"] if resume is not None else None
+        )
         lease = self.watchdog_seconds
         loop = AttemptLoop(
             job,
@@ -1188,8 +1307,11 @@ class OptimizationService:
             cancelled = stalled = False
             try:
                 run = loop.start()
+                if reload is not None:
+                    injector.load_state(reload)
             except ReproError as exc:
                 failure = exc
+            reload = None
 
             if run is not None:
                 saves_seen = manager.saves if manager is not None else 0
@@ -1475,8 +1597,9 @@ class OptimizationService:
         ticket and event verbatim, re-commits the fleet timeline and
         breaker history, re-queues still-pending tickets in their
         original order, and stages the in-flight job (if any) for
-        bit-identical resume from its newest checkpoint on the next
-        ``submit()``/``drain()``.  Raises
+        bit-identical resume from its newest checkpoint record on the
+        next ``submit()``/``drain()``.  Everything replay journals is
+        committed before this returns.  Raises
         :class:`~repro.errors.JournalError` when the journal cannot be
         opened for append (recovery must be able to continue the log).
         """
@@ -1489,6 +1612,7 @@ class OptimizationService:
                 or f"cannot open journal in {journal_dir} for recovery"
             )
         service._replay_journal()
+        service._commit()
         return service
 
     def _replay_journal(self) -> None:
@@ -1497,9 +1621,10 @@ class OptimizationService:
         Each journaled event is decoded and fed through :meth:`_apply`, the
         same transition function the live service runs, so recovered and
         live state cannot drift apart.  What only recovery needs stays
-        here: the in-flight lanes, retry attempts and overhead, fault
-        injector state and the breaker outcomes (live, the attempt loop
-        records those at the same event times).
+        here: the in-flight lanes, retry attempts and overhead, the newest
+        checkpoint record (snapshot and fault injector state from one
+        record) and the breaker outcomes (live, the attempt loop records
+        those at the same event times).
 
         ``submit()`` is a multi-record transaction (submit, verdict,
         autoscale observation); a crash can land between any two of its
@@ -1513,7 +1638,7 @@ class OptimizationService:
         health = self._health
         inflight: dict[int, tuple[int, int, float]] = {}
         retried: dict[int, dict] = {}
-        injector_state: dict[int, dict | None] = {}
+        checkpoints: dict[int, list[dict]] = {}
         tail_needs_tick = False
         stall_tail_job = None
         for i, record in enumerate(records):
@@ -1546,8 +1671,9 @@ class OptimizationService:
                     retried[job_id] = {
                         "attempt": detail["attempt"],
                         "overhead": extra["overhead"],
+                        "injector": extra.get("injector"),
+                        "seq": record["seq"],
                     }
-                    injector_state[job_id] = extra.get("injector")
                     if health is not None:
                         health.record_failure(
                             inflight[job_id][0], now=event.time
@@ -1567,7 +1693,7 @@ class OptimizationService:
                     # stall and must not journal it twice.
                     stall_tail_job = job_id
             elif kind == "checkpoint":
-                injector_state[record["job_id"]] = record.get("injector")
+                checkpoints.setdefault(record["job_id"], []).append(record)
             elif kind == "scale_obs":
                 if self._autoscaler is not None:
                     # Rebuild idle streaks and cooldowns.  The decision is
@@ -1665,11 +1791,23 @@ class OptimizationService:
 
         for job_id, lane in inflight.items():
             retry = retried.get(job_id)
+            snapshot, ckpt = _newest_snapshot(checkpoints.get(job_id, ()))
+            # The injector state of the newer of the two records: a retry
+            # after the checkpoint restarted the count from its own state.
+            from_checkpoint = ckpt is not None and (
+                retry is None or ckpt["seq"] > retry["seq"]
+            )
+            if from_checkpoint:
+                injector = ckpt.get("injector")
+            else:
+                injector = retry["injector"] if retry else None
             self._resume[job_id] = {
                 "lane": lane,
                 "attempt": retry["attempt"] + 1 if retry else 1,
                 "overhead": retry["overhead"] if retry else 0.0,
-                "injector": injector_state.get(job_id),
+                "snapshot": snapshot,
+                "injector": injector,
+                "from_checkpoint": from_checkpoint,
                 "skip_stalled": job_id == stall_tail_job,
             }
         self._journal_append(

@@ -10,6 +10,8 @@ and an event log byte-identical to the uninterrupted run.
 
 import asyncio
 import json
+import os
+import stat
 import zlib
 from pathlib import Path
 
@@ -19,8 +21,10 @@ import pytest
 from repro.batch import Job
 from repro.core.problem import Problem
 from repro.errors import JournalError
+from repro.reliability.checkpoint import write_snapshot
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.retry import RetryPolicy
+from repro.reliability.snapshot import RunSnapshot
 from repro.serve import AutoscalePolicy, OptimizationService
 from repro.serve.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -231,13 +235,23 @@ class TestCrashRecovery:
         )
         with pytest.raises(JournalKillPoint):
             drive(service)
+        killed, _ = read_journal(wal / "service.wal")
         if want == "checkpoint":
             # The acceptance bar: a mid-run kill with a checkpoint
-            # actually on disk, so resume is restore-based, not a rerun.
-            ckpts = list((wal / "checkpoints").rglob("*.ckpt"))
-            assert ckpts, "kill point must leave a checkpoint on disk"
+            # record in the journal, so resume is restore-based, not a
+            # rerun.
+            assert killed[-1]["type"] == "checkpoint"
+            assert killed[-1]["snapshot"]["iteration"] > 0
         recovered = OptimizationService.recover(wal, **KW)
         drive(recovered, start=len(recovered.status()))
+        if want == "checkpoint":
+            records, _ = read_journal(wal / "service.wal")
+            resumed = next(
+                r for r in records[len(killed):]
+                if r["type"] == "progress"
+                and r["job_id"] == killed[-1]["job_id"]
+            )
+            assert resumed["iteration"] > 0, "resume must restart mid-run"
         assert recovered.events_json() == reference.events_json()
         for ours, theirs in zip(recovered._tickets, reference._tickets):
             assert ours.status == theirs.status == "completed"
@@ -302,6 +316,103 @@ class TestCrashRecovery:
                 recovered.events_json() == mixed_reference.events_json()
             ), where
             assert ticket_state(recovered) == expected, where
+
+    def test_resumed_attempt_keeps_its_fault_ordinals(self, tmp_path):
+        """A launch failure due after a checkpoint hits the same launch
+        whether or not recovery resumed the attempt from that checkpoint.
+
+        Restoring a run launches its init kernels once more, so the
+        checkpoint record's injector state applies after the restore; a
+        state applied before it shifts every later fault ordinal by one.
+        """
+        jobs = JOBS[:2]
+        kw = dict(
+            n_devices=1,
+            streams_per_device=1,
+            checkpoint_every=5,
+            journal_fsync=False,
+            faults=FaultPlan(
+                {0: (FaultSpec("launch_failure", after=60),)}, seed=1
+            ),
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=1e-4),
+        )
+
+        def run(service, start=0):
+            async def main():
+                for i in range(start, len(jobs)):
+                    await service.submit(jobs[i], at=ARRIVALS[i])
+                await service.drain()
+
+            asyncio.run(main())
+
+        reference = OptimizationService(journal_dir=tmp_path / "ref", **kw)
+        run(reference)
+        assert "retry" in {e.kind for e in reference.events}
+        records, _ = read_journal(reference.journal_dir / "service.wal")
+        for seq in range(len(records)):
+            wal = tmp_path / f"wal{seq:03d}"
+            service = OptimizationService(
+                journal_dir=wal, journal_kill_at=seq,
+                journal_kill_mode="raise", **kw,
+            )
+            with pytest.raises(JournalKillPoint):
+                run(service)
+            recovered = OptimizationService.recover(wal, **kw)
+            run(recovered, start=len(recovered.status()))
+            assert recovered.events_json() == reference.events_json(), (
+                f"divergence after kill at record {seq} "
+                f"({records[seq].get('type')})"
+            )
+
+    def test_path_checkpoint_records_still_recover(
+        self, reference, tmp_path, monkeypatch
+    ):
+        """Journals written before checkpoints became records name a
+        checkpoint file by ``"path"``; recovery reads it from disk."""
+        import repro.serve.service as service_mod
+
+        reads = []
+        real_read = service_mod.read_snapshot
+
+        def spy(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(service_mod, "read_snapshot", spy)
+        records, _ = read_journal(reference.journal_dir / "service.wal")
+        checkpoints = [r["seq"] for r in records if r["type"] == "checkpoint"]
+        for seq in (checkpoints[0], checkpoints[0] + 1, checkpoints[-1]):
+            killed = tmp_path / f"killed{seq:03d}"
+            service = OptimizationService(
+                journal_dir=killed, journal_kill_at=seq,
+                journal_kill_mode="raise", **KW,
+            )
+            with pytest.raises(JournalKillPoint):
+                drive(service)
+            # Rewrite the journal in the old shape: each snapshot goes to
+            # a checkpoint file and the record keeps only its path.
+            wal = tmp_path / f"wal{seq:03d}"
+            old = ServiceJournal(wal, fsync=False)
+            for record in read_journal(killed / "service.wal")[0]:
+                record = {k: v for k, v in record.items() if k != "seq"}
+                if record["type"] == "checkpoint":
+                    snapshot = RunSnapshot.from_payload(record.pop("snapshot"))
+                    path = wal / "checkpoints" / (
+                        f"job{record['job_id']:06d}-"
+                        f"iter{record['iteration']:07d}.ckpt"
+                    )
+                    path.parent.mkdir(exist_ok=True)
+                    record["path"] = str(write_snapshot(snapshot, path))
+                old.append(record)
+            old.close()
+            reads.clear()
+            recovered = OptimizationService.recover(wal, **KW)
+            assert reads, f"kill at record {seq}: no checkpoint file read"
+            drive(recovered, start=len(recovered.status()))
+            assert recovered.events_json() == reference.events_json(), (
+                f"divergence after kill at record {seq}"
+            )
+            recovered.close()
 
     def test_unjournaled_job_is_failed_but_keeps_its_scale_tick(
         self, tmp_path
@@ -431,6 +542,66 @@ class TestCrashRecovery:
         assert [t.job_id for t in tickets] == [0]
         assert tickets[0].status == "queued"
         assert tickets[0].arrival == ARRIVALS[0]
+
+
+class TestGroupCommit:
+    """Acked => durable at one fsync per call that returns to a caller."""
+
+    def test_every_ack_is_durable_at_one_fsync_per_call(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []  # WAL size at each fsync of the file; None: directory
+        real_fsync = os.fsync
+
+        def spy(fd):
+            real_fsync(fd)
+            info = os.fstat(fd)
+            synced.append(info.st_size if stat.S_ISREG(info.st_mode) else None)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        wal = tmp_path / "wal"
+        service = OptimizationService(journal_dir=wal, **KW)
+        path = wal / "service.wal"
+
+        async def main():
+            for job, at in zip(JOBS, ARRIVALS):
+                await service.submit(job, at=at)
+                assert synced[-1] == path.stat().st_size
+            await service.drain()
+            assert synced[-1] == path.stat().st_size
+
+        asyncio.run(main())
+        records, _ = read_journal(path)
+        # The directory at open, then one commit per submit and the drain.
+        assert synced[0] is None
+        assert len(synced) == 1 + len(JOBS) + 1
+        assert len(records) > len(synced)
+        service.close()
+        assert len(synced) == 1 + len(JOBS) + 1  # nothing left to commit
+        # The journal is the one durable artifact: no checkpoint files.
+        assert [p.name for p in wal.iterdir()] == ["service.wal"]
+
+    def test_failed_commit_degrades_to_read_only(self, tmp_path, monkeypatch):
+        service = OptimizationService(journal_dir=tmp_path / "wal", **KW)
+
+        def fail(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", fail)
+
+        async def main():
+            first = await service.submit(JOBS[0], at=ARRIVALS[0])
+            second = await service.submit(JOBS[1], at=ARRIVALS[1])
+            return first, second
+
+        first, second = asyncio.run(main())
+        assert service.read_only
+        assert service.journal_error["error"] == "JournalError"
+        assert "disk gone" in service.journal_error["message"]
+        # Like a failed append: what is in memory still ran; the next
+        # submission is refused.
+        assert first.status == "completed"
+        assert second.status == "refused"
 
 
 class TestDegradedReadOnly:
