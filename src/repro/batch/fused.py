@@ -42,12 +42,13 @@ trace the fast loop replays.  Members whose iteration shape is
 data-dependent — or whose remaining budget is too short — simply continue
 solo; fusion is an optimisation, never a semantics change.
 
-A few per-member accounting details intentionally diverge (and only those):
-allocator pool hit/miss *counters* stop advancing during fused rounds (the
-pool reached steady state during the ramp, so the high-water mark — what
-``peak_device_bytes`` reports — is already exact), and aggregated
-:class:`~repro.gpusim.launch.LaunchStats` are folded once per member at
-finish (the same ``add_many`` reconciliation the launch graph uses).
+Per-member accounting stays exact too: each fused round replays the
+member's captured iteration through :meth:`LaunchGraph.charge`, which also
+applies the captured allocator-counter delta, so ``ctx.allocator.stats``
+(Table 4's pool hit/miss counters) advances exactly as in the solo run.
+Only the aggregation point of :class:`~repro.gpusim.launch.LaunchStats`
+differs: eager members' launches are folded once at finish (the same
+``add_many`` reconciliation the launch graph uses).
 
 Makespan model
 --------------
@@ -242,6 +243,7 @@ def _traced_semantics(member: _Member):
         engine.ctx.launcher,
         run.rng,
         lambda: run.run_semantics(member.t),
+        engine.ctx.allocator,
     )
 
 
@@ -383,11 +385,11 @@ class FusedGroupRunner:
         if member.stopped:
             member.solo_reason = "stopped-during-ramp"
             return None
-        ok = graph.matches(_traced_semantics(member))
+        reason = graph.mismatch(_traced_semantics(member))
         member.stopped = run.after_iteration(member.t)
         member.t += 1
-        if not ok:
-            member.solo_reason = "iteration-shape-changed"
+        if reason is not None:
+            member.solo_reason = reason
             return None
         if member.stopped:
             member.solo_reason = "stopped-during-ramp"

@@ -525,17 +525,17 @@ class Engine(ABC):
         """
         raise NotImplementedError
 
-    def _graph_build_native(self, graph, problem, params, state):
+    def _graph_build_native(self, problem):
         """This engine's part of the native (one-C-call) tier.
 
         Called by :func:`repro.gpusim.fastpath.build_native` with the
-        run's captured :class:`~repro.gpusim.graph.LaunchGraph`.  Returns a
-        reason string naming why this run is not native-eligible, or
-        ``(eval_fn, charge)``: the pure evaluation function (positions ->
-        float64 values) and ``charge(improved)``, which charges the clock
-        for one iteration from the capture — no cost-model calls — given
-        the number of improved particles.  The shared builder owns
-        everything else (plan, step, verification gate).  The base
+        run's problem.  Returns a reason string naming why this run is not
+        native-eligible, or the pure evaluation function (positions ->
+        float64 values).  The shared builder owns everything else: the
+        plan, the step, the verification gate and the charges, which are
+        the run's captured :class:`~repro.gpusim.graph.LaunchGraph`
+        replayed by its ``charge`` with this engine's
+        ``_charge_pbest_copy`` in the dynamic slot.  The base
         implementation opts out; engines whose iteration matches the fast
         path's shape override it.
         """
@@ -591,9 +591,18 @@ class Engine(ABC):
         bounds = problem.velocity_bounds(params.velocity_clamp)
         if bounds is None or not params.adaptive_velocity:
             return bounds
-        frac = 1.0 - (1.0 - params.final_velocity_fraction) * self._progress
+        frac = self._velocity_fraction(params)
         lo, hi = bounds
         return lo * frac, hi * frac
+
+    def _velocity_fraction(self, params: PSOParams) -> float:
+        """The share of the full clamp width Eq. (5) allows at the current
+        iteration: ``1.0`` without ``adaptive_velocity``, else shrinking
+        linearly to ``final_velocity_fraction`` (see
+        :meth:`_current_velocity_bounds`)."""
+        if not params.adaptive_velocity:
+            return 1.0
+        return 1.0 - (1.0 - params.final_velocity_fraction) * self._progress
 
     def _scheduled_params(self, params: PSOParams) -> PSOParams:
         """Resolve the inertia schedule (if any) at the current progress.

@@ -264,19 +264,10 @@ class CpuEngineBase(Engine):
 
         return replay, []
 
-    def _graph_build_native(self, graph, problem, params, state):
+    def _graph_build_native(self, problem):
         """This engine's part of the native tier (see
-        :func:`repro.gpusim.fastpath.build_native`).
-
-        CPU engines keep the same float32 array numerics as the CUDA port,
-        so the very same ``fastpath_step`` applies.  The captured trace is
-        pure clock charges, so one iteration's charges are the trace
-        replayed, with the live pbest-copy charge in its dynamic slot.
+        :func:`repro.gpusim.fastpath.build_native`): CPU engines keep the
+        same float32 array numerics as the CUDA port, so the very same
+        ``fastpath_step`` applies to the problem's own evaluator.
         """
-        d = state.dim
-        clock = self.clock
-
-        def charge(improved: int) -> None:
-            graph.charge(clock, lambda: self._charge_pbest_copy(improved, d))
-
-        return problem.evaluator.evaluate, charge
+        return problem.evaluator.evaluate

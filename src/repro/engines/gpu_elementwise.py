@@ -45,7 +45,6 @@ from repro.gpusim import hostcache
 from repro.gpusim.context import GpuContext, make_context
 from repro.gpusim.costmodel import GpuCostParams, kernel_cost
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.graph import SECTIONS
 from repro.gpusim.kernel import Kernel, KernelSpec
 from repro.gpusim.launch import resource_aware_config
 from repro.gpusim.rng import ParallelRNG
@@ -738,17 +737,12 @@ class FastPSOEngine(Engine):
 
         return replay, plan
 
-    def _graph_build_native(self, graph, problem, params, state):
+    def _graph_build_native(self, problem):
         """This engine's part of the native tier (see
-        :func:`repro.gpusim.fastpath.build_native`).
-
-        Refuses backends and storage the C step does not implement (the
-        shared/tensorcore backends stage differently, fp16 double-rounds).
-        The charges are the captured launch seconds, section by section,
-        around real alloc/free calls for the per-iteration weight buffers
-        (pool hits charge the clock themselves and keep the Table 4
-        allocator counters exact), plus the live pbest-copy charge — the
-        eager iteration's float additions in its order.
+        :func:`repro.gpusim.fastpath.build_native`): the evaluation
+        kernel's semantics, or a refusal for the backends and storage the C
+        step does not implement (the shared/tensorcore backends stage
+        differently, fp16 double-rounds).
         """
         if self.backend != "global":
             return f"native-unsupported-backend:{self.backend}"
@@ -758,36 +752,7 @@ class FastPSOEngine(Engine):
             "evaluate_particle" if "evaluate_particle" in self._kernels
             else "evaluate"
         )
-        eval_s, pbest_s, gbest_s, swarm_s = (
-            graph.launch_seconds(section) for section in SECTIONS
-        )
-        n, d = state.n_particles, state.dim
-        clock = self.clock
-        alloc = self.ctx.allocator
-
-        def charge(improved: int) -> None:
-            advance = clock.advance
-            with clock.section("eval"):
-                for s in eval_s:
-                    advance(s)
-            with clock.section("pbest"):
-                for s in pbest_s:
-                    advance(s)
-                self._charge_pbest_copy(improved, d)
-            with clock.section("gbest"):
-                for s in gbest_s:
-                    advance(s)
-            with clock.section("swarm"):
-                l_buf = alloc.alloc_like((n, d), np.float32)
-                g_buf = alloc.alloc_like((n, d), np.float32)
-                try:
-                    for s in swarm_s:
-                        advance(s)
-                finally:
-                    alloc.free(l_buf)
-                    alloc.free(g_buf)
-
-        return self._kernels[eval_key].semantics, charge
+        return self._kernels[eval_key].semantics
 
     def _warm_resume(
         self, problem: Problem, params: PSOParams, n_particles: int

@@ -15,9 +15,15 @@
  *   3. the two n*d Philox4x32-10 uniform draws (L then G) into the
  *      workspace weight buffers, consuming ceil(n*d/4) counter blocks
  *      each — the same stream consumption as ParallelRNG.uniform;
- *   4. the fused velocity + position update.  The float expression
+ *   4. this iteration's float32 velocity bounds (Eq. 5), one per
+ *      dimension: vlo[j] = (float)(vel_lo[j] * frac), the float64 multiply
+ *      and single rounding of repro.core.engine's
+ *      _current_velocity_bounds followed by NumPy's float64 -> float32
+ *      cast.  frac is the adaptive clamp fraction (Engine._velocity_fraction,
+ *      1.0 when the clamp is not adaptive; x * 1.0 == x exactly);
+ *   5. the fused velocity + position update.  The float expression
  *      replicates, per element, the exact IEEE op order of the NumPy
- *      scratch fast path in repro.core.swarm.velocity_update:
+ *      scratch fast path in repro.core.swarm._eq4_update:
  *        s1 = pb - p;  s1 = l * s1;   s1 = s1 * c1;
  *        s2 = soc - p; s2 = g * s2;   s2 = s2 * c2;
  *        v' = v * w;   v' = v' + s1;  v' = v' + s2;  clip(v', vlo, vhi)
@@ -28,11 +34,13 @@
  *
  * The per-run constants and stable buffer addresses live in a
  * fastpath_plan struct built once at plan-install time (mirrored by a
- * ctypes.Structure in fastpath.py — field order and types must match);
- * per-iteration values (fitness vector, RNG block cursor, scheduled
- * inertia, adaptive velocity bounds) arrive as call arguments.  Returns
- * the number of particles whose pbest improved (the dynamic-size input of
- * the pbest-copy clock charge).
+ * ctypes.Structure in fastpath.py — field order and types must match):
+ * among them the run's float64 base velocity bounds vel_lo/vel_hi
+ * (problem.velocity_bounds at the run's clamp, NULL when unclamped) and
+ * the (d,) float32 buffers step 4 writes.  Per-iteration values (fitness
+ * vector, RNG block cursor, scheduled inertia, clamp fraction frac) arrive
+ * as call arguments.  Returns the number of particles whose pbest improved
+ * (the dynamic-size input of the pbest-copy clock charge).
  */
 #include <string.h>
 
@@ -54,6 +62,10 @@ typedef struct {
     const uint32_t* keys;    /* flat Philox key schedule (2 * ROUNDS) */
     const float* pos_lo;     /* (d,) or NULL when clip_positions is off */
     const float* pos_hi;     /* (d,) or NULL */
+    const double* vel_lo;    /* (d,) float64 base bounds, NULL if unclamped */
+    const double* vel_hi;    /* (d,) or NULL */
+    float* vel_lo32;         /* (d,) plan-owned: this call's float32 bounds */
+    float* vel_hi32;         /* (d,) plan-owned */
     float c1;                /* cognitive coefficient, float32 */
     float c2;                /* social coefficient, float32 */
 } fastpath_plan;
@@ -297,8 +309,7 @@ static void fused_update(uint64_t n, uint64_t d, float w, float c1, float c2,
 }
 
 int64_t fastpath_step(const fastpath_plan* pl, const double* values,
-                      uint64_t block0, float w, const float* vlo,
-                      const float* vhi) {
+                      uint64_t block0, float w, double frac) {
     const uint64_t n = pl->n, d = pl->d;
     const uint64_t nd = n * d;
 
@@ -339,6 +350,18 @@ int64_t fastpath_step(const fastpath_plan* pl, const double* values,
     fill_unit_f32(block0, pl->stream_id, nd, pl->keys, pl->l_weights);
     fill_unit_f32(block0 + blocks_per_draw, pl->stream_id, nd, pl->keys,
                   pl->g_weights);
+
+    /* -- this iteration's velocity bounds (Eq. 5) ------------------------ */
+    const float* vlo = NULL;
+    const float* vhi = NULL;
+    if (pl->vel_lo != NULL) {
+        for (uint64_t j = 0; j < d; j++) {
+            pl->vel_lo32[j] = (float)(pl->vel_lo[j] * frac);
+            pl->vel_hi32[j] = (float)(pl->vel_hi[j] * frac);
+        }
+        vlo = pl->vel_lo32;
+        vhi = pl->vel_hi32;
+    }
 
     /* -- fused velocity (Eq. 4 + Eq. 5 clamp) + position (Eq. 2) ---------- */
     fused_update(n, d, w, pl->c1, pl->c2, pl->pbest_positions, pl->positions,

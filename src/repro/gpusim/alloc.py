@@ -20,7 +20,7 @@ raised identically regardless of pooling.  The pooling logic itself is real
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -69,6 +69,25 @@ class AllocatorStats:
     def hit_rate(self) -> float:
         total = self.pool_hits + self.pool_misses
         return self.pool_hits / total if total else 0.0
+
+    def since(self, before: "AllocatorStats") -> "AllocatorStats":
+        """The counters accrued since *before*, a copy taken earlier."""
+        return AllocatorStats(
+            *(now - then for now, then in zip(astuple(self), astuple(before)))
+        )
+
+    def add(self, delta: "AllocatorStats") -> None:
+        """Advance every counter by *delta* (a :meth:`since` result).
+
+        Launch-graph replay applies one captured iteration's allocator
+        traffic this way instead of repeating its alloc/free calls.
+        """
+        self.allocs += delta.allocs
+        self.frees += delta.frees
+        self.pool_hits += delta.pool_hits
+        self.pool_misses += delta.pool_misses
+        self.bytes_requested += delta.bytes_requested
+        self.bytes_reserved += delta.bytes_reserved
 
 
 class _AllocatorBase:

@@ -2,20 +2,24 @@
 
 Graph replay (PR 4) removed the launch pipeline from the steady state but
 still executes the iteration *body* — pbest claim, gbest reduction, two
-Philox draws, velocity/position update — as a chain of NumPy ufunc sweeps.
-This module compiles that body (``_fastpath.c``, via the shared
-:mod:`repro.gpusim.native` loader) into a single ``fastpath_step`` call
-operating in place on the run's stable buffers, and provides:
+Philox draws, velocity bounds, velocity/position update — as a chain of
+NumPy ufunc sweeps.  This module compiles that body (``_fastpath.c``, via
+the shared :mod:`repro.gpusim.native` loader) into a single
+``fastpath_step`` call operating in place on the run's stable buffers, and
+provides:
 
 * :class:`NativePlan` — the per-run binding: a C-side ``fastpath_plan``
   struct built once at plan-install time from the swarm state, the
-  workspace weight buffers and the RNG key schedule, plus the per-call
-  :meth:`~NativePlan.step` that syncs the scalar gbest fields in/out and
-  advances the Philox cursor;
+  workspace weight buffers, the RNG key schedule and the run's float64
+  base velocity bounds, plus the per-call :meth:`~NativePlan.step` that
+  syncs the scalar gbest fields in/out and advances the Philox cursor;
 * :func:`build_native` — the one native builder, called by
   :class:`~repro.gpusim.graph.IterationRunner` after the first verified
-  Python replay: the shared refusals, the plan, and the step (evaluate,
-  one C call, then the engine's charges for the captured iteration);
+  Python replay: the shared refusals, the plan, and the step.  A native
+  iteration is three things: evaluate, one C call, and one
+  :meth:`~repro.gpusim.graph.LaunchGraph.charge` — the captured clock
+  charges in captured order plus the captured allocator-counter delta,
+  with the engine's pbest-copy charge in the dynamic slot;
 * :func:`verify_step` — the promotion gate: it runs the *trusted* Python
   replay on the real state and the C step on shadow copies of the
   pre-iteration state, then compares every output buffer bitwise.  The
@@ -23,10 +27,13 @@ operating in place on the run's stable buffers, and provides:
   mismatch simply keeps the run on the Python replay tier.
 
 Bit-parity contract: the C step performs, per element, the exact IEEE
-operation sequence of the NumPy scratch fast path (see ``_fastpath.c``),
-claims pbest/gbest with the same strict-``<`` / first-NaN order, and
-consumes exactly ``2 * ceil(n*d / 4)`` Philox blocks per iteration — the
-same stream consumption :func:`repro.core.swarm.draw_weights` performs.
+operation sequence of :func:`repro.core.swarm._eq4_update`'s scratch path
+(see ``_fastpath.c``), computes the float32 velocity bounds as
+``(float)(lo * frac)`` — the float64 multiply of
+``Engine._current_velocity_bounds`` and NumPy's float32 cast — claims
+pbest/gbest with the same strict-``<`` / first-NaN order, and consumes
+exactly ``2 * ceil(n*d / 4)`` Philox blocks per iteration — the same
+stream consumption :func:`repro.core.swarm.draw_weights` performs.
 
 Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable (checked on every load);
 no compiler or a failed known-answer self-test silently fall back to the
@@ -71,6 +78,10 @@ class _PlanStruct(ctypes.Structure):
         ("keys", ctypes.c_void_p),
         ("pos_lo", ctypes.c_void_p),
         ("pos_hi", ctypes.c_void_p),
+        ("vel_lo", ctypes.c_void_p),
+        ("vel_hi", ctypes.c_void_p),
+        ("vel_lo32", ctypes.c_void_p),
+        ("vel_hi32", ctypes.c_void_p),
         ("c1", ctypes.c_float),
         ("c2", ctypes.c_float),
     ]
@@ -79,6 +90,39 @@ class _PlanStruct(ctypes.Structure):
 def _require_f32(name: str, arr: np.ndarray, shape: tuple) -> None:
     if arr.dtype != np.float32 or not arr.flags.c_contiguous or arr.shape != shape:
         raise ValueError(f"{name} must be C-contiguous float32 {shape}")
+
+
+class _Bounds:
+    """The plan's per-run bound buffers: float32 position clip bounds and
+    float64 base velocity bounds (each pair ``None`` when off), plus the
+    ``(d,)`` float32 buffers the C step writes each call's velocity
+    bounds into."""
+
+    __slots__ = ("pos_lo", "pos_hi", "vel_lo", "vel_hi", "vel_lo32", "vel_hi32")
+
+    def __init__(self, d: int, pos_bounds, vel_bounds) -> None:
+        self.pos_lo = self.pos_hi = None
+        if pos_bounds is not None:
+            self.pos_lo = np.ascontiguousarray(pos_bounds[0], dtype=np.float32)
+            self.pos_hi = np.ascontiguousarray(pos_bounds[1], dtype=np.float32)
+        self.vel_lo = self.vel_hi = self.vel_lo32 = self.vel_hi32 = None
+        if vel_bounds is not None:
+            for arr in vel_bounds:
+                if (
+                    arr.dtype != np.float64
+                    or not arr.flags.c_contiguous
+                    or arr.shape != (d,)
+                ):
+                    raise ValueError(
+                        f"velocity bounds must be C-contiguous float64 {(d,)}"
+                    )
+            self.vel_lo, self.vel_hi = vel_bounds
+            self.vel_lo32 = np.empty(d, dtype=np.float32)
+            self.vel_hi32 = np.empty(d, dtype=np.float32)
+
+
+def _addr(arr: np.ndarray | None):
+    return None if arr is None else arr.ctypes.data
 
 
 def _make_struct(
@@ -95,8 +139,7 @@ def _make_struct(
     gbest_index: np.ndarray,
     gbest_position: np.ndarray,
     keys_addr: int,
-    pos_lo: np.ndarray | None,
-    pos_hi: np.ndarray | None,
+    bounds: _Bounds,
     c1: float,
     c2: float,
 ) -> _PlanStruct:
@@ -125,21 +168,38 @@ def _make_struct(
         gbest_index=gbest_index.ctypes.data,
         gbest_position=gbest_position.ctypes.data,
         keys=keys_addr,
-        pos_lo=None if pos_lo is None else pos_lo.ctypes.data,
-        pos_hi=None if pos_hi is None else pos_hi.ctypes.data,
+        pos_lo=_addr(bounds.pos_lo),
+        pos_hi=_addr(bounds.pos_hi),
+        vel_lo=_addr(bounds.vel_lo),
+        vel_hi=_addr(bounds.vel_hi),
+        vel_lo32=_addr(bounds.vel_lo32),
+        vel_hi32=_addr(bounds.vel_hi32),
         c1=c1,
         c2=c2,
     )
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
-    """One full iteration, C vs the reference numerics, compared bitwise.
+    """Full iterations, C vs the reference numerics, compared bitwise.
 
-    The case is deliberately awkward: ``n*d = 30`` exercises the partial
+    The cases are deliberately awkward: ``n*d = 30`` exercises the partial
     final Philox block, ``values`` contains a NaN (must never claim) and an
-    exact tie (strict ``<`` keeps the earlier best), and both the velocity
-    clamp and the position clip are active.
+    exact tie (strict ``<`` keeps the earlier best), the velocity bounds
+    differ per dimension, and the runs cover a full-width clamp with the
+    position clip, an adaptive clamp at a fraction that is inexact in
+    float32, and an unclamped, unclipped update.
     """
+    d = 5
+    vel_bounds = (-np.linspace(0.7, 2.9, d), np.linspace(0.9, 3.1, d))
+    pos_bounds = (np.full(d, -4.0), np.full(d, 4.0))
+    return (
+        _self_test_case(lib, vel_bounds, 1.0, pos_bounds)
+        and _self_test_case(lib, vel_bounds, 0.6180339887, pos_bounds)
+        and _self_test_case(lib, None, 1.0, None)
+    )
+
+
+def _self_test_case(lib, vel_bounds, frac: float, pos_bounds) -> bool:
     from repro.core.parameters import PAPER_DEFAULTS
     from repro.core.swarm import (
         SwarmState,
@@ -163,11 +223,9 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     values[3] = pbest_val[3]  # exact tie keeps the earlier best
     gval0, gidx0 = float(pbest_val[2]), 2
     gpos0 = pbest_pos[2].copy()
-    vb64 = (np.full(d, -2.5, dtype=np.float64), np.full(d, 2.5, dtype=np.float64))
-    plo = np.full(d, -4.0, dtype=np.float32)
-    phi = np.full(d, 4.0, dtype=np.float32)
 
-    # Reference: the shared module numerics, in replay order.
+    # Reference: the shared module numerics, in replay order, with the
+    # bounds scaled as Engine._current_velocity_bounds scales them.
     rng_ref = ParallelRNG(seed=0xC0FFEE, stream_id=9)
     state = SwarmState(
         positions=positions.copy(),
@@ -191,7 +249,7 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         l_ref,
         g_ref,
         params,
-        vb64,
+        None if vel_bounds is None else tuple(b * frac for b in vel_bounds),
         out=state.velocities,
         scratch=(
             np.empty((n, d), dtype=np.float32),
@@ -199,7 +257,13 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         ),
     )
     state.positions += state.velocities
-    np.clip(state.positions, plo, phi, out=state.positions)
+    if pos_bounds is not None:
+        np.clip(
+            state.positions,
+            pos_bounds[0].astype(np.float32),
+            pos_bounds[1].astype(np.float32),
+            out=state.positions,
+        )
 
     # Native: same inputs through the C step.
     rng_nat = ParallelRNG(seed=0xC0FFEE, stream_id=9)
@@ -210,21 +274,19 @@ def _self_test(lib: ctypes.CDLL) -> bool:
     c_gval = np.array([gval0], dtype=np.float64)
     c_gidx = np.array([gidx0], dtype=np.int64)
     c_gpos = gpos0.copy()
+    bounds = _Bounds(d, pos_bounds, vel_bounds)  # alive across the C call
     struct = _make_struct(
         n, d, rng_nat.stream_id,
         c_pos, c_vel, c_pbp, c_pbv, c_l, c_g,
         c_gval, c_gidx, c_gpos, rng_nat._keys_addr,
-        plo, phi, float(params.cognitive), float(params.social),
+        bounds, float(params.cognitive), float(params.social),
     )
-    vlo32 = vb64[0].astype(np.float32)
-    vhi32 = vb64[1].astype(np.float32)
     improved = lib.fastpath_step(
         ctypes.addressof(struct),
         values.ctypes.data,
         rng_nat.position,
         float(params.inertia),
-        vlo32.ctypes.data,
-        vhi32.ctypes.data,
+        frac,
     )
     return (
         int(improved) == int(np.count_nonzero(mask))
@@ -248,15 +310,14 @@ _MODULE = native.NativeModule(
     fn_specs={
         "fastpath_step": (
             ctypes.c_int64,
-            # plan*, values*, block0, w, vlo*, vhi* — raw addresses so the
-            # per-iteration call builds no ctypes wrapper objects.
+            # plan*, values*, block0, w, frac — raw addresses and scalars so
+            # the per-iteration call builds no ctypes wrapper objects.
             [
                 ctypes.c_void_p,
                 ctypes.c_void_p,
                 ctypes.c_uint64,
                 ctypes.c_float,
-                ctypes.c_void_p,
-                ctypes.c_void_p,
+                ctypes.c_double,
             ],
         ),
     },
@@ -278,11 +339,12 @@ class NativePlan:
 
     Built by :func:`build_native` after the first verified Python replay.
     The struct holds raw addresses of the run's stable buffers (swarm
-    matrices, workspace weight buffers, RNG key schedule) plus three small
-    plan-owned buffers for the scalar gbest fields; :meth:`step` syncs
-    those scalars from/to the ``SwarmState`` around the C call, so
-    host-side observers (history recording, multi-GPU best exchange) keep
-    seeing plain Python floats.
+    matrices, workspace weight buffers, RNG key schedule, base velocity
+    bounds) plus small plan-owned buffers for the scalar gbest fields and
+    the per-call float32 velocity bounds; :meth:`step` syncs the scalars
+    from/to the ``SwarmState`` around the C call, so host-side observers
+    (history recording, multi-GPU best exchange) keep seeing plain Python
+    floats.
 
     ``state.gbest_position`` is re-pointed at the plan's own ``(d,)``
     buffer so the C claim can update it in place; an identity check each
@@ -301,11 +363,10 @@ class NativePlan:
         "gval",
         "gidx",
         "gpos",
+        "bounds",
         "_fn",
         "_struct",
         "_addr",
-        "_pos_lo",
-        "_pos_hi",
         "_c1",
         "_c2",
     )
@@ -319,6 +380,7 @@ class NativePlan:
         g_weights: np.ndarray,
         params,
         pos_bounds: tuple[np.ndarray, np.ndarray] | None,
+        vel_bounds: tuple[np.ndarray, np.ndarray] | None,
     ) -> None:
         n, d = state.positions.shape
         self.state = state
@@ -330,11 +392,7 @@ class NativePlan:
         self.gval = np.array([state.gbest_value], dtype=np.float64)
         self.gidx = np.array([state.gbest_index], dtype=np.int64)
         self.gpos = np.ascontiguousarray(state.gbest_position, dtype=np.float32).copy()
-        if pos_bounds is None:
-            self._pos_lo = self._pos_hi = None
-        else:
-            self._pos_lo = np.ascontiguousarray(pos_bounds[0], dtype=np.float32)
-            self._pos_hi = np.ascontiguousarray(pos_bounds[1], dtype=np.float32)
+        self.bounds = _Bounds(d, pos_bounds, vel_bounds)
         self._c1 = float(params.cognitive)
         self._c2 = float(params.social)
         self._fn = lib.fastpath_step
@@ -344,23 +402,18 @@ class NativePlan:
             state.pbest_positions, state.pbest_values,
             l_weights, g_weights,
             self.gval, self.gidx, self.gpos, rng._keys_addr,
-            self._pos_lo, self._pos_hi, self._c1, self._c2,
+            self.bounds, self._c1, self._c2,
         )
         self._addr = ctypes.addressof(self._struct)
 
-    def step(
-        self,
-        values: np.ndarray,
-        w: float,
-        vlo: np.ndarray | None,
-        vhi: np.ndarray | None,
-    ) -> int:
+    def step(self, values: np.ndarray, w: float, frac: float) -> int:
         """One full iteration body in C; returns the improved-pbest count.
 
         *values* is this iteration's fitness vector (float64, contiguous —
         guaranteed by the evaluator contract and checked once during the
-        verification iteration); *w* the scheduled inertia; *vlo*/*vhi* the
-        current float32 velocity bounds or ``None``.
+        verification iteration); *w* the scheduled inertia; *frac* the
+        velocity clamp fraction (``Engine._velocity_fraction``), ignored
+        when the run does not clamp.
         """
         state, rng = self.state, self.rng
         # Sync the scalar gbest fields in (they are plain Python attributes
@@ -370,27 +423,11 @@ class NativePlan:
         if state.gbest_position is not self.gpos:
             np.copyto(self.gpos, state.gbest_position)
             state.gbest_position = self.gpos
-        improved = self._fn(
-            self._addr,
-            values.ctypes.data,
-            rng._block,
-            w,
-            None if vlo is None else vlo.ctypes.data,
-            None if vhi is None else vhi.ctypes.data,
-        )
+        improved = self._fn(self._addr, values.ctypes.data, rng._block, w, frac)
         rng._block += self.blocks
         state.gbest_value = float(self.gval[0])
         state.gbest_index = int(self.gidx[0])
         return int(improved)
-
-
-def _velocity_bounds_f32(engine, problem, p):
-    """The engine's current velocity bounds as float32 ``(lo, hi)``, or
-    ``(None, None)`` when the run does not clamp."""
-    vb = engine._current_velocity_bounds(problem, p)
-    if vb is None:
-        return None, None
-    return vb[0].astype(np.float32), vb[1].astype(np.float32)
 
 
 def build_native(engine, graph, problem, params, state, rng):
@@ -400,18 +437,19 @@ def build_native(engine, graph, problem, params, state, rng):
     ``verify(run_replay)`` is the :func:`verify_step` promotion gate — or a
     reason string naming why the run stays on the Python replay tier.
 
-    The engine hook ``engine._graph_build_native(graph, problem, params,
-    state)`` is asked first; it returns its own refusal, or ``(eval_fn,
-    charge)``: the pure evaluation function (positions -> float64 values)
-    and ``charge(improved)``, which charges the clock for one iteration
-    from the capture.  The refusals every engine shares follow: the C step
-    reads one social attractor row (global topology only), needs the
-    compiled library, and consumes exactly the two ``ceil(n*d/4)``-block
-    weight draws.
+    The engine hook ``engine._graph_build_native(problem)`` is asked
+    first; it returns its own refusal, or the pure evaluation function
+    (positions -> float64 values).  The refusals every
+    engine shares follow: the C step reads one social attractor row
+    (global topology only), needs the compiled library, and consumes
+    exactly the two ``ceil(n*d/4)``-block weight draws.  Every engine's
+    iteration is then charged the same way: ``graph.charge`` replays the
+    captured clock charges and allocator-counter delta, with the engine's
+    ``_charge_pbest_copy`` for the live improved count in the dynamic slot.
     """
-    parts = engine._graph_build_native(graph, problem, params, state)
-    if isinstance(parts, str):
-        return parts
+    eval_fn = engine._graph_build_native(problem)
+    if isinstance(eval_fn, str):
+        return eval_fn
     if params.topology != "global":
         return f"native-unsupported-topology:{params.topology}"
     lib = load()
@@ -420,7 +458,6 @@ def build_native(engine, graph, problem, params, state, rng):
     n, d = state.n_particles, state.dim
     if graph.rng_blocks != 2 * ((n * d + 3) // 4):
         return "native-rng-shape-mismatch"
-    eval_fn, charge = parts
     pos_bounds = None
     if params.clip_positions:
         pos_bounds = (problem.lower_bounds, problem.upper_bounds)
@@ -432,13 +469,17 @@ def build_native(engine, graph, problem, params, state, rng):
         engine._ws.array("g_weights", (n, d), np.float32),
         params,
         pos_bounds,
+        problem.velocity_bounds(params.velocity_clamp),
     )
+    clock = engine.clock
+    charge = graph.charge
+    charge_pbest_copy = engine._charge_pbest_copy
 
     def step() -> None:
         values = eval_fn(state.positions)
         p = engine._scheduled_params(params)
-        vlo, vhi = _velocity_bounds_f32(engine, problem, p)
-        charge(plan.step(values, float(p.inertia), vlo, vhi))
+        improved = plan.step(values, float(p.inertia), engine._velocity_fraction(p))
+        charge(clock, lambda: charge_pbest_copy(improved, d))
 
     def verify(run_replay) -> bool:
         return verify_step(plan, run_replay, eval_fn, engine, problem, params)
@@ -453,10 +494,11 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
     mutate the real run, then executes the C step on the shadow copies
     (re-evaluating the objective on the pre-iteration positions — the
     evaluators are pure by contract) and compares every output buffer
-    bitwise.  Returns ``True`` only on an exact match; the real run's
-    trajectory is identical either way.  Exceptions from the replay
-    propagate (they are real-run failures); exceptions from the shadow
-    path just return ``False``.
+    bitwise, the velocity bounds the C step derived from ``frac`` included.
+    Returns ``True`` only on an exact match; the real run's trajectory is
+    identical either way.  Exceptions from the replay propagate (they are
+    real-run failures); exceptions from the shadow path just return
+    ``False``.
     """
     state, rng = plan.state, plan.rng
     n, d = plan.n, plan.d
@@ -469,7 +511,8 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
     pre_gpos = np.ascontiguousarray(state.gbest_position, dtype=np.float32).copy()
     pre_block = rng.position
     p = engine._scheduled_params(params)
-    vlo, vhi = _velocity_bounds_f32(engine, problem, p)
+    frac = engine._velocity_fraction(p)
+    vb = engine._current_velocity_bounds(problem, p)
 
     run_replay()
 
@@ -492,16 +535,16 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
             n, d, rng.stream_id,
             pre_pos, pre_vel, pre_pbp, pre_pbv, sh_l, sh_g,
             sh_gval, sh_gidx, pre_gpos, rng._keys_addr,
-            plan._pos_lo, plan._pos_hi, plan._c1, plan._c2,
+            plan.bounds, plan._c1, plan._c2,
         )
         plan._fn(
             ctypes.addressof(struct),
             values.ctypes.data,
             pre_block,
             float(p.inertia),
-            None if vlo is None else vlo.ctypes.data,
-            None if vhi is None else vhi.ctypes.data,
+            frac,
         )
+        bounds = plan.bounds
         return (
             pre_pos.tobytes() == state.positions.tobytes()
             and pre_vel.tobytes() == state.velocities.tobytes()
@@ -515,6 +558,14 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
             == np.ascontiguousarray(
                 state.gbest_position, dtype=np.float32
             ).tobytes()
+            and (
+                vb is None
+                or (
+                    bounds.vel_lo32.tobytes() == vb[0].astype(np.float32).tobytes()
+                    and bounds.vel_hi32.tobytes()
+                    == vb[1].astype(np.float32).tobytes()
+                )
+            )
         )
     except Exception:
         return False

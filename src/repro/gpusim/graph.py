@@ -17,19 +17,26 @@ The lifecycle, driven by :class:`IterationRunner`:
     The second iteration runs eagerly with the clock trace and the
     launcher's capture sink attached, recording every clock charge
     ``(section, seconds, dynamic)`` and every launch ``(kernel, section,
-    n_elems, config, cost)`` plus the iteration's RNG block consumption.
+    n_elems, config, cost)`` plus the iteration's RNG block consumption
+    and allocator-counter delta.
 ``validate``
     The third iteration runs eagerly, traced again.  If its charge and
     launch sequences don't match the capture (outside slots explicitly
     marked *dynamic*, e.g. the pbest-copy charge whose size is the number
     of improved particles), the iteration shape is data-dependent and the
-    run permanently falls back to eager — by design, not as an error.  On a
-    match, the engine builds its replay plan
+    run permanently falls back to eager — by design, not as an error.  The
+    allocator counters must match too: an iteration whose
+    :class:`~repro.gpusim.alloc.AllocatorStats` delta differs from the
+    capture's (``allocator-delta-changed``), or that changes
+    ``live_buffers`` or ``memory.used_bytes`` on net
+    (``allocator-net-change``), is not a steady state and stays eager.  On
+    a match, the engine builds its replay plan
     (:meth:`~repro.core.engine.Engine._graph_build_replay`) and the plan's
     declared launches are cross-checked against the capture.
 ``replay``
     Every further iteration is one call into the pre-bound plan.  The first
-    replay runs traced and is verified against the capture
+    replay runs traced and is verified against the capture — charges, RNG
+    consumption and allocator delta
     (:class:`~repro.errors.GraphReplayError` on divergence — that would be
     a repro bug, not a user condition); later replays run flat.
 ``native-verify`` / ``native``
@@ -49,15 +56,19 @@ The lifecycle, driven by :class:`IterationRunner`:
     reconciliation is tier-agnostic).
 
 Replay preserves bit-identical simulated time because it performs the *same
-sequence of float additions* on the clock as the eager path: one
-``advance(cost.seconds)`` per launch in eager order, real allocator
-alloc/free calls (pool hits advance the clock natively and keep the
-allocator statistics truthful), and the same dynamic charges through the
-same helpers.  The native tier keeps this exactly: the C call replaces the
-array *semantics* only; its clock charges are the captured ones, in
-captured order, with the dynamic pbest-copy charge still going through the
-engine's helper.  Profiler statistics are aggregated per graph — replayed
-launches touch no :class:`~repro.gpusim.launch.LaunchStats` until
+sequence of float additions* on the clock as the eager path.  The Python
+replay tier makes one ``advance(cost.seconds)`` per launch in eager order,
+real allocator alloc/free calls, and the same dynamic charges through the
+same helpers.  The native tier and the fused multi-swarm loop charge a
+whole iteration with one flat :meth:`LaunchGraph.charge`: the captured
+charge sequence added in captured order (allocator pool hits and driver
+calls are traced slots like any launch), the engine's dynamic pbest-copy
+charge in its slot, then the captured allocator-counter delta as integer
+adds — the counters of the paper's "a pool hit costs only a table lookup"
+(Table 4) advance exactly as the iteration's alloc/free calls would have
+advanced them, without making those calls.  Profiler statistics are
+aggregated per graph — replayed launches touch no
+:class:`~repro.gpusim.launch.LaunchStats` until
 :meth:`IterationRunner.finalize` folds ``replays x captured-cost`` into the
 launcher's buckets in one update per kernel.
 
@@ -78,16 +89,23 @@ arrays it was built on.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import GraphReplayError
+from repro.gpusim.alloc import AllocatorStats
 
 __all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner", "traced_capture"]
 
 
 #: One recorded launch: (kernel_name, section, n_elems, config, cost).
 CapturedLaunch = tuple
+
+#: Named reasons a validated iteration is not the captured one (see
+#: :meth:`LaunchGraph.mismatch`); the run stays eager.
+SHAPE_CHANGED = "iteration-shape-changed"
+ALLOC_NET_CHANGE = "allocator-net-change"
+ALLOC_DELTA_CHANGED = "allocator-delta-changed"
 
 
 @dataclass
@@ -96,12 +114,19 @@ class LaunchGraph:
 
     ``trace`` is the clock charge sequence; ``launches`` the kernel launch
     sequence (empty for CPU engines, which charge the clock directly);
-    ``rng_blocks`` the Philox blocks one iteration consumes.
+    ``rng_blocks`` the Philox blocks one iteration consumes.  For engines
+    with a device allocator, ``alloc_delta`` is the iteration's
+    :class:`~repro.gpusim.alloc.AllocatorStats` traffic and ``alloc_net``
+    its net ``(live_buffers, memory.used_bytes)`` change; ``allocator`` is
+    the allocator whose counters :meth:`charge` advances.
     """
 
     trace: list[tuple[str | None, float, bool]] = field(default_factory=list)
     launches: list[CapturedLaunch] = field(default_factory=list)
     rng_blocks: int = 0
+    alloc_delta: AllocatorStats | None = None
+    alloc_net: tuple[int, int] = (0, 0)
+    allocator: object = field(default=None, compare=False, repr=False)
 
     def trace_matches(
         self, other: list[tuple[str | None, float, bool]]
@@ -135,47 +160,62 @@ class LaunchGraph:
                 return False
         return True
 
-    def matches(self, other: "LaunchGraph") -> bool:
-        """*other* is the same iteration shape: charges, launches and RNG
-        consumption all match (dynamic slots wildcarded)."""
-        return (
+    def mismatch(self, other: "LaunchGraph") -> str | None:
+        """Why *other* is not this iteration shape, or ``None`` if it is.
+
+        An iteration that allocates on net (``alloc_net``) is not a steady
+        state whose allocator traffic can be replayed as counter deltas;
+        otherwise the allocator deltas, charges (dynamic slots wildcarded),
+        launches and RNG consumption must all match.
+        """
+        if self.alloc_net != (0, 0) or other.alloc_net != (0, 0):
+            return ALLOC_NET_CHANGE
+        if self.alloc_delta != other.alloc_delta:
+            return ALLOC_DELTA_CHANGED
+        if not (
             self.trace_matches(other.trace)
             and self.launches_match(other.launches)
             and self.rng_blocks == other.rng_blocks
-        )
-
-    def launch_seconds(self, section: str) -> tuple[float, ...]:
-        """The captured launches' modelled seconds in *section*, in order."""
-        return tuple(
-            cost.seconds
-            for _name, sec, _n, _config, cost in self.launches
-            if sec == section
-        )
+        ):
+            return SHAPE_CHANGED
+        return None
 
     def charge(self, clock, dynamic: Callable[[], None]) -> None:
-        """Replay the captured charge sequence onto *clock*.
+        """Replay the captured iteration's accounting onto *clock* and the
+        allocator counters.
 
         Static slots add their captured seconds to ``clock.now`` and to their
         section's total; each dynamic slot calls *dynamic* inside its
         section, which charges the slot's live (data-dependent) cost.  The
         additions run in the captured order on the same floats, so the clock
-        ends bit-identical to an eager iteration's.  ``clock.now`` is kept in
-        a local between dynamic slots; the clock must not be tracing.
+        ends bit-identical to an eager iteration's — allocator pool hits and
+        driver calls included, since their clock charges are traced slots
+        too.  The captured :class:`~repro.gpusim.alloc.AllocatorStats` delta
+        is then applied as integer adds, so Table 4's counters advance
+        exactly as the iteration's alloc/free calls would have advanced
+        them.  ``clock.now`` is kept in a local between dynamic slots; the
+        clock must not be tracing.
         """
         totals = clock.section_totals
         totals_get = totals.get
+        stack = clock._stack
         now = clock.now
         for label, seconds, is_dynamic in self.trace:
             if is_dynamic:
                 clock.now = now
-                with clock.section(label):
+                stack.append(label)
+                try:
                     dynamic()
+                finally:
+                    stack.pop()
                 now = clock.now
             else:
                 now += seconds
                 if label is not None:
                     totals[label] = totals_get(label, 0.0) + seconds
         clock.now = now
+        if self.alloc_delta is not None:
+            self.allocator.stats.add(self.alloc_delta)
 
     def flush_stats(self, stats: dict, replays: int) -> None:
         """Fold *replays* executions of every captured launch into *stats*.
@@ -196,18 +236,25 @@ class LaunchGraph:
             bucket.add_many(cost, n_elems, replays)
 
 
-def traced_capture(clock, launcher, rng, body: Callable[[], None]) -> LaunchGraph:
+def traced_capture(
+    clock, launcher, rng, body: Callable[[], None], allocator=None
+) -> LaunchGraph:
     """Run *body* once with the clock trace and the launcher's capture sink
-    attached, and return what it charged, launched and drew.
+    attached, and return what it charged, launched, drew and allocated.
 
     *launcher* may be ``None`` (CPU engines, or a replay that bypasses the
-    launch pipeline); the graph's launch list is then empty.  Tracing never
-    changes the float accumulation, so the traced iteration is an ordinary
-    one.
+    launch pipeline); the graph's launch list is then empty.  *allocator*
+    is ``None`` for engines without device memory; the graph then carries
+    no allocator delta.  Tracing never changes the float accumulation, so
+    the traced iteration is an ordinary one.
     """
     captured: list = []
     if launcher is not None:
         launcher.capture = captured
+    if allocator is not None:
+        stats_before = replace(allocator.stats)
+        live_before = allocator.live_buffers
+        used_before = allocator.memory.used_bytes
     clock.begin_trace()
     rng_before = rng.position
     try:
@@ -216,13 +263,17 @@ def traced_capture(clock, launcher, rng, body: Callable[[], None]) -> LaunchGrap
         trace = clock.end_trace()
         if launcher is not None:
             launcher.capture = None
-    return LaunchGraph(
+    graph = LaunchGraph(
         trace=trace, launches=captured, rng_blocks=rng.position - rng_before
     )
-
-
-#: Clock section labels of Algorithm 1's loop body, in execution order.
-SECTIONS = ("eval", "pbest", "gbest", "swarm")
+    if allocator is not None:
+        graph.allocator = allocator
+        graph.alloc_delta = allocator.stats.since(stats_before)
+        graph.alloc_net = (
+            allocator.live_buffers - live_before,
+            allocator.memory.used_bytes - used_before,
+        )
+    return graph
 
 
 class IterationRunner:
@@ -248,6 +299,7 @@ class IterationRunner:
         "_native",
         "_native_verify",
         "_launcher",
+        "_allocator",
         "info",
     )
 
@@ -276,6 +328,7 @@ class IterationRunner:
         self._native_verify = None
         ctx = getattr(engine, "ctx", None)
         self._launcher = getattr(ctx, "launcher", None)
+        self._allocator = getattr(ctx, "allocator", None)
         self.info = {
             "mode": "eager" if eager_reason is not None else "graph",
             "eager_reason": eager_reason,
@@ -337,7 +390,8 @@ class IterationRunner:
         clock = self.engine.clock
         if phase == "capture":
             self.graph = traced_capture(
-                clock, self._launcher, self.rng, self._run_eager
+                clock, self._launcher, self.rng, self._run_eager,
+                self._allocator,
             )
             self.info["captured_at"] = t
             self.phase = "validate"
@@ -345,11 +399,13 @@ class IterationRunner:
         if phase == "validate":
             graph = self.graph
             observed = traced_capture(
-                clock, self._launcher, self.rng, self._run_eager
+                clock, self._launcher, self.rng, self._run_eager,
+                self._allocator,
             )
-            if not graph.matches(observed):
+            reason = graph.mismatch(observed)
+            if reason is not None:
                 # Data-dependent iteration shape: stay eager for this run.
-                self._demote("iteration-shape-changed")
+                self._demote(reason)
                 return
             replay, plan_launches = self.engine._graph_build_replay(
                 self.problem, self.params, self.state, self.rng
@@ -364,7 +420,9 @@ class IterationRunner:
             self.phase = "first-replay"
             return
         # phase == "first-replay": verified replay, then go flat.
-        replayed = traced_capture(clock, None, self.rng, self._replay)
+        replayed = traced_capture(
+            clock, None, self.rng, self._replay, self._allocator
+        )
         self.info["replays"] += 1
         graph = self.graph
         if not graph.trace_matches(replayed.trace):
@@ -372,6 +430,12 @@ class IterationRunner:
                 "replayed iteration charged the clock differently from its "
                 "captured iteration; the engine's replay plan is out of "
                 "sync with its eager path"
+            )
+        if replayed.alloc_delta != graph.alloc_delta:
+            raise GraphReplayError(
+                "replayed iteration's allocator traffic "
+                f"{replayed.alloc_delta} differs from its captured "
+                f"iteration's {graph.alloc_delta}"
             )
         if replayed.rng_blocks != graph.rng_blocks:
             raise GraphReplayError(

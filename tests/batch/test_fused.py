@@ -19,7 +19,12 @@ import pytest
 
 from repro.batch import AdmissionPolicy, BatchScheduler, Job, estimate_job_bytes
 from repro.batch.admission import estimate_group_bytes
-from repro.batch.fused import FUSABLE_ENGINES, fusion_key, plan_fused_groups
+from repro.batch.fused import (
+    FUSABLE_ENGINES,
+    FusedGroupRunner,
+    fusion_key,
+    plan_fused_groups,
+)
 from repro.core.budget import Budget
 from repro.core.parameters import PAPER_DEFAULTS
 from repro.core.problem import Problem
@@ -241,6 +246,45 @@ class TestBitIdenticalGoldens:
             solo = _solo(job)
             assert outcome.result.elapsed_seconds == solo.elapsed_seconds
             assert outcome.result.step_times == solo.step_times
+
+
+class TestAllocatorCounters:
+    @pytest.mark.parametrize("caching", [True, False], ids=["caching", "direct"])
+    def test_fused_member_counters_equal_solo(self, caching):
+        """Fused rounds replay each member's captured allocator traffic, so
+        Table 4's counters end where the solo run's do — for the caching
+        pool and for the per-request DirectAllocator."""
+        jobs = _family("fastpso", 3)
+        engines = [make_engine("fastpso", caching=caching) for _ in jobs]
+        runner = FusedGroupRunner(
+            [
+                (
+                    i,
+                    engine.start_run(
+                        job.resolved_problem(),
+                        n_particles=job.n_particles,
+                        max_iter=job.max_iter,
+                        params=job.resolved_params,
+                        record_history=True,
+                    ),
+                )
+                for i, (job, engine) in enumerate(zip(jobs, engines))
+            ]
+        )
+        results = runner.execute()
+        assert runner.info()["n_fused"] == 3
+        assert runner.fast_rounds > 0
+        for job, engine, result in zip(jobs, engines, results):
+            solo_engine = make_engine("fastpso", caching=caching)
+            solo = solo_engine.optimize(
+                job.resolved_problem(),
+                n_particles=job.n_particles,
+                max_iter=job.max_iter,
+                params=job.resolved_params,
+                record_history=True,
+            )
+            assert result_to_dict(result) == result_to_dict(solo)
+            assert engine.ctx.allocator.stats == solo_engine.ctx.allocator.stats
 
 
 class TestBudgetsMidGroup:

@@ -71,11 +71,12 @@ def assert_identical(a, b):
 
 
 def assert_same_gpu_accounting(native_engine, replay_engine, eager_engine):
-    """The native GPU step makes the eager iteration's real allocator calls,
-    so Table 4's counters match eager exactly.  Its profile matches the
-    Python replay tier exactly, since both fold replayed launches with
-    ``add_many``; against eager, whose per-launch adds round differently in
-    the last bits, every count and every section total matches."""
+    """The native GPU step makes no allocator calls: ``LaunchGraph.charge``
+    applies the captured iteration's allocator-counter delta, so Table 4's
+    counters match eager exactly.  Its profile matches the Python replay
+    tier exactly, since both fold replayed launches with ``add_many``;
+    against eager, whose per-launch adds round differently in the last
+    bits, every count and every section total matches."""
     stats = native_engine.ctx.allocator.stats
     assert stats == replay_engine.ctx.allocator.stats
     assert stats == eager_engine.ctx.allocator.stats
@@ -161,6 +162,87 @@ class TestNativeTierParity:
         params = replace(PAPER_DEFAULTS, seed=7, **overrides)
         for name in NATIVE_ENGINES:
             assert_native_parity(name, problem, monkeypatch, params=params)
+
+    @pytest.mark.parametrize(
+        "name, opts",
+        [
+            ("fastpso", {"caching": False}),
+            ("fastpso-fused", {}),
+            ("fastpso-fused", {"caching": False}),
+        ],
+        ids=["direct-allocator", "fused", "fused-direct-allocator"],
+    )
+    def test_native_accounting_parity(self, name, opts, problem, monkeypatch):
+        """Table 4's allocator counters and the profile stay exact on the
+        native tier for the "w/ reallocation" DirectAllocator too, whose
+        every alloc/free is a driver call with its own clock charge."""
+        nat_engine, nat_result = run(name, problem, **opts)
+        assert nat_engine.graph_info["native"] == "active"
+        monkeypatch.setenv(ENV_GATE, "1")
+        gated_engine, gated_result = run(name, problem, **opts)
+        monkeypatch.delenv(ENV_GATE)
+        eager_engine, eager_result = run(name, problem, graph=False, **opts)
+        assert_identical(nat_result, gated_result)
+        assert_identical(nat_result, eager_result)
+        assert_same_gpu_accounting(nat_engine, gated_engine, eager_engine)
+        stats = nat_engine.ctx.allocator.stats
+        if opts.get("caching", True):
+            assert stats.pool_hits > 0
+        else:
+            assert stats.pool_hits == 0 and stats.allocs > 20
+
+    @pytest.mark.parametrize("caching", [True, False], ids=["caching", "direct"])
+    def test_steady_state_makes_no_clock_or_allocator_calls(
+        self, problem, caching
+    ):
+        """A native iteration is one evaluation, one C call and one flat
+        ``LaunchGraph.charge``: no ``SimClock.advance`` and no allocator
+        ``alloc``/``free`` — yet the counters and the result match."""
+        from repro.gpusim.alloc import CachingAllocator, DirectAllocator
+        from repro.gpusim.clock import SimClock
+
+        engine = make_engine("fastpso", caching=caching)
+        handle = engine.start_run(
+            problem,
+            n_particles=64,
+            max_iter=20,
+            params=PSOParams(seed=7),
+            record_history=True,
+        )
+        t = 0
+        while handle.runner.phase != "native":
+            handle.step(t)
+            t += 1
+        calls: list[str] = []
+
+        def spy(label, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        stats_before = replace(engine.ctx.allocator.stats)
+        with pytest.MonkeyPatch.context() as mp:
+            for cls, attr in (
+                (SimClock, "advance"),
+                (CachingAllocator, "alloc"),
+                (CachingAllocator, "free"),
+                (DirectAllocator, "alloc"),
+                (DirectAllocator, "free"),
+            ):
+                mp.setattr(cls, attr, spy(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+            native_iters = 20 - t
+            for t in range(t, 20):
+                handle.step(t)
+        assert native_iters > 10
+        assert calls == []
+        delta = engine.ctx.allocator.stats.since(stats_before)
+        assert delta.allocs == delta.frees == 2 * native_iters
+        result = handle.finish()
+        ref_engine, reference = run("fastpso", problem, caching=caching)
+        assert_identical(result, reference)
+        assert engine.ctx.allocator.stats == ref_engine.ctx.allocator.stats
 
     def test_self_test_known_answer(self):
         lib = fastpath.load()
@@ -267,6 +349,36 @@ class TestFallbacks:
         monkeypatch.undo()
         _, native_result = run("fastpso", problem, iters=20)
         assert_identical(result, native_result)
+
+    def test_allocator_delta_mismatch_demotes_to_eager(
+        self, problem, monkeypatch
+    ):
+        """A validate iteration whose allocator traffic differs from the
+        capture's is not the captured shape: the run stays eager with the
+        named reason, bit-identical to a ``graph=False`` run."""
+        from repro.gpusim.alloc import AllocatorStats
+
+        since = AllocatorStats.since
+        deltas = []
+
+        def drifting(self, before):
+            delta = since(self, before)
+            deltas.append(delta)
+            if len(deltas) == 2:  # the validate iteration's traffic
+                delta.pool_hits += 1
+            return delta
+
+        monkeypatch.setattr(AllocatorStats, "since", drifting)
+        engine, result = run("fastpso", problem)
+        assert len(deltas) == 2
+        assert engine.graph_info["mode"] == "eager"
+        assert engine.graph_info["eager_reason"] == "allocator-delta-changed"
+        assert engine.graph_info["native"] == "allocator-delta-changed"
+        assert engine.graph_info["replays"] == 0
+        monkeypatch.undo()
+        eager_engine, eager = run("fastpso", problem, graph=False)
+        assert_identical(result, eager)
+        assert engine.ctx.allocator.stats == eager_engine.ctx.allocator.stats
 
     @needs_native
     def test_host_managed_pin_skips_promotion(self, problem, monkeypatch):

@@ -199,6 +199,47 @@ class TestLaunchGraphPrimitives:
             [("eval", 1.0, True), ("pbest", 0.5, True)]
         )
 
+    def test_mismatch_names_allocator_divergence(self):
+        from repro.gpusim.alloc import AllocatorStats
+
+        hits = AllocatorStats(allocs=2, frees=2, pool_hits=2)
+        graph = LaunchGraph(trace=[("swarm", 1.0, False)], alloc_delta=hits)
+        same = LaunchGraph(
+            trace=[("swarm", 1.0, False)], alloc_delta=AllocatorStats(2, 2, 2)
+        )
+        assert graph.mismatch(same) is None
+        missed = LaunchGraph(
+            trace=[("swarm", 1.0, False)],
+            alloc_delta=AllocatorStats(allocs=2, frees=2, pool_misses=2),
+        )
+        assert graph.mismatch(missed) == "allocator-delta-changed"
+        leaked = LaunchGraph(
+            trace=[("swarm", 1.0, False)], alloc_delta=hits, alloc_net=(1, 256)
+        )
+        assert graph.mismatch(leaked) == "allocator-net-change"
+        assert leaked.mismatch(leaked) == "allocator-net-change"
+        reshaped = LaunchGraph(trace=[("swarm", 2.0, False)], alloc_delta=hits)
+        assert graph.mismatch(reshaped) == "iteration-shape-changed"
+
+    def test_charge_replays_clock_and_allocator_counters(self):
+        from types import SimpleNamespace
+
+        from repro.gpusim.alloc import AllocatorStats
+        from repro.gpusim.clock import SimClock
+
+        stats = AllocatorStats(allocs=5, frees=3, pool_hits=1)
+        graph = LaunchGraph(
+            trace=[("eval", 0.25, False), ("pbest", 0.0, True), (None, 0.5, False)],
+            alloc_delta=AllocatorStats(allocs=2, frees=2, pool_hits=2),
+            allocator=SimpleNamespace(stats=stats),
+        )
+        clock = SimClock(now=1.0)
+        graph.charge(clock, lambda: clock.advance(0.125))
+        assert clock.now == 1.0 + 0.25 + 0.125 + 0.5
+        assert clock.section_totals == {"eval": 0.25, "pbest": 0.125}
+        assert clock.current_section is None
+        assert stats == AllocatorStats(allocs=7, frees=5, pool_hits=3)
+
     def test_add_many_equals_repeated_add(self):
         cost = _cost(
             seconds=2.5e-6,
