@@ -177,8 +177,9 @@ class Engine(ABC):
     name: str = "engine"
     #: Whether the engine executes on the simulated GPU.
     is_gpu: bool = False
-    #: Whether the engine provides a launch-graph replay plan
-    #: (:mod:`repro.gpusim.graph`).  Engines that do accept ``graph=`` in
+    #: Whether the engine's steady-state iterations can be replayed as
+    #: numerics plus the captured charges (:mod:`repro.gpusim.graph`); such
+    #: engines implement :meth:`_swarm_numerics`, accept ``graph=`` in
     #: their constructor and set :attr:`graph_enabled` from it.
     supports_graph: bool = False
     #: The ``graph=`` knob: capture & replay the steady-state iteration when
@@ -514,30 +515,39 @@ class Engine(ABC):
         """Engine-specific extra eager conditions (e.g. launch recording)."""
         return None
 
-    def _graph_build_replay(self, problem, params, state, rng):
-        """Build the pre-bound replay plan for one steady-state iteration.
+    def _swarm_numerics(
+        self,
+        problem: Problem,
+        params: PSOParams,
+        state: SwarmState,
+        rng: ParallelRNG,
+    ) -> None:
+        """Step (iv) with no charges: the weight draw, Eq. (4) and Eq. (2).
 
-        Returns ``(replay, plan_launches)``: a zero-argument callable that
-        executes one full iteration, and the launch sequence it will charge
-        (``(name, section, n_elems, config, cost)`` tuples) for validation
-        against the capture.  Only called on engines with
+        *params* is already resolved by :meth:`_scheduled_params`.  The
+        replayed iteration
+        (:meth:`~repro.gpusim.graph.IterationRunner._replay`) runs this
+        after the shared evaluation, pbest and gbest numerics, then charges
+        the captured iteration in one
+        :meth:`~repro.gpusim.graph.LaunchGraph.charge`.  It must perform
+        exactly the numerics of the engine's eager :meth:`_update_swarm` —
+        the one per-engine replay hook, required on engines with
         :attr:`supports_graph`.
         """
         raise NotImplementedError
 
-    def _graph_build_native(self, problem):
-        """This engine's part of the native (one-C-call) tier.
+    def _graph_build_native(self) -> str | None:
+        """This engine's refusal of the native (one-C-call) tier, if any.
 
-        Called by :func:`repro.gpusim.fastpath.build_native` with the
-        run's problem.  Returns a reason string naming why this run is not
-        native-eligible, or the pure evaluation function (positions ->
-        float64 values).  The shared builder owns everything else: the
-        plan, the step, the verification gate and the charges, which are
-        the run's captured :class:`~repro.gpusim.graph.LaunchGraph`
-        replayed by its ``charge`` with this engine's
-        ``_charge_pbest_copy`` in the dynamic slot.  The base
-        implementation opts out; engines whose iteration matches the fast
-        path's shape override it.
+        Called by :func:`repro.gpusim.fastpath.build_native`.  Returns a
+        reason string naming why this engine's runs are not
+        native-eligible, or ``None``.  The shared builder owns everything
+        else: the problem's evaluator, the plan, the step, the verification
+        gate and the charges, which are the run's captured
+        :class:`~repro.gpusim.graph.LaunchGraph` replayed by its ``charge``
+        with this engine's ``_charge_pbest_copy`` in the dynamic slot.  The
+        base implementation opts out; engines whose iteration matches the
+        fast path's shape override it.
         """
         return "engine-has-no-native-plan"
 

@@ -40,6 +40,11 @@ __all__ = ["AsyncFastPSOEngine"]
 class AsyncFastPSOEngine(FastPSOEngine):
     """Chunked asynchronous element-wise PSO on the simulated GPU."""
 
+    #: A replayed iteration is the synchronous evaluate / pbest / gbest /
+    #: swarm numerics (:mod:`repro.gpusim.graph`); the chunked schedule
+    #: interleaves them, so every run executes eagerly.
+    supports_graph = False
+
     def __init__(self, *args, n_chunks: int = 4, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if n_chunks < 1:

@@ -26,7 +26,6 @@ from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
 from repro.core.swarm import (
     SwarmState,
-    draw_initial_state,
     draw_weights,
     gbest_scan,
     pbest_update,
@@ -136,6 +135,26 @@ class CpuEngineBase(Engine):
         rng: ParallelRNG,
     ) -> None:
         params = self._scheduled_params(params)
+        self._swarm_numerics(problem, params, state, rng)
+        n_elems = state.n_particles * state.dim
+        # Inline PRNG: the C++ loop draws l and g on the fly, so the weight
+        # matrices never touch memory.
+        self._charge_rng(2 * n_elems)
+        # Fused update: read V, P, pbest positions; write V, P.
+        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
+        self._charge(
+            n_elems,
+            flops_per_elem=10.0 + clamp_flops,
+            bytes_per_elem=5 * _F32,
+        )
+
+    def _swarm_numerics(
+        self,
+        problem: Problem,
+        params: PSOParams,
+        state: SwarmState,
+        rng: ParallelRNG,
+    ) -> None:
         n, d = state.n_particles, state.dim
         l_mat, g_mat = draw_weights(
             rng,
@@ -165,109 +184,8 @@ class CpuEngineBase(Engine):
         )
         position_update(state.positions, state.velocities, problem, params)
 
-        n_elems = state.n_particles * state.dim
-        # Inline PRNG: the C++ loop draws l and g on the fly, so the weight
-        # matrices never touch memory.
-        self._charge_rng(2 * n_elems)
-        # Fused update: read V, P, pbest positions; write V, P.
-        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
-        self._charge(
-            n_elems,
-            flops_per_elem=10.0 + clamp_flops,
-            bytes_per_elem=5 * _F32,
-        )
-
-    # -- launch-graph replay ----------------------------------------------------
-    def _graph_build_replay(self, problem, params, state, rng):
-        """One pre-bound steady-state iteration (see :mod:`repro.gpusim.graph`).
-
-        CPU engines have no launcher, so the plan's launch list is empty and
-        the graph is pure clock charges.  Every static per-step cost is
-        resolved once through the same :func:`cpu_loop_cost` calls the eager
-        path makes (same floats, bitwise); the dynamic pbest-copy charge
-        stays live because its size is data-dependent.
-        """
-        n, d = state.n_particles, state.dim
-        n_elems = n * d
-        clock = self.clock
-        prof = problem.evaluator.profile()
-        eval_s = cpu_loop_cost(
-            self.cpu,
-            n_elems,
-            threads=self.threads,
-            flops_per_elem=prof.flops_per_elem + prof.reduction_flops_per_elem,
-            bytes_per_elem=_F32,
-            transcendental_per_elem=prof.sfu_per_elem,
-        ).seconds
-        scan_s = cpu_loop_cost(
-            self.cpu, n, threads=self.threads,
-            flops_per_elem=1.0, bytes_per_elem=8.0,
-        ).seconds
-        eff_threads = max(
-            1, int(round(self.threads * self.rng_parallel_efficiency))
-        )
-        rng_s = cpu_loop_cost(
-            self.cpu, 2 * n_elems, rng_per_elem=1.0, threads=eff_threads
-        ).seconds
-        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
-        update_s = cpu_loop_cost(
-            self.cpu,
-            n_elems,
-            threads=self.threads,
-            flops_per_elem=10.0 + clamp_flops,
-            bytes_per_elem=5 * _F32,
-        ).seconds
-        evaluate = problem.evaluator.evaluate
-
-        def replay() -> None:
-            with clock.section("eval"):
-                values = evaluate(state.positions)
-                clock.advance(eval_s)
-            with clock.section("pbest"):
-                mask = pbest_update(state, values)
-                clock.advance(scan_s)
-                self._charge_pbest_copy(int(np.count_nonzero(mask)), d)
-            with clock.section("gbest"):
-                gbest_scan(state)
-                clock.advance(scan_s)
-            with clock.section("swarm"):
-                p = self._scheduled_params(params)
-                l_mat, g_mat = draw_weights(
-                    rng,
-                    n,
-                    d,
-                    out=(
-                        self._ws.array("l_weights", (n, d), np.float32),
-                        self._ws.array("g_weights", (n, d), np.float32),
-                    ),
-                )
-                social = social_positions(state, p.topology)
-                vbounds = self._current_velocity_bounds(problem, p)
-                velocity_update(
-                    state.velocities,
-                    state.positions,
-                    state.pbest_positions,
-                    social,
-                    l_mat,
-                    g_mat,
-                    p,
-                    vbounds,
-                    out=state.velocities,
-                    scratch=(
-                        self._ws.array("vel_pull_1", (n, d), np.float32),
-                        self._ws.array("vel_pull_2", (n, d), np.float32),
-                    ),
-                )
-                position_update(state.positions, state.velocities, problem, p)
-                clock.advance(rng_s)
-                clock.advance(update_s)
-
-        return replay, []
-
-    def _graph_build_native(self, problem):
-        """This engine's part of the native tier (see
-        :func:`repro.gpusim.fastpath.build_native`): CPU engines keep the
-        same float32 array numerics as the CUDA port, so the very same
-        ``fastpath_step`` applies to the problem's own evaluator.
-        """
-        return problem.evaluator.evaluate
+    def _graph_build_native(self) -> str | None:
+        """CPU engines keep the same float32 array numerics as the CUDA
+        port, so the very same ``fastpath_step`` applies (see
+        :func:`repro.gpusim.fastpath.build_native`)."""
+        return None

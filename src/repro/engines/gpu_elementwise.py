@@ -43,7 +43,7 @@ from repro._compat import deprecated_kwargs
 from repro.errors import InvalidParameterError
 from repro.gpusim import hostcache
 from repro.gpusim.context import GpuContext, make_context
-from repro.gpusim.costmodel import GpuCostParams, kernel_cost
+from repro.gpusim.costmodel import GpuCostParams
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import Kernel, KernelSpec
 from repro.gpusim.launch import resource_aware_config
@@ -462,39 +462,37 @@ class FastPSOEngine(Engine):
             alloc.alloc_like((n,), np.float64),  # pbest values
             alloc.alloc_like((n,), np.float64),  # current values
         ]
-        cfg = self._cfg("init_rng", 2 * n * d)
-        state = self.ctx.launcher.launch(
-            self._kernels["init_rng"],
-            2 * n * d,
-            problem,
-            n,
-            rng,
-            params.init_strategy,
-            config=cfg,
+        return self._launch(
+            "init_rng", 2 * n * d, problem, n, rng, params.init_strategy
         )
-        return state
+
+    def _launch(self, key: str, n_elems: int, *args, **kwargs):
+        """Launch kernel *key* over *n_elems* elements with its cached
+        resource-aware geometry: the eager dispatch of :meth:`_swarm_step`."""
+        return self.ctx.launcher.launch(
+            self._kernels[key],
+            n_elems,
+            *args,
+            config=self._cfg(key, n_elems),
+            **kwargs,
+        )
+
+    def _semantics(self, key: str, n_elems: int, *args, **kwargs):
+        """Run kernel *key*'s semantics only, charging nothing: the replay
+        dispatch of :meth:`_swarm_step`."""
+        return self._kernels[key].semantics(*args, **kwargs)
 
     def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        n, d = state.n_particles, state.dim
         if "evaluate_particle" in self._kernels:
-            cfg = self._cfg("evaluate_particle", n)
-            return self.ctx.launcher.launch(
-                self._kernels["evaluate_particle"],
-                n,
-                state.positions,
-                config=cfg,
+            return self._launch(
+                "evaluate_particle", state.n_particles, state.positions
             )
-        cfg = self._cfg("evaluate", n * d)
-        return self.ctx.launcher.launch(
-            self._kernels["evaluate"], n * d, state.positions, config=cfg
+        return self._launch(
+            "evaluate", state.n_particles * state.dim, state.positions
         )
 
     def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        n = state.n_particles
-        cfg = self._cfg("pbest", n)
-        mask = self.ctx.launcher.launch(
-            self._kernels["pbest"], n, state, values, config=cfg
-        )
+        mask = self._launch("pbest", state.n_particles, state, values)
         self._charge_pbest_copy(int(np.count_nonzero(mask)), state.dim)
 
     def _charge_pbest_copy(self, improved: int, dim: int) -> None:
@@ -533,7 +531,6 @@ class FastPSOEngine(Engine):
         state: SwarmState,
         rng: ParallelRNG,
     ) -> None:
-        params = self._scheduled_params(params)
         n, d = state.n_particles, state.dim
         alloc = self.ctx.allocator
         # Per-iteration weight matrices: fresh allocations each time, so the
@@ -541,62 +538,52 @@ class FastPSOEngine(Engine):
         l_buf = alloc.alloc_like((n, d), self.storage_dtype)
         g_buf = alloc.alloc_like((n, d), self.storage_dtype)
         try:
-            cfg_2nd = self._cfg("weights_rng", 2 * n * d)
-            l_mat, g_mat = self.ctx.launcher.launch(
-                self._kernels["weights_rng"], 2 * n * d, rng, n, d, config=cfg_2nd
+            self._swarm_step(
+                problem, self._scheduled_params(params), state, rng, self._launch
             )
-            social = social_positions(state, params.topology)
-            vbounds = self._current_velocity_bounds(problem, params)
-            if self.fuse_update:
-                self.ctx.launcher.launch(
-                    self._kernels["fused_update"],
-                    n * d,
-                    state.velocities,
-                    state.positions,
-                    state.pbest_positions,
-                    social,
-                    l_mat,
-                    g_mat,
-                    params,
-                    vbounds,
-                    problem,
-                    config=self._cfg("fused_update", n * d),
-                )
-            else:
-                vel_kwargs = {}
-                if self.backend == "global":
-                    scratch = self._vel_scratch(n, d)
-                    if scratch is not None:
-                        vel_kwargs["scratch"] = scratch
-                self.ctx.launcher.launch(
-                    self._kernels["velocity"],
-                    n * d,
-                    state.velocities,
-                    state.positions,
-                    state.pbest_positions,
-                    social,
-                    l_mat,
-                    g_mat,
-                    params,
-                    vbounds,
-                    out=state.velocities,
-                    config=self._cfg("velocity", n * d),
-                    **vel_kwargs,
-                )
-                self.ctx.launcher.launch(
-                    self._kernels["position"],
-                    n * d,
-                    state.positions,
-                    state.velocities,
-                    problem,
-                    params,
-                    config=self._cfg("position", n * d),
-                )
         finally:
             alloc.free(l_buf)
             alloc.free(g_buf)
 
-    # -- launch-graph replay ----------------------------------------------------
+    def _swarm_numerics(
+        self,
+        problem: Problem,
+        params: PSOParams,
+        state: SwarmState,
+        rng: ParallelRNG,
+    ) -> None:
+        self._swarm_step(problem, params, state, rng, self._semantics)
+
+    def _swarm_step(self, problem, params, state, rng, run) -> None:
+        """Step (iv)'s kernels in order, each dispatched through *run*
+        (:meth:`_launch` eagerly, :meth:`_semantics` on replay), so both
+        execute the same backend semantics: the weight draw, then the
+        fused update or the velocity kernel followed by the position
+        kernel."""
+        n, d = state.n_particles, state.dim
+        l_mat, g_mat = run("weights_rng", 2 * n * d, rng, n, d)
+        args = (
+            state.velocities,
+            state.positions,
+            state.pbest_positions,
+            social_positions(state, params.topology),
+            l_mat,
+            g_mat,
+            params,
+            self._current_velocity_bounds(problem, params),
+        )
+        if self.fuse_update:
+            run("fused_update", n * d, *args, problem)
+            return
+        vel_kwargs = {}
+        if self.backend == "global":
+            scratch = self._vel_scratch(n, d)
+            if scratch is not None:
+                vel_kwargs["scratch"] = scratch
+        run("velocity", n * d, *args, out=state.velocities, **vel_kwargs)
+        run("position", n * d, state.positions, state.velocities, problem, params)
+
+    # -- launch graphs -----------------------------------------------------------
     def _graph_blockers(self) -> str | None:
         if self.ctx.launcher.record_launches:
             return "record-launches"
@@ -604,155 +591,17 @@ class FastPSOEngine(Engine):
             return "fault-injector"
         return None
 
-    def _plan_launch(self, key: str, n_elems: int, section: str):
-        """Resolve one launch's (kernel, config, cost) through the memoized
-        front doors, plus its capture-comparable plan tuple."""
-        kernel = self._kernels[key]
-        cfg = self._cfg(key, n_elems)
-        cost = kernel_cost(
-            self.ctx.spec, kernel.spec, cfg, n_elems,
-            self.ctx.launcher.cost_params,
-        )
-        return kernel, cost, (kernel.spec.name, section, n_elems, cfg, cost)
-
-    def _graph_build_replay(self, problem, params, state, rng):
-        """One pre-bound steady-state iteration (see :mod:`repro.gpusim.graph`).
-
-        Mirrors the eager four-section body exactly: the same semantics
-        callables in the same order, one ``clock.advance(cost.seconds)`` per
-        launch (costs come from the same memoized ``kernel_cost`` front
-        door, so every float add is bitwise-equal to eager's), real
-        allocator alloc/free for the per-iteration weight matrices (pool
-        hits advance the clock natively and keep allocator counters
-        truthful), and the same dynamic pbest-copy charge helper.  Dynamic
-        inputs — scheduled inertia, adaptive velocity bounds, the social
-        topology view — are fetched at call time, not baked in.
-        """
-        n, d = state.n_particles, state.dim
-        clock = self.clock
-        alloc = self.ctx.allocator
-        plan: list = []
-
-        if "evaluate_particle" in self._kernels:
-            eval_kernel, eval_cost, entry = self._plan_launch(
-                "evaluate_particle", n, "eval"
-            )
-        else:
-            eval_kernel, eval_cost, entry = self._plan_launch(
-                "evaluate", n * d, "eval"
-            )
-        plan.append(entry)
-        eval_sem = eval_kernel.semantics
-
-        pbest_kernel, pbest_cost, entry = self._plan_launch("pbest", n, "pbest")
-        plan.append(entry)
-
-        argmin_run, argmin_launches = self.ctx.reducer.prebound_argmin(n)
-        plan.extend(argmin_launches)
-
-        weights_kernel, weights_cost, entry = self._plan_launch(
-            "weights_rng", 2 * n * d, "swarm"
-        )
-        plan.append(entry)
-        weights_sem = weights_kernel.semantics
-
-        if self.fuse_update:
-            fused_kernel, fused_cost, entry = self._plan_launch(
-                "fused_update", n * d, "swarm"
-            )
-            plan.append(entry)
-            fused_sem = fused_kernel.semantics
-        else:
-            vel_kernel, vel_cost, entry = self._plan_launch(
-                "velocity", n * d, "swarm"
-            )
-            plan.append(entry)
-            vel_sem = vel_kernel.semantics
-            pos_kernel, pos_cost, entry = self._plan_launch(
-                "position", n * d, "swarm"
-            )
-            plan.append(entry)
-            pos_sem = pos_kernel.semantics
-
-        def replay() -> None:
-            with clock.section("eval"):
-                values = eval_sem(state.positions)
-                clock.advance(eval_cost.seconds)
-            with clock.section("pbest"):
-                mask = pbest_update(state, values)
-                clock.advance(pbest_cost.seconds)
-                self._charge_pbest_copy(int(np.count_nonzero(mask)), d)
-            with clock.section("gbest"):
-                idx, val = argmin_run(state.pbest_values)
-                if val < state.gbest_value:
-                    state.gbest_value = val
-                    state.gbest_index = idx
-                    state.gbest_position = state.pbest_positions[idx].copy()
-            with clock.section("swarm"):
-                p = self._scheduled_params(params)
-                l_buf = alloc.alloc_like((n, d), self.storage_dtype)
-                g_buf = alloc.alloc_like((n, d), self.storage_dtype)
-                try:
-                    l_mat, g_mat = weights_sem(rng, n, d)
-                    clock.advance(weights_cost.seconds)
-                    social = social_positions(state, p.topology)
-                    vbounds = self._current_velocity_bounds(problem, p)
-                    if self.fuse_update:
-                        fused_sem(
-                            state.velocities,
-                            state.positions,
-                            state.pbest_positions,
-                            social,
-                            l_mat,
-                            g_mat,
-                            p,
-                            vbounds,
-                            problem,
-                        )
-                        clock.advance(fused_cost.seconds)
-                    else:
-                        vel_kwargs = {}
-                        if self.backend == "global":
-                            scratch = self._vel_scratch(n, d)
-                            if scratch is not None:
-                                vel_kwargs["scratch"] = scratch
-                        vel_sem(
-                            state.velocities,
-                            state.positions,
-                            state.pbest_positions,
-                            social,
-                            l_mat,
-                            g_mat,
-                            p,
-                            vbounds,
-                            out=state.velocities,
-                            **vel_kwargs,
-                        )
-                        clock.advance(vel_cost.seconds)
-                        pos_sem(state.positions, state.velocities, problem, p)
-                        clock.advance(pos_cost.seconds)
-                finally:
-                    alloc.free(l_buf)
-                    alloc.free(g_buf)
-
-        return replay, plan
-
-    def _graph_build_native(self, problem):
-        """This engine's part of the native tier (see
-        :func:`repro.gpusim.fastpath.build_native`): the evaluation
-        kernel's semantics, or a refusal for the backends and storage the C
-        step does not implement (the shared/tensorcore backends stage
-        differently, fp16 double-rounds).
+    def _graph_build_native(self) -> str | None:
+        """This engine's refusal of the native tier (see
+        :func:`repro.gpusim.fastpath.build_native`): the shared/tensorcore
+        backends stage differently and fp16 storage double-rounds, which
+        the C step does not implement.
         """
         if self.backend != "global":
             return f"native-unsupported-backend:{self.backend}"
         if self.storage_dtype != np.float32:
             return "native-unsupported-storage-dtype"
-        eval_key = (
-            "evaluate_particle" if "evaluate_particle" in self._kernels
-            else "evaluate"
-        )
-        return self._kernels[eval_key].semantics
+        return None
 
     def _warm_resume(
         self, problem: Problem, params: PSOParams, n_particles: int

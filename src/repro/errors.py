@@ -161,11 +161,12 @@ class MemoryCorruptionError(GpuSimError):
 class GraphReplayError(GpuSimError):
     """A launch-graph replay diverged from its captured iteration.
 
-    Raised when the first replayed iteration's charge sequence, launch
-    sequence or RNG consumption does not match what capture recorded.  This
-    indicates a bug in an engine's replay plan (eager and replay paths out
-    of sync), never a data-dependent condition — those fall back to eager
-    execution during validation instead of raising.
+    Raised when the first replayed iteration, or a fused round, consumes a
+    different number of Philox blocks than capture recorded.  This
+    indicates a bug in an engine's replay numerics (its
+    ``_swarm_numerics`` out of sync with its eager step), never a
+    data-dependent condition — those fall back to eager execution during
+    validation instead of raising.
     """
 
 

@@ -1,12 +1,13 @@
 """Native iteration fast path: one C call per captured PSO iteration.
 
-Graph replay (PR 4) removed the launch pipeline from the steady state but
-still executes the iteration *body* — pbest claim, gbest reduction, two
-Philox draws, velocity bounds, velocity/position update — as a chain of
-NumPy ufunc sweeps.  This module compiles that body (``_fastpath.c``, via
-the shared :mod:`repro.gpusim.native` loader) into a single
-``fastpath_step`` call operating in place on the run's stable buffers, and
-provides:
+A Python replay iteration (:mod:`repro.gpusim.graph`) is the eager body's
+numerics plus one flat :meth:`~repro.gpusim.graph.LaunchGraph.charge`; its
+numerics — pbest claim, gbest scan, two Philox draws, velocity bounds,
+velocity/position update — still run as a chain of NumPy ufunc sweeps.
+This module compiles those numerics (``_fastpath.c``, via the shared
+:mod:`repro.gpusim.native` loader) into a single ``fastpath_step`` call
+operating in place on the run's stable buffers, and keeps the charge
+unchanged.  It provides:
 
 * :class:`NativePlan` — the per-run binding: a C-side ``fastpath_plan``
   struct built once at plan-install time from the swarm state, the
@@ -437,19 +438,19 @@ def build_native(engine, graph, problem, params, state, rng):
     ``verify(run_replay)`` is the :func:`verify_step` promotion gate — or a
     reason string naming why the run stays on the Python replay tier.
 
-    The engine hook ``engine._graph_build_native(problem)`` is asked
-    first; it returns its own refusal, or the pure evaluation function
-    (positions -> float64 values).  The refusals every
-    engine shares follow: the C step reads one social attractor row
-    (global topology only), needs the compiled library, and consumes
-    exactly the two ``ceil(n*d/4)``-block weight draws.  Every engine's
+    The engine hook ``engine._graph_build_native()`` is asked first for
+    its own refusal; the evaluation function is the problem's evaluator,
+    as on every tier.  The refusals every engine shares follow: the C step
+    reads one social attractor row (global topology only), needs the
+    compiled library, and consumes exactly the two ``ceil(n*d/4)``-block
+    weight draws.  Every engine's
     iteration is then charged the same way: ``graph.charge`` replays the
     captured clock charges and allocator-counter delta, with the engine's
     ``_charge_pbest_copy`` for the live improved count in the dynamic slot.
     """
-    eval_fn = engine._graph_build_native(problem)
-    if isinstance(eval_fn, str):
-        return eval_fn
+    refusal = engine._graph_build_native()
+    if refusal is not None:
+        return refusal
     if params.topology != "global":
         return f"native-unsupported-topology:{params.topology}"
     lib = load()
@@ -471,6 +472,7 @@ def build_native(engine, graph, problem, params, state, rng):
         pos_bounds,
         problem.velocity_bounds(params.velocity_clamp),
     )
+    eval_fn = problem.evaluator.evaluate
     clock = engine.clock
     charge = graph.charge
     charge_pbest_copy = engine._charge_pbest_copy

@@ -4,9 +4,10 @@ PR 1 made every step of the launch pipeline a dictionary hit; this module
 removes the pipeline from the steady state entirely.  The idea is the same
 as CUDA Graphs in production inference stacks: a PSO iteration launches the
 same kernels with the same geometry every time, so after observing one
-steady-state iteration the host can *replay* the whole iteration as a flat
-sequence of pre-bound calls — no kernel dict lookups, no spec hashing, no
-config resolution, no per-launch profiler updates.
+steady-state iteration the host can *replay* the whole iteration as its
+numerics plus one flat charge of the captured accounting — no kernel dict
+lookups, no spec hashing, no config resolution, no per-launch clock or
+profiler updates.
 
 The lifecycle, driven by :class:`IterationRunner`:
 
@@ -29,16 +30,18 @@ The lifecycle, driven by :class:`IterationRunner`:
     :class:`~repro.gpusim.alloc.AllocatorStats` delta differs from the
     capture's (``allocator-delta-changed``), or that changes
     ``live_buffers`` or ``memory.used_bytes`` on net
-    (``allocator-net-change``), is not a steady state and stays eager.  On
-    a match, the engine builds its replay plan
-    (:meth:`~repro.core.engine.Engine._graph_build_replay`) and the plan's
-    declared launches are cross-checked against the capture.
+    (``allocator-net-change``), is not a steady state and stays eager.
 ``replay``
-    Every further iteration is one call into the pre-bound plan.  The first
-    replay runs traced and is verified against the capture — charges, RNG
-    consumption and allocator delta
-    (:class:`~repro.errors.GraphReplayError` on divergence — that would be
-    a repro bug, not a user condition); later replays run flat.
+    Every further iteration is the eager body's numerics followed by one
+    :meth:`LaunchGraph.charge` (:meth:`IterationRunner._replay`): the
+    shared :mod:`repro.core.swarm` evaluation, pbest claim and gbest scan,
+    the engine's step (iv) without charges
+    (:meth:`~repro.core.engine.Engine._swarm_numerics`), then the captured
+    accounting.  There is no per-engine replay plan whose charges could
+    drift from eager: the charges *are* the capture.  The first replay
+    checks that the iteration consumed exactly the captured number of
+    Philox blocks (:class:`~repro.errors.GraphReplayError` on divergence —
+    that would be a repro bug, not a user condition).
 ``native-verify`` / ``native``
     The third tier (``_fastpath.c``): after the first verified Python
     replay, a native-eligible run (global-memory float32 engines with the
@@ -55,18 +58,16 @@ The lifecycle, driven by :class:`IterationRunner`:
     iterations (also included in ``info["replays"]``, so profiler
     reconciliation is tier-agnostic).
 
-Replay preserves bit-identical simulated time because it performs the *same
-sequence of float additions* on the clock as the eager path.  The Python
-replay tier makes one ``advance(cost.seconds)`` per launch in eager order,
-real allocator alloc/free calls, and the same dynamic charges through the
-same helpers.  The native tier and the fused multi-swarm loop charge a
-whole iteration with one flat :meth:`LaunchGraph.charge`: the captured
-charge sequence added in captured order (allocator pool hits and driver
-calls are traced slots like any launch), the engine's dynamic pbest-copy
-charge in its slot, then the captured allocator-counter delta as integer
-adds — the counters of the paper's "a pool hit costs only a table lookup"
-(Table 4) advance exactly as the iteration's alloc/free calls would have
-advanced them, without making those calls.  Profiler statistics are
+Every fast tier — the Python replay, the native step and the fused
+multi-swarm loop — is numerics plus one flat :meth:`LaunchGraph.charge`,
+and that is why simulated time stays bit-identical: the charge adds the
+captured charge sequence in captured order, the *same sequence of float
+additions* the eager iteration made (allocator pool hits and driver calls
+are traced slots like any launch), with the engine's dynamic pbest-copy
+charge in its slot, then applies the captured allocator-counter delta as
+integer adds — the counters of the paper's "a pool hit costs only a table
+lookup" (Table 4) advance exactly as the iteration's alloc/free calls would
+have advanced them, without making those calls.  Profiler statistics are
 aggregated per graph — replayed launches touch no
 :class:`~repro.gpusim.launch.LaunchStats` until
 :meth:`IterationRunner.finalize` folds ``replays x captured-cost`` into the
@@ -74,7 +75,7 @@ launcher's buckets in one update per kernel.
 
 Eager fallbacks (the graph is simply not used): ``graph=False``, a stop
 criterion, a callback, an attached fault injector, ``record_launches=True``
-or an engine without a replay plan.  Checkpoint *capture* composes with
+or an engine without graph support.  Checkpoint *capture* composes with
 replay (snapshots read state the replay keeps current); a *restored* run
 rebuilds its runner from scratch, so the graph is re-captured after resume
 and can never replay stale bindings — and re-promotes to the native tier
@@ -92,6 +93,9 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+import numpy as np
+
+from repro.core.swarm import gbest_scan, pbest_update
 from repro.errors import GraphReplayError
 from repro.gpusim.alloc import AllocatorStats
 
@@ -242,8 +246,8 @@ def traced_capture(
     """Run *body* once with the clock trace and the launcher's capture sink
     attached, and return what it charged, launched, drew and allocated.
 
-    *launcher* may be ``None`` (CPU engines, or a replay that bypasses the
-    launch pipeline); the graph's launch list is then empty.  *allocator*
+    *launcher* is ``None`` for CPU engines, which charge the clock
+    directly; the graph's launch list is then empty.  *allocator*
     is ``None`` for engines without device memory; the graph then carries
     no allocator delta.  Tracing never changes the float accumulation, so
     the traced iteration is an ordinary one.
@@ -280,8 +284,9 @@ class IterationRunner:
     """Drives one engine's iterations through the capture/replay lifecycle.
 
     Built once per ``optimize()`` call (and per worker, for multi-GPU).
-    :meth:`run_iteration` either runs the eager four-section body or replays
-    the captured graph; :meth:`finalize` reconciles profiler statistics.
+    :meth:`run_iteration` runs the eager four-section body, the replay
+    (numerics plus the captured charges) or the native step;
+    :meth:`finalize` reconciles profiler statistics.
     The runner publishes its state on ``engine.graph_info`` for tests and
     diagnostics.
     """
@@ -295,7 +300,6 @@ class IterationRunner:
         "phase",
         "graph",
         "allow_native",
-        "_replay",
         "_native",
         "_native_verify",
         "_launcher",
@@ -323,7 +327,6 @@ class IterationRunner:
         #: The fused multi-swarm ramp sets this False before stepping to pin
         #: the replay tier (see the module docstring).
         self.allow_native = True
-        self._replay: Callable[[], None] | None = None
         self._native: Callable[[], None] | None = None
         self._native_verify = None
         ctx = getattr(engine, "ctx", None)
@@ -353,6 +356,30 @@ class IterationRunner:
             engine._update_gbest(self.state)
         with clock.section("swarm"):
             engine._update_swarm(self.problem, self.params, self.state, self.rng)
+
+    # -- the replay body -----------------------------------------------------
+    def _replay(self) -> None:
+        """One replayed iteration: the eager body's numerics, then the
+        captured accounting in one :meth:`LaunchGraph.charge`.
+
+        Steps (ii)-(iii) are the shared :mod:`repro.core.swarm` numerics
+        every engine's eager hooks run (the GPU reduction is tested to
+        agree exactly with :func:`gbest_scan`); step (iv) is the engine's
+        own :meth:`~repro.core.engine.Engine._swarm_numerics`.  The only
+        data-dependent charge, the pbest-position copy, is the graph's
+        dynamic slot.
+        """
+        engine, state = self.engine, self.state
+        values = self.problem.evaluator.evaluate(state.positions)
+        improved = int(np.count_nonzero(pbest_update(state, values)))
+        gbest_scan(state)
+        engine._swarm_numerics(
+            self.problem, engine._scheduled_params(self.params), state, self.rng
+        )
+        d = state.dim
+        self.graph.charge(
+            engine.clock, lambda: engine._charge_pbest_copy(improved, d)
+        )
 
     # -- lifecycle -----------------------------------------------------------
     def run_iteration(self, t: int) -> None:
@@ -397,51 +424,27 @@ class IterationRunner:
             self.phase = "validate"
             return
         if phase == "validate":
-            graph = self.graph
             observed = traced_capture(
                 clock, self._launcher, self.rng, self._run_eager,
                 self._allocator,
             )
-            reason = graph.mismatch(observed)
+            reason = self.graph.mismatch(observed)
             if reason is not None:
                 # Data-dependent iteration shape: stay eager for this run.
                 self._demote(reason)
                 return
-            replay, plan_launches = self.engine._graph_build_replay(
-                self.problem, self.params, self.state, self.rng
-            )
-            if not graph.launches_match(plan_launches):
-                # The engine's plan disagrees with what eager actually did;
-                # refuse to replay it (a repro bug — surface loudly in the
-                # suite via graph_info, but never corrupt a user run).
-                self._demote("replay-plan-mismatch")
-                return
-            self._replay = replay
             self.phase = "first-replay"
             return
-        # phase == "first-replay": verified replay, then go flat.
-        replayed = traced_capture(
-            clock, None, self.rng, self._replay, self._allocator
-        )
+        # phase == "first-replay": the replay's charges are the capture's by
+        # construction; only the numerics' Philox consumption can diverge.
+        rng_before = self.rng.position
+        self._replay()
         self.info["replays"] += 1
-        graph = self.graph
-        if not graph.trace_matches(replayed.trace):
+        consumed = self.rng.position - rng_before
+        if consumed != self.graph.rng_blocks:
             raise GraphReplayError(
-                "replayed iteration charged the clock differently from its "
-                "captured iteration; the engine's replay plan is out of "
-                "sync with its eager path"
-            )
-        if replayed.alloc_delta != graph.alloc_delta:
-            raise GraphReplayError(
-                "replayed iteration's allocator traffic "
-                f"{replayed.alloc_delta} differs from its captured "
-                f"iteration's {graph.alloc_delta}"
-            )
-        if replayed.rng_blocks != graph.rng_blocks:
-            raise GraphReplayError(
-                "replayed iteration consumed "
-                f"{replayed.rng_blocks} RNG blocks; capture "
-                f"recorded {graph.rng_blocks}"
+                f"replayed iteration consumed {consumed} RNG blocks; "
+                f"capture recorded {self.graph.rng_blocks}"
             )
         self.phase = "replay"
         self._try_native()
@@ -478,7 +481,6 @@ class IterationRunner:
     def _demote(self, reason: str) -> None:
         self.phase = "eager"
         self.graph = None
-        self._replay = None
         self.info["mode"] = "eager"
         self.info["eager_reason"] = reason
         if self.info["native"] in (None, "active"):

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gpusim.costmodel import kernel_cost
 from repro.gpusim.kernel import Kernel, KernelSpec, LaunchConfig
-from repro.gpusim.launch import Launcher, resource_aware_config
+from repro.gpusim.launch import Launcher
 
 __all__ = ["ParallelReducer", "REDUCE_BLOCK_SIZE"]
 
@@ -101,55 +100,3 @@ class ParallelReducer:
             config=LaunchConfig(1, REDUCE_BLOCK_SIZE),
         )
         return int(block_idx[local]), float(block_vals[local])
-
-    def prebound_argmin(self, n: int, *, section: str = "gbest"):
-        """Pre-bound replay form of :meth:`argmin` for *n*-element inputs.
-
-        Returns ``(run, launches)``: ``run(values)`` executes the reduction
-        with geometry and modelled costs resolved once, charging the clock
-        with the *same* per-launch float additions the eager path performs;
-        *launches* is the launch sequence it will charge, for validation
-        against a captured iteration.  Costs come from the same memoized
-        :func:`~repro.gpusim.costmodel.kernel_cost` front door, so they are
-        bitwise-equal to the eager path's.
-        """
-        launcher = self._launcher
-        clock = launcher.clock
-        if n == 1:
-            cfg2 = LaunchConfig(1, REDUCE_BLOCK_SIZE)
-            c2 = kernel_cost(
-                launcher.spec, self._pass2.spec, cfg2, 1, launcher.cost_params
-            )
-            launches = [("reduce_argmin_pass2", section, 1, cfg2, c2)]
-
-            def run_single(values: np.ndarray) -> tuple[int, float]:
-                clock.advance(c2.seconds)
-                return 0, float(values[0])
-
-            return run_single, launches
-
-        cfg1 = resource_aware_config(
-            launcher.spec, n, kernel_spec=self._pass1.spec
-        )
-        c1 = kernel_cost(
-            launcher.spec, self._pass1.spec, cfg1, n, launcher.cost_params
-        )
-        n_blocks = -(-n // REDUCE_BLOCK_SIZE)
-        cfg2 = LaunchConfig(1, REDUCE_BLOCK_SIZE)
-        c2 = kernel_cost(
-            launcher.spec, self._pass2.spec, cfg2, n_blocks, launcher.cost_params
-        )
-        launches = [
-            ("reduce_argmin_pass1", section, n, cfg1, c1),
-            ("reduce_argmin_pass2", section, n_blocks, cfg2, c2),
-        ]
-        pass1 = self._pass1_semantics
-
-        def run(values: np.ndarray) -> tuple[int, float]:
-            block_vals, block_idx = pass1(np.ascontiguousarray(values))
-            clock.advance(c1.seconds)
-            local, _ = _argmin_first(block_vals)
-            clock.advance(c2.seconds)
-            return int(block_idx[local]), float(block_vals[local])
-
-        return run, launches

@@ -42,6 +42,17 @@ class TestConstruction:
         slices = list(engine._chunk_slices(5))
         assert len(slices) == 5
 
+    def test_runs_eagerly(self, problem, params):
+        """A replayed iteration is the synchronous numerics, which the
+        chunked schedule is not: async runs never enter the graph tiers."""
+        engine = AsyncFastPSOEngine(n_chunks=4)
+        engine.optimize(problem, n_particles=32, max_iter=8, params=params)
+        assert engine.graph_info["mode"] == "eager"
+        assert (
+            engine.graph_info["eager_reason"]
+            == "engine-does-not-support-graphs"
+        )
+
 
 class TestSingleChunkDegenerate:
     def test_bitwise_equal_to_synchronous(self, problem, params):

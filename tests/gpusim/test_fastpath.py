@@ -252,6 +252,80 @@ class TestNativeTierParity:
         assert fastpath._self_test(lib)
 
 
+class TestReplayTierAccounting:
+    """The Python replay tier is the eager numerics plus one flat
+    ``LaunchGraph.charge`` — the same accounting path as the native step."""
+
+    @pytest.mark.parametrize(
+        "name, gated",
+        [
+            ("fastpso-shared", False),
+            ("fastpso-tensorcore", False),
+            ("fastpso-fp16", False),
+            ("fastpso-seq", True),
+            ("fastpso", True),
+        ],
+    )
+    def test_steady_state_replay_makes_no_clock_or_allocator_calls(
+        self, problem, name, gated, monkeypatch
+    ):
+        """Steady-state replay iterations make no ``SimClock.advance`` and
+        no allocator ``alloc``/``free``; the GPU counters still advance by
+        the captured two allocs and two frees per iteration, and the result
+        and counters equal a ``graph=False`` run."""
+        from repro.gpusim.alloc import CachingAllocator, DirectAllocator
+        from repro.gpusim.clock import SimClock
+
+        if gated:
+            monkeypatch.setenv(ENV_GATE, "1")
+        engine = make_engine(name)
+        handle = engine.start_run(
+            problem,
+            n_particles=64,
+            max_iter=20,
+            params=PSOParams(seed=7),
+            record_history=True,
+        )
+        t = 0
+        while handle.runner.phase != "replay":
+            handle.step(t)
+            t += 1
+        calls: list[str] = []
+
+        def spy(label, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        allocator = getattr(getattr(engine, "ctx", None), "allocator", None)
+        stats_before = None if allocator is None else replace(allocator.stats)
+        with pytest.MonkeyPatch.context() as mp:
+            for cls, attr in (
+                (SimClock, "advance"),
+                (CachingAllocator, "alloc"),
+                (CachingAllocator, "free"),
+                (DirectAllocator, "alloc"),
+                (DirectAllocator, "free"),
+            ):
+                mp.setattr(cls, attr, spy(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+            replay_iters = 20 - t
+            for t in range(t, 20):
+                handle.step(t)
+        assert replay_iters > 10
+        assert calls == []
+        assert engine.graph_info["native_replays"] == 0
+        if allocator is not None:
+            delta = allocator.stats.since(stats_before)
+            assert delta.allocs == delta.frees == 2 * replay_iters
+        result = handle.finish()
+        ref_engine, reference = run(name, problem, graph=False)
+        assert_identical(result, reference)
+        if allocator is not None:
+            assert allocator.stats == ref_engine.ctx.allocator.stats
+
+
 class TestIneligibleConfigurations:
     """Shapes the native tier refuses stay on the Python replay tier with
     the refusal reason recorded — and remain bit-identical to eager."""

@@ -10,11 +10,14 @@ to eager execution, visibly via ``engine.graph_info``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.parameters import PSOParams
+from repro.core.parameters import PAPER_DEFAULTS, PSOParams
 from repro.core.problem import Problem
+from repro.core.schedules import LinearInertia
 from repro.core.stopping import StallStop
 from repro.engines import make_engine
 from repro.gpusim.graph import LaunchGraph
@@ -31,29 +34,63 @@ GRAPH_ENGINES = [
     "fastpso-mgpu",
 ]
 
+#: Parameter shapes only the Python replay tier runs (the native step
+#: refuses the ring topology) or whose per-iteration inputs — clamp width,
+#: inertia, clipping — the replay must fetch live rather than bake in.
+REPLAY_SHAPES = {
+    "ring": {"topology": "ring"},
+    "adaptive-clamp": {
+        "velocity_clamp": 0.5,
+        "adaptive_velocity": True,
+        "final_velocity_fraction": 0.1,
+    },
+    "inertia-schedule": {"inertia_schedule": LinearInertia(0.9, 0.4)},
+    "clip-positions": {"clip_positions": True},
+}
+
 
 @pytest.fixture
 def problem():
     return Problem.from_benchmark("sphere", 10)
 
 
-def run(name, problem, *, iters=20, n=64, **opts):
+def run(name, problem, *, iters=20, n=64, params=None, **opts):
     engine = make_engine(name, **opts)
     result = engine.optimize(
         problem,
         n_particles=n,
         max_iter=iters,
-        params=PSOParams(seed=7),
+        params=params if params is not None else PSOParams(seed=7),
         record_history=True,
     )
     return engine, result
 
 
+def gpu_contexts(engine):
+    """The simulated devices of a GPU engine (one per multi-GPU worker);
+    empty for the CPU engines."""
+    if hasattr(engine, "workers"):
+        return [worker.ctx for worker in engine.workers]
+    ctx = getattr(engine, "ctx", None)
+    return [] if ctx is None else [ctx]
+
+
 class TestBitIdenticalReplay:
-    @pytest.mark.parametrize("name", GRAPH_ENGINES)
-    def test_graph_matches_eager(self, name, problem):
-        graph_engine, graph_result = run(name, problem, graph=True)
-        eager_engine, eager_result = run(name, problem, graph=False)
+    @pytest.mark.parametrize(
+        "name, shape",
+        [pytest.param(name, None, id=name) for name in GRAPH_ENGINES]
+        + [
+            pytest.param(name, shape, id=f"{name}-{shape}")
+            for name in GRAPH_ENGINES
+            for shape in REPLAY_SHAPES
+        ],
+    )
+    def test_graph_matches_eager(self, name, shape, problem):
+        params = None
+        if shape is not None:
+            params = replace(PAPER_DEFAULTS, seed=7, **REPLAY_SHAPES[shape])
+        graph_engine, graph_result = run(name, problem, params=params, graph=True)
+        eager_engine, eager_result = run(name, problem, params=params, graph=False)
         assert graph_engine.graph_info["mode"] == "graph"
         assert graph_engine.graph_info["replays"] > 0
         assert eager_engine.graph_info["mode"] == "eager"
@@ -72,6 +109,22 @@ class TestBitIdenticalReplay:
         assert (
             graph_result.peak_device_bytes == eager_result.peak_device_bytes
         )
+        # Table 4's allocator counters match exactly; the profile's counts
+        # match exactly and its float totals to rounding (replayed launches
+        # are folded with ``add_many``, eager ones added one by one).
+        graph_ctxs = gpu_contexts(graph_engine)
+        eager_ctxs = gpu_contexts(eager_engine)
+        assert len(graph_ctxs) == len(eager_ctxs)
+        for gctx, ectx in zip(graph_ctxs, eager_ctxs):
+            assert gctx.allocator.stats == ectx.allocator.stats
+            gstats, estats = gctx.launcher.stats, ectx.launcher.stats
+            assert set(gstats) == set(estats)
+            for key, expected in estats.items():
+                got = gstats[key]
+                assert got.launches == expected.launches, key
+                assert got.total_elems == expected.total_elems, key
+                assert got.seconds == pytest.approx(expected.seconds), key
+                assert got.flops == pytest.approx(expected.flops), key
 
     def test_lifecycle_counters(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
@@ -97,8 +150,9 @@ class TestBitIdenticalReplay:
     def test_allocator_counters_stay_truthful(self, problem):
         engine, _ = run("fastpso", problem, iters=20)
         stats = engine.ctx.allocator.stats
-        # Replayed iterations do real alloc/free: 2 weight buffers per
-        # iteration, pool hits from iteration 1 on.
+        # Replayed iterations make no alloc/free calls, but their flat
+        # charge applies the captured allocator-counter delta: 2 weight
+        # buffers per iteration, pool hits from iteration 1 on.
         assert stats.pool_hits >= 2 * 18
         assert stats.allocs == stats.frees
 

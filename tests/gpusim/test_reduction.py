@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.swarm import SwarmState, gbest_scan
+from repro.engines import FastPSOEngine
 from repro.gpusim.clock import SimClock
 from repro.gpusim.launch import Launcher
 from repro.gpusim.reduction import REDUCE_BLOCK_SIZE, ParallelReducer
@@ -11,6 +13,30 @@ from repro.gpusim.reduction import REDUCE_BLOCK_SIZE, ParallelReducer
 @pytest.fixture
 def reducer(v100):
     return ParallelReducer(Launcher(spec=v100, clock=SimClock()))
+
+
+def assert_scan_agrees(values, gbest_value=np.inf):
+    """:func:`gbest_scan` (the replayed iteration's gbest step) claims
+    exactly what the GPU eager gbest step — the two-pass reduction —
+    claims, from the same pbest values and running gbest."""
+
+    def state():
+        n = values.shape[0]
+        return SwarmState(
+            positions=np.zeros((n, 2), dtype=np.float32),
+            velocities=np.zeros((n, 2), dtype=np.float32),
+            pbest_values=np.array(values, dtype=np.float64),
+            pbest_positions=np.arange(2 * n, dtype=np.float32).reshape(n, 2),
+            gbest_value=gbest_value,
+            gbest_position=np.zeros(2, dtype=np.float32),
+        )
+
+    eager, scanned = state(), state()
+    FastPSOEngine()._update_gbest(eager)
+    gbest_scan(scanned)
+    assert scanned.gbest_index == eager.gbest_index
+    assert scanned.gbest_value == eager.gbest_value
+    np.testing.assert_array_equal(scanned.gbest_position, eager.gbest_position)
 
 
 class TestArgminCorrectness:
@@ -32,6 +58,7 @@ class TestArgminCorrectness:
         values[REDUCE_BLOCK_SIZE] = 1.0
         idx, _ = reducer.argmin(values)
         assert idx == REDUCE_BLOCK_SIZE - 1
+        assert_scan_agrees(values)
 
     def test_minimum_in_padded_tail(self, reducer):
         n = REDUCE_BLOCK_SIZE + 3
@@ -39,16 +66,29 @@ class TestArgminCorrectness:
         values[-1] = -1.0
         idx, val = reducer.argmin(values)
         assert idx == n - 1 and val == -1.0
+        assert_scan_agrees(values)
 
     def test_inf_values_handled(self, reducer):
         values = np.array([np.inf, np.inf, 3.0, np.inf])
         idx, val = reducer.argmin(values)
         assert idx == 2 and val == 3.0
+        assert_scan_agrees(values)
 
     def test_all_inf(self, reducer):
         values = np.full(10, np.inf)
         idx, val = reducer.argmin(values)
         assert idx == 0 and val == np.inf
+        assert_scan_agrees(values)
+
+    def test_negative_inf_claims(self, reducer):
+        values = np.full(REDUCE_BLOCK_SIZE + 5, 1.0)
+        values[REDUCE_BLOCK_SIZE + 1] = -np.inf
+        values[REDUCE_BLOCK_SIZE + 3] = -np.inf
+        idx, val = reducer.argmin(values)
+        assert idx == REDUCE_BLOCK_SIZE + 1 and val == -np.inf
+        assert_scan_agrees(values, gbest_value=0.0)
+        # An equal running gbest is not improved on (strict <).
+        assert_scan_agrees(values, gbest_value=-np.inf)
 
     def test_empty_rejected(self, reducer):
         with pytest.raises(ValueError, match="non-empty"):
