@@ -69,8 +69,7 @@ import numpy as np
 
 from repro.core.problem import Problem
 from repro.core.schema import BuiltinEvaluation
-from repro.core.swarm import _eq4_update, position_update, velocity_update
-from repro.core.swarm import draw_weights
+from repro.core.swarm import _eq4_update, draw_weights
 from repro.core.topology import social_positions
 from repro.errors import EvaluationError, GraphReplayError, InvalidParameterError
 from repro.functions.base import _REGISTRY
@@ -202,7 +201,6 @@ class _Member:
         "solo_reason",
         "t",
         "stopped",
-        "dyn_index",
         "rows",
         "fast_replays",
         "rng_before",
@@ -218,7 +216,6 @@ class _Member:
         self.solo_reason = None
         self.t = run.start_iter
         self.stopped = False
-        self.dyn_index = None
         self.rows = slice(0, 0)
         self.fast_replays = 0
         self.rng_before = 0
@@ -400,15 +397,10 @@ class FusedGroupRunner:
         """The fast loop can re-derive at most one dynamic charge slot (the
         data-dependent pbest-copy); anything else means the iteration shape
         is not replayable."""
-        dyn = [
-            i for i, (_l, _s, dynamic) in enumerate(member.graph.trace)
-            if dynamic
-        ]
-        if not dyn:
-            member.dyn_index = None
-            return True
-        if len(dyn) == 1 and hasattr(member.engine, "_charge_pbest_copy"):
-            member.dyn_index = dyn[0]
+        n_dynamic = sum(1 for _l, _s, dynamic in member.graph.trace if dynamic)
+        if n_dynamic == 0 or (
+            n_dynamic == 1 and hasattr(member.engine, "_charge_pbest_copy")
+        ):
             return True
         member.solo_reason = "unreplayable-dynamic-charges"
         return False
@@ -475,22 +467,6 @@ class FusedGroupRunner:
         values = np.empty(rows, np.float64)
         mask = np.empty(rows, bool)
         stacked_update = mode in ("scratch", "wmma")
-        # One combined (2, n, d) Philox draw per member per round replaces
-        # the two (n, d) weight draws when the matrix element count is
-        # counter-block aligned (n*d % 4 == 0): Philox is counter-based,
-        # so the single call consumes the same blocks in the same order
-        # and the two halves are bit-identical to the solo L and G
-        # matrices — while halving the dominant per-round dispatch cost.
-        combined_draw = (
-            stacked_update and dtype == np.float32 and (n * d) % 4 == 0
-        )
-        if combined_draw:
-            lg = np.empty((m_count, 2, n, d), np.float32)
-            l_mat = lg[:, 0]  # (m, n, d) views of the per-member draws
-            g_mat = lg[:, 1]
-        else:
-            l_mat = np.empty((rows, d), dtype)
-            g_mat = np.empty((rows, d), dtype)
         for k, m in enumerate(fast):
             block = slice(k * n, (k + 1) * n)
             state = m.run.state
@@ -505,6 +481,26 @@ class FusedGroupRunner:
             m.rows = block
 
         if stacked_update:
+            # The stacked update brings its own temporaries, so each
+            # member's host workspace (weights, pull terms) sits idle
+            # until a solo tail step refills it: drop it rather than hold
+            # m idle copies next to the stacked ones.
+            for m in fast:
+                m.engine._ws.release()
+            # One combined (2, n, d) Philox draw per member per round replaces
+            # the two (n, d) weight draws when the matrix element count is
+            # counter-block aligned (n*d % 4 == 0): Philox is counter-based,
+            # so the single call consumes the same blocks in the same order
+            # and the two halves are bit-identical to the solo L and G
+            # matrices — while halving the dominant per-round dispatch cost.
+            combined_draw = dtype == np.float32 and (n * d) % 4 == 0
+            if combined_draw:
+                lg = np.empty((m_count, 2, n, d), np.float32)
+                l_mat = lg[:, 0]  # (m, n, d) views of the per-member draws
+                g_mat = lg[:, 1]
+            else:
+                l_mat = np.empty((rows, d), dtype)
+                g_mat = np.empty((rows, d), dtype)
             social = np.empty((rows, d), np.float32)
             w_col = np.empty((rows, 1), np.float32)
             c1_col = np.empty((rows, 1), np.float32)
@@ -617,25 +613,13 @@ class FusedGroupRunner:
                 for m in fast:
                     engine = m.engine
                     run = m.run
-                    state = run.state
                     engine._progress = m.t / max(1, run.max_iter - 1)
-                    p = engine._scheduled_params(run.params)
-                    block = m.rows
-                    draw_weights(run.rng, n, d, out=(l_mat[block], g_mat[block]))
-                    soc = social_positions(state, p.topology)
-                    vb = engine._current_velocity_bounds(run.problem, p)
-                    velocity_update(
-                        state.velocities,
-                        state.positions,
-                        state.pbest_positions,
-                        soc,
-                        l_mat[block],
-                        g_mat[block],
-                        p,
-                        vb,
-                        out=state.velocities,
+                    engine._swarm_numerics(
+                        run.problem,
+                        engine._scheduled_params(run.params),
+                        run.state,
+                        run.rng,
                     )
-                    position_update(state.positions, state.velocities, run.problem, p)
             # -- per-member clock replay + bookkeeping -----------------------
             any_stopped = False
             for m in fast:

@@ -25,7 +25,13 @@ from repro.core.parameters import PAPER_DEFAULTS, PSOParams
 from repro.core.problem import Problem
 from repro.core.results import History, OptimizeResult, StepTimes
 from repro.core.stopping import StopCriterion
-from repro.core.swarm import SwarmState
+from repro.core.swarm import (
+    SwarmState,
+    draw_weights,
+    position_update,
+    velocity_update,
+)
+from repro.core.topology import social_positions
 from repro.core.workspace import Workspace
 from repro.errors import InvalidParameterError
 from repro.gpusim.clock import SimClock
@@ -140,6 +146,9 @@ class EngineRun:
         state = self.state
         self.runner.finalize()
         engine._finalize(state)
+        # The run's host scratch is dead from here on; free it now rather
+        # than whenever the cyclic collector reaches the engine.
+        engine._ws.release()
 
         clock = engine.clock
         loop_seconds = clock.now - self.setup_seconds
@@ -179,8 +188,9 @@ class Engine(ABC):
     is_gpu: bool = False
     #: Whether the engine's steady-state iterations can be replayed as
     #: numerics plus the captured charges (:mod:`repro.gpusim.graph`); such
-    #: engines implement :meth:`_swarm_numerics`, accept ``graph=`` in
-    #: their constructor and set :attr:`graph_enabled` from it.
+    #: engines run :meth:`_swarm_numerics` as their step (iv), accept
+    #: ``graph=`` in their constructor and set :attr:`graph_enabled` from
+    #: it.
     supports_graph: bool = False
     #: The ``graph=`` knob: capture & replay the steady-state iteration when
     #: possible.  Ignored (always eager) when :attr:`supports_graph` is
@@ -524,17 +534,53 @@ class Engine(ABC):
     ) -> None:
         """Step (iv) with no charges: the weight draw, Eq. (4) and Eq. (2).
 
-        *params* is already resolved by :meth:`_scheduled_params`.  The
-        replayed iteration
-        (:meth:`~repro.gpusim.graph.IterationRunner._replay`) runs this
-        after the shared evaluation, pbest and gbest numerics, then charges
-        the captured iteration in one
-        :meth:`~repro.gpusim.graph.LaunchGraph.charge`.  It must perform
-        exactly the numerics of the engine's eager :meth:`_update_swarm` —
-        the one per-engine replay hook, required on engines with
-        :attr:`supports_graph`.
+        The one Python composition of the swarm update.  *params* is
+        already resolved by :meth:`_scheduled_params`.  L and G are drawn
+        into the workspace at the swarm's storage dtype, and the velocity
+        update takes the workspace pull-term scratch, which
+        :func:`~repro.core.swarm._eq4_update` uses only on all-float32
+        operands.  A replayed iteration
+        (:meth:`~repro.gpusim.graph.IterationRunner._replay`) and the fused
+        loop's fp16 members call this hook with no charges; the CPU
+        engines' eager step and ``gpu-pso``'s update kernel run it and
+        charge around it.  ``fastpso`` overrides it with the semantics of
+        the kernels its eager step launches, which compose the same calls
+        and add the tensor-core backend's ``multiply_add``.
         """
-        raise NotImplementedError
+        n, d = state.n_particles, state.dim
+        dtype = state.positions.dtype
+        l_mat, g_mat = draw_weights(
+            rng,
+            n,
+            d,
+            out=(
+                self._ws.array("l_weights", (n, d), dtype),
+                self._ws.array("g_weights", (n, d), dtype),
+            ),
+        )
+        velocity_update(
+            state.velocities,
+            state.positions,
+            state.pbest_positions,
+            social_positions(state, params.topology),
+            l_mat,
+            g_mat,
+            params,
+            self._current_velocity_bounds(problem, params),
+            out=state.velocities,
+            scratch=self._vel_scratch(n, d, dtype),
+        )
+        position_update(state.positions, state.velocities, problem, params)
+
+    def _vel_scratch(self, n: int, d: int, dtype):
+        """Workspace pull-term buffers for Eq. (4), or ``None`` for a
+        non-float32 swarm (fp16 storage keeps its own promotion)."""
+        if dtype != np.float32:
+            return None
+        return (
+            self._ws.array("vel_pull_1", (n, d), np.float32),
+            self._ws.array("vel_pull_2", (n, d), np.float32),
+        )
 
     def _graph_build_native(self) -> str | None:
         """This engine's refusal of the native (one-C-call) tier, if any.

@@ -6,8 +6,9 @@ pull terms, tile buffers.  Allocating them fresh each iteration is pure
 host-side churn, the same per-request allocation pathology the paper's
 technique (iii) removes on the GPU with a caching allocator.  A
 :class:`Workspace` keys buffers by name and hands the same array back every
-iteration, reallocating only when the requested shape or dtype changes
-(e.g. a new optimize() call with a different swarm size).
+iteration, reallocating only when the requested shape or dtype changes.
+A finished run releases its engine's buffers, so an engine that is no
+longer stepped holds no host scratch.
 
 This arena manages *host* NumPy scratch only.  Simulated device-side
 allocation (``alloc_like``/``free`` and their modelled cudaMalloc costs) is

@@ -161,7 +161,7 @@ class AsyncFastPSOEngine(FastPSOEngine):
             state.gbest_position = state.pbest_positions[idx].copy()
 
         # 4. move the chunk with the freshest gbest
-        scratch = self._vel_scratch(state.n_particles, d)
+        scratch = self._vel_scratch(state.n_particles, d, self.storage_dtype)
         if scratch is not None:
             n_chunk_rows = chunk.stop - chunk.start
             scratch = (scratch[0][:n_chunk_rows], scratch[1][:n_chunk_rows])

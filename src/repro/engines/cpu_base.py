@@ -24,15 +24,7 @@ import numpy as np
 from repro.core.engine import Engine
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.core.swarm import (
-    SwarmState,
-    draw_weights,
-    gbest_scan,
-    pbest_update,
-    position_update,
-    velocity_update,
-)
-from repro.core.topology import social_positions
+from repro.core.swarm import SwarmState, gbest_scan, pbest_update
 from repro.gpusim.costmodel import CpuSpec, cpu_loop_cost, xeon_e5_2640v4
 from repro.gpusim.rng import ParallelRNG
 
@@ -147,42 +139,6 @@ class CpuEngineBase(Engine):
             flops_per_elem=10.0 + clamp_flops,
             bytes_per_elem=5 * _F32,
         )
-
-    def _swarm_numerics(
-        self,
-        problem: Problem,
-        params: PSOParams,
-        state: SwarmState,
-        rng: ParallelRNG,
-    ) -> None:
-        n, d = state.n_particles, state.dim
-        l_mat, g_mat = draw_weights(
-            rng,
-            n,
-            d,
-            out=(
-                self._ws.array("l_weights", (n, d), np.float32),
-                self._ws.array("g_weights", (n, d), np.float32),
-            ),
-        )
-        social = social_positions(state, params.topology)
-        vbounds = self._current_velocity_bounds(problem, params)
-        velocity_update(
-            state.velocities,
-            state.positions,
-            state.pbest_positions,
-            social,
-            l_mat,
-            g_mat,
-            params,
-            vbounds,
-            out=state.velocities,
-            scratch=(
-                self._ws.array("vel_pull_1", (n, d), np.float32),
-                self._ws.array("vel_pull_2", (n, d), np.float32),
-            ),
-        )
-        position_update(state.positions, state.velocities, problem, params)
 
     def _graph_build_native(self) -> str | None:
         """CPU engines keep the same float32 array numerics as the CUDA

@@ -9,11 +9,16 @@ memory backends reproduce Figure 6's comparison:
 * ``global`` — plain global-memory kernels (the default, and the config the
   rest of the paper's tables call "fastpso");
 * ``shared`` — the update staged through ``32 x 32`` shared-memory tiles
-  (:mod:`repro.gpusim.sharedmem`); bit-identical numerics, different
-  resource profile;
+  (:mod:`repro.gpusim.sharedmem`);
 * ``tensorcore`` — the two Hadamard products issued as wmma fragment ops
-  (:mod:`repro.gpusim.tensorcore`); numerics differ by fp16 rounding of the
-  multiplicands, exactly like Volta HMMA.
+  (:mod:`repro.gpusim.tensorcore`).
+
+A backend is a cost profile: all three velocity kernels run
+:func:`~repro.core.swarm.velocity_update`, and differ in their
+:class:`~repro.gpusim.kernel.KernelSpec` only — plus, for ``tensorcore``,
+``multiply_add=fragment_multiply_add``, so its numerics differ from the
+other two by fp16 rounding of the multiplicands, exactly like Volta HMMA.
+``shared`` is bit-identical to ``global``.
 
 The two ``n x d`` weight matrices are *allocated every iteration* and freed
 after use; with the caching allocator (default) this costs a pool hit, with
@@ -24,6 +29,8 @@ storage itself is host-backed by design of the simulator.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import Kernel, KernelSpec
 from repro.gpusim.launch import resource_aware_config
 from repro.gpusim.rng import ParallelRNG
-from repro.gpusim.sharedmem import DEFAULT_TILE_SIZE, apply_tiled, shared_mem_spec
+from repro.gpusim.sharedmem import shared_mem_spec
 from repro.gpusim.tensorcore import (
     fragment_multiply_add,
     supports_tensor_cores,
@@ -191,19 +198,20 @@ class FastPSOEngine(Engine):
         self._cfg_cache.clear()
         clamped = params.velocity_clamp is not None
         base = self._velocity_base_spec(clamped)
+        vel_semantics = velocity_update
         if self.backend == "global":
             vel_spec = base
-            vel_semantics = velocity_update
         elif self.backend == "shared":
             vel_spec = shared_mem_spec(
                 base, n_input_matrices=5, block_threads=self.threads_per_block
             )
-            vel_semantics = self._tiled_velocity_update
         else:  # tensorcore
             vel_spec = tensor_core_spec(
                 base, block_threads=self.threads_per_block
             )
-            vel_semantics = self._wmma_velocity_update
+            vel_semantics = partial(
+                velocity_update, multiply_add=fragment_multiply_add
+            )
 
         prof = problem.evaluator.profile()
         self._kernels = {
@@ -339,17 +347,7 @@ class FastPSOEngine(Engine):
                 spec, problem.evaluator.evaluate
             )
 
-    # -- backend-specific velocity semantics -----------------------------------
-    def _vel_scratch(self, n: int, d: int):
-        """Workspace pull-term buffers, or None when the float32 in-place
-        fast path can't apply (fp16 storage keeps its own promotion)."""
-        if self.storage_dtype != np.float32:
-            return None
-        return (
-            self._ws.array("vel_pull_1", (n, d), np.float32),
-            self._ws.array("vel_pull_2", (n, d), np.float32),
-        )
-
+    # -- kernel semantics -------------------------------------------------------
     def _fused_update(
         self,
         velocities,
@@ -374,76 +372,9 @@ class FastPSOEngine(Engine):
             params,
             vbounds,
             out=velocities,
-            scratch=self._vel_scratch(n, d),
+            scratch=self._vel_scratch(n, d, positions.dtype),
         )
         position_update(positions, velocities, problem, params)
-
-    def _tiled_velocity_update(
-        self,
-        velocities,
-        positions,
-        pbest_positions,
-        social,
-        l_mat,
-        g_mat,
-        params,
-        vbounds,
-        *,
-        out,
-    ):
-        """Shared-memory backend: same math, executed tile by tile."""
-        social_full = np.broadcast_to(social, positions.shape)
-        tile_buf = self._ws.array(
-            "tile_out", (DEFAULT_TILE_SIZE, DEFAULT_TILE_SIZE), velocities.dtype
-        )
-
-        def tile_fn(v, p, pb, soc, l_w, g_w):
-            # One reused tile-sized buffer; edge tiles take a view of it.
-            tile_out = tile_buf[: v.shape[0], : v.shape[1]]
-            velocity_update(
-                v, p, pb, soc, l_w, g_w, params, None, out=tile_out
-            )
-            return tile_out
-
-        apply_tiled(
-            out, tile_fn, velocities, positions, pbest_positions,
-            social_full, l_mat, g_mat,
-        )
-        if vbounds is not None:
-            lo, hi = vbounds
-            np.clip(out, lo.astype(np.float32), hi.astype(np.float32), out=out)
-        return out
-
-    def _wmma_velocity_update(
-        self,
-        velocities,
-        positions,
-        pbest_positions,
-        social,
-        l_mat,
-        g_mat,
-        params,
-        vbounds,
-        *,
-        out,
-    ):
-        """Tensor-core backend: Hadamard products via fp16 fragment ops."""
-        social_full = self._ws.array(
-            "social_full", positions.shape, np.float32
-        )
-        np.copyto(social_full, social)
-        return velocity_update(
-            velocities,
-            positions,
-            pbest_positions,
-            social_full,
-            l_mat,
-            g_mat,
-            params,
-            vbounds,
-            out=out,
-            multiply_add=fragment_multiply_add,
-        )
 
     # -- step hooks -------------------------------------------------------------
     def _initialize(
@@ -557,9 +488,10 @@ class FastPSOEngine(Engine):
     def _swarm_step(self, problem, params, state, rng, run) -> None:
         """Step (iv)'s kernels in order, each dispatched through *run*
         (:meth:`_launch` eagerly, :meth:`_semantics` on replay), so both
-        execute the same backend semantics: the weight draw, then the
-        fused update or the velocity kernel followed by the position
-        kernel."""
+        execute the same kernel semantics: the weight draw, then the fused
+        update or the velocity kernel followed by the position kernel.
+        This is :meth:`Engine._swarm_numerics` with the tensor-core
+        backend's ``multiply_add`` in the velocity kernel."""
         n, d = state.n_particles, state.dim
         l_mat, g_mat = run("weights_rng", 2 * n * d, rng, n, d)
         args = (
@@ -575,12 +507,13 @@ class FastPSOEngine(Engine):
         if self.fuse_update:
             run("fused_update", n * d, *args, problem)
             return
-        vel_kwargs = {}
-        if self.backend == "global":
-            scratch = self._vel_scratch(n, d)
-            if scratch is not None:
-                vel_kwargs["scratch"] = scratch
-        run("velocity", n * d, *args, out=state.velocities, **vel_kwargs)
+        run(
+            "velocity",
+            n * d,
+            *args,
+            out=state.velocities,
+            scratch=self._vel_scratch(n, d, self.storage_dtype),
+        )
         run("position", n * d, state.positions, state.velocities, problem, params)
 
     # -- launch graphs -----------------------------------------------------------
@@ -593,9 +526,11 @@ class FastPSOEngine(Engine):
 
     def _graph_build_native(self) -> str | None:
         """This engine's refusal of the native tier (see
-        :func:`repro.gpusim.fastpath.build_native`): the shared/tensorcore
-        backends stage differently and fp16 storage double-rounds, which
-        the C step does not implement.
+        :func:`repro.gpusim.fastpath.build_native`): the C step implements
+        neither tensor-core fp16 rounding of the multiplicands nor the fp16
+        storage double rounding.  The shared backend runs the global
+        backend's numerics and is still refused, so it keeps the Python
+        replay tier.
         """
         if self.backend != "global":
             return f"native-unsupported-backend:{self.backend}"

@@ -30,14 +30,7 @@ from repro.core.engine import Engine
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
 from repro.core.initializers import initialize_swarm
-from repro.core.swarm import (
-    SwarmState,
-    draw_weights,
-    pbest_update,
-    position_update,
-    velocity_update,
-)
-from repro.core.topology import social_positions
+from repro.core.swarm import SwarmState, pbest_update
 from repro._compat import deprecated_kwargs
 from repro.gpusim.context import GpuContext, make_context
 from repro.gpusim.costmodel import GpuCostParams
@@ -103,7 +96,12 @@ class GpuParticleEngine(Engine):
                     dependent_loads_per_elem=2.0,
                     registers_per_thread=64,
                 ),
-                semantics=self._update_semantics,
+                # Numerics identical to fastpso's swarm update.
+                semantics=lambda problem, params, state, rng: (
+                    self._swarm_numerics(
+                        problem, self._scheduled_params(params), state, rng
+                    )
+                ),
             ),
             "evaluate": Kernel(
                 KernelSpec(
@@ -142,38 +140,6 @@ class GpuParticleEngine(Engine):
                 semantics=initialize_swarm,
             ),
         }
-
-    def _update_semantics(self, problem, params, state, rng):
-        """Fused velocity+position update (numerics identical to fastpso)."""
-        params = self._scheduled_params(params)
-        n, d = state.n_particles, state.dim
-        l_mat, g_mat = draw_weights(
-            rng,
-            n,
-            d,
-            out=(
-                self._ws.array("l_weights", (n, d), np.float32),
-                self._ws.array("g_weights", (n, d), np.float32),
-            ),
-        )
-        social = social_positions(state, params.topology)
-        vbounds = self._current_velocity_bounds(problem, params)
-        velocity_update(
-            state.velocities,
-            state.positions,
-            state.pbest_positions,
-            social,
-            l_mat,
-            g_mat,
-            params,
-            vbounds,
-            out=state.velocities,
-            scratch=(
-                self._ws.array("vel_pull_1", (n, d), np.float32),
-                self._ws.array("vel_pull_2", (n, d), np.float32),
-            ),
-        )
-        position_update(state.positions, state.velocities, problem, params)
 
     def _particle_config(self, n: int):
         return thread_per_item_config(

@@ -57,13 +57,7 @@ from repro.gpusim.profiler import (
 )
 from repro.gpusim.reduction import ParallelReducer
 from repro.gpusim.rng import ParallelRNG, philox4x32
-from repro.gpusim.sharedmem import (
-    DEFAULT_TILE_SIZE,
-    apply_tiled,
-    shared_mem_spec,
-    tile_count,
-    tile_iter,
-)
+from repro.gpusim.sharedmem import DEFAULT_TILE_SIZE, shared_mem_spec
 from repro.gpusim.streams import Event, Stream
 from repro.gpusim.tensorcore import (
     FRAGMENT_DIM,
@@ -119,10 +113,7 @@ __all__ = [
     "ParallelRNG",
     "philox4x32",
     "DEFAULT_TILE_SIZE",
-    "apply_tiled",
     "shared_mem_spec",
-    "tile_count",
-    "tile_iter",
     "Event",
     "Stream",
     "FRAGMENT_DIM",

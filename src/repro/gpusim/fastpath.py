@@ -222,26 +222,26 @@ def _self_test_case(lib, vel_bounds, frac: float, pos_bounds) -> bool:
     values[0] = np.nan  # NaN never claims
     values[1] = -1.0  # guaranteed claim -> guaranteed gbest claim
     values[3] = pbest_val[3]  # exact tie keeps the earlier best
-    gval0, gidx0 = float(pbest_val[2]), 2
-    gpos0 = pbest_pos[2].copy()
+    pre = SwarmState(
+        positions=positions,
+        velocities=velocities,
+        pbest_values=pbest_val,
+        pbest_positions=pbest_pos,
+        gbest_value=float(pbest_val[2]),
+        gbest_index=2,
+        gbest_position=pbest_pos[2].copy(),
+    )
 
     # Reference: the shared module numerics, in replay order, with the
     # bounds scaled as Engine._current_velocity_bounds scales them.
     rng_ref = ParallelRNG(seed=0xC0FFEE, stream_id=9)
-    state = SwarmState(
-        positions=positions.copy(),
-        velocities=velocities.copy(),
-        pbest_values=pbest_val.copy(),
-        pbest_positions=pbest_pos.copy(),
-        gbest_value=gval0,
-        gbest_index=gidx0,
-        gbest_position=gpos0.copy(),
-    )
+    state = pre.copy()  # *pre* stays the C step's shadow input
     mask = pbest_update(state, values)
     gbest_scan(state)
     l_ref = np.empty((n, d), dtype=np.float32)
     g_ref = np.empty((n, d), dtype=np.float32)
     draw_weights(rng_ref, n, d, out=(l_ref, g_ref))
+    vb = None if vel_bounds is None else tuple(b * frac for b in vel_bounds)
     velocity_update(
         state.velocities,
         state.positions,
@@ -250,7 +250,7 @@ def _self_test_case(lib, vel_bounds, frac: float, pos_bounds) -> bool:
         l_ref,
         g_ref,
         params,
-        None if vel_bounds is None else tuple(b * frac for b in vel_bounds),
+        vb,
         out=state.velocities,
         scratch=(
             np.empty((n, d), dtype=np.float32),
@@ -266,42 +266,82 @@ def _self_test_case(lib, vel_bounds, frac: float, pos_bounds) -> bool:
             out=state.positions,
         )
 
-    # Native: same inputs through the C step.
-    rng_nat = ParallelRNG(seed=0xC0FFEE, stream_id=9)
-    c_pos, c_vel = positions.copy(), velocities.copy()
-    c_pbv, c_pbp = pbest_val.copy(), pbest_pos.copy()
-    c_l = np.empty((n, d), dtype=np.float32)
-    c_g = np.empty((n, d), dtype=np.float32)
-    c_gval = np.array([gval0], dtype=np.float64)
-    c_gidx = np.array([gidx0], dtype=np.int64)
-    c_gpos = gpos0.copy()
-    bounds = _Bounds(d, pos_bounds, vel_bounds)  # alive across the C call
+    # Native: same inputs through the C step, from the same Philox block.
+    improved = _shadow_step(
+        lib.fastpath_step,
+        pre,
+        rng_ref,
+        0,
+        _Bounds(d, pos_bounds, vel_bounds),
+        params,
+        values,
+        frac,
+        state,
+        (l_ref, g_ref),
+        vb,
+    )
+    return improved == int(np.count_nonzero(mask))
+
+
+def _shadow_step(
+    fn, pre, rng, block, bounds, params, values, frac, ref, ref_weights, ref_vb
+) -> int | None:
+    """One C step on *pre*, a shadow copy of the pre-iteration state,
+    compared bitwise with a reference iteration.
+
+    The C step runs in place on *pre*'s swarm arrays (C-contiguous, owned
+    by the caller) and on fresh weight and gbest buffers.  It draws from
+    *rng*'s stream at Philox *block* and uses *bounds*, the
+    ``w``/``c1``/``c2`` of *params*, the fitness *values* and the clamp
+    fraction *frac*.  *ref* is the state after the reference iteration,
+    *ref_weights* its L and G matrices and *ref_vb* its velocity bounds
+    (``None`` when unclamped).  Returns the C step's improved-pbest count
+    when every output matches — positions, velocities, pbest values and
+    positions, L, G, the gbest value, index and position, and the float32
+    velocity bounds — else ``None``.
+    """
+    n, d = pre.positions.shape
+    pos, vel = pre.positions, pre.velocities
+    pbv, pbp = pre.pbest_values, pre.pbest_positions
+    l_w = np.empty((n, d), dtype=np.float32)
+    g_w = np.empty((n, d), dtype=np.float32)
+    gval = np.array([pre.gbest_value], dtype=np.float64)
+    gidx = np.array([pre.gbest_index], dtype=np.int64)
+    gpos = np.array(pre.gbest_position, dtype=np.float32)
     struct = _make_struct(
-        n, d, rng_nat.stream_id,
-        c_pos, c_vel, c_pbp, c_pbv, c_l, c_g,
-        c_gval, c_gidx, c_gpos, rng_nat._keys_addr,
+        n, d, rng.stream_id,
+        pos, vel, pbp, pbv, l_w, g_w,
+        gval, gidx, gpos, rng._keys_addr,
         bounds, float(params.cognitive), float(params.social),
     )
-    improved = lib.fastpath_step(
+    improved = fn(
         ctypes.addressof(struct),
         values.ctypes.data,
-        rng_nat.position,
+        block,
         float(params.inertia),
         frac,
     )
-    return (
-        int(improved) == int(np.count_nonzero(mask))
-        and c_pos.tobytes() == state.positions.tobytes()
-        and c_vel.tobytes() == state.velocities.tobytes()
-        and c_pbv.tobytes() == state.pbest_values.tobytes()
-        and c_pbp.tobytes() == state.pbest_positions.tobytes()
-        and c_l.tobytes() == l_ref.tobytes()
-        and c_g.tobytes() == g_ref.tobytes()
-        and float(c_gval[0]) == state.gbest_value
-        and int(c_gidx[0]) == state.gbest_index
-        and c_gpos.tobytes()
-        == np.ascontiguousarray(state.gbest_position, dtype=np.float32).tobytes()
+    matches = (
+        pos.tobytes() == ref.positions.tobytes()
+        and vel.tobytes() == ref.velocities.tobytes()
+        and pbv.tobytes() == ref.pbest_values.tobytes()
+        and pbp.tobytes() == ref.pbest_positions.tobytes()
+        and l_w.tobytes() == ref_weights[0].tobytes()
+        and g_w.tobytes() == ref_weights[1].tobytes()
+        and float(gval[0]) == ref.gbest_value
+        and int(gidx[0]) == int(ref.gbest_index)
+        and gpos.tobytes()
+        == np.ascontiguousarray(ref.gbest_position, dtype=np.float32).tobytes()
+        and (
+            ref_vb is None
+            or (
+                bounds.vel_lo32.tobytes() == ref_vb[0].astype(np.float32).tobytes()
+                and bounds.vel_hi32.tobytes()
+                == ref_vb[1].astype(np.float32).tobytes()
+            )
+        )
     )
+    return int(improved) if matches else None
 
 
 _MODULE = native.NativeModule(
@@ -503,14 +543,7 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
     ``False``.
     """
     state, rng = plan.state, plan.rng
-    n, d = plan.n, plan.d
-    pre_pos = state.positions.copy()
-    pre_vel = state.velocities.copy()
-    pre_pbv = state.pbest_values.copy()
-    pre_pbp = state.pbest_positions.copy()
-    pre_gval = float(state.gbest_value)
-    pre_gidx = int(state.gbest_index)
-    pre_gpos = np.ascontiguousarray(state.gbest_position, dtype=np.float32).copy()
+    pre = state.copy()
     pre_block = rng.position
     p = engine._scheduled_params(params)
     frac = engine._velocity_fraction(p)
@@ -521,53 +554,17 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
     try:
         if rng.position - pre_block != plan.blocks:
             return False
-        values = eval_fn(pre_pos)
+        values = eval_fn(pre.positions)
         if not (
             isinstance(values, np.ndarray)
             and values.dtype == np.float64
             and values.flags.c_contiguous
-            and values.shape == (n,)
+            and values.shape == (plan.n,)
         ):
             return False
-        sh_l = np.empty((n, d), dtype=np.float32)
-        sh_g = np.empty((n, d), dtype=np.float32)
-        sh_gval = np.array([pre_gval], dtype=np.float64)
-        sh_gidx = np.array([pre_gidx], dtype=np.int64)
-        struct = _make_struct(
-            n, d, rng.stream_id,
-            pre_pos, pre_vel, pre_pbp, pre_pbv, sh_l, sh_g,
-            sh_gval, sh_gidx, pre_gpos, rng._keys_addr,
-            plan.bounds, plan._c1, plan._c2,
-        )
-        plan._fn(
-            ctypes.addressof(struct),
-            values.ctypes.data,
-            pre_block,
-            float(p.inertia),
-            frac,
-        )
-        bounds = plan.bounds
-        return (
-            pre_pos.tobytes() == state.positions.tobytes()
-            and pre_vel.tobytes() == state.velocities.tobytes()
-            and pre_pbv.tobytes() == state.pbest_values.tobytes()
-            and pre_pbp.tobytes() == state.pbest_positions.tobytes()
-            and sh_l.tobytes() == plan.l_weights.tobytes()
-            and sh_g.tobytes() == plan.g_weights.tobytes()
-            and float(sh_gval[0]) == state.gbest_value
-            and int(sh_gidx[0]) == int(state.gbest_index)
-            and pre_gpos.tobytes()
-            == np.ascontiguousarray(
-                state.gbest_position, dtype=np.float32
-            ).tobytes()
-            and (
-                vb is None
-                or (
-                    bounds.vel_lo32.tobytes() == vb[0].astype(np.float32).tobytes()
-                    and bounds.vel_hi32.tobytes()
-                    == vb[1].astype(np.float32).tobytes()
-                )
-            )
-        )
+        return _shadow_step(
+            plan._fn, pre, rng, pre_block, plan.bounds, p, values, frac,
+            state, (plan.l_weights, plan.g_weights), vb,
+        ) is not None
     except Exception:
         return False

@@ -9,67 +9,20 @@ bank-conflict-free access during the compute phase.  The paper's Figure 6
 finds the global-memory and shared-memory variants nearly tied — exactly the
 behaviour this model produces for a bandwidth-bound update.
 
-:func:`tile_iter` provides the actual tiled traversal (used by the semantics
-of the shared-memory backend so the tiling logic is executed and testable),
-and :func:`shared_mem_spec` derives the modified :class:`KernelSpec`.
+Tiling changes how a kernel uses the GPU, not what it computes, so this
+module is cost model only: :func:`shared_mem_spec` derives the modified
+:class:`KernelSpec`, and the shared-memory backend runs the same
+element-wise semantics as the global-memory one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-
 from repro.errors import InvalidLaunchError
 from repro.gpusim.kernel import KernelSpec
 
-__all__ = ["DEFAULT_TILE_SIZE", "tile_iter", "tile_count", "shared_mem_spec"]
+__all__ = ["DEFAULT_TILE_SIZE", "shared_mem_spec"]
 
 DEFAULT_TILE_SIZE = 32
-
-
-def tile_count(shape: tuple[int, int], tile_size: int = DEFAULT_TILE_SIZE) -> int:
-    """Number of ``tile_size x tile_size`` tiles covering *shape*."""
-    if tile_size <= 0:
-        raise InvalidLaunchError("tile size must be positive")
-    rows, cols = shape
-    return (-(-rows // tile_size)) * (-(-cols // tile_size))
-
-
-def tile_iter(
-    shape: tuple[int, int], tile_size: int = DEFAULT_TILE_SIZE
-) -> Iterator[tuple[slice, slice]]:
-    """Yield row/column slices covering *shape* in row-major tile order.
-
-    Edge tiles are clipped to the matrix bounds, mirroring the guarded loads
-    a real tiled kernel performs for non-multiple dimensions.
-    """
-    if tile_size <= 0:
-        raise InvalidLaunchError("tile size must be positive")
-    rows, cols = shape
-    for r0 in range(0, rows, tile_size):
-        for c0 in range(0, cols, tile_size):
-            yield (
-                slice(r0, min(r0 + tile_size, rows)),
-                slice(c0, min(c0 + tile_size, cols)),
-            )
-
-
-def apply_tiled(
-    out: np.ndarray,
-    fn,
-    *inputs: np.ndarray,
-    tile_size: int = DEFAULT_TILE_SIZE,
-) -> np.ndarray:
-    """Apply an element-wise *fn* tile by tile (shared-memory staging order).
-
-    ``fn`` receives one tile from each input and must return the output
-    tile.  Results are bit-identical to the unfused global-memory path; the
-    traversal order is what differs, and tests assert the equivalence.
-    """
-    for rows, cols in tile_iter(out.shape, tile_size):
-        out[rows, cols] = fn(*(arr[rows, cols] for arr in inputs))
-    return out
 
 
 def shared_mem_spec(

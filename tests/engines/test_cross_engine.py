@@ -73,6 +73,39 @@ class TestFamilyEquivalence:
         assert base.best_value == shared.best_value
         np.testing.assert_array_equal(base.best_position, shared.best_position)
 
+        # Shared and global run the same velocity kernel semantics; only the
+        # cost spec differs.  Edge-tile shapes (dimensions that are not
+        # multiples of the 32-wide tile), fp16 storage, the ring topology
+        # and the clamp + clip path must all stay bit-identical.
+        cases = [
+            ((n, d), {}, {})
+            for n, d in ((40, 12), (33, 65), (64, 32))
+        ] + [
+            ((40, 12), {"half_storage": True}, {}),
+            ((40, 12), {}, {"topology": "ring"}),
+            ((33, 65), {}, {"velocity_clamp": 0.5, "clip_positions": True}),
+        ]
+        for (n, d), options, overrides in cases:
+            case_problem = Problem.from_benchmark("griewank", d)
+            case_params = params.with_overrides(**overrides)
+            runs = [
+                FastPSOEngine(backend=backend, **options).optimize(
+                    case_problem,
+                    n_particles=n,
+                    max_iter=25,
+                    params=case_params,
+                    record_history=True,
+                )
+                for backend in ("global", "shared")
+            ]
+            base, shared = runs
+            case = (n, d, options, overrides)
+            assert base.best_value == shared.best_value, case
+            np.testing.assert_array_equal(
+                base.best_position, shared.best_position, err_msg=str(case)
+            )
+            assert base.history == shared.history, case
+
     def test_tensorcore_close_but_not_identical(self, problem, params):
         base = FastPSOEngine().optimize(
             problem, n_particles=40, max_iter=25, params=params

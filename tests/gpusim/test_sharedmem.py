@@ -1,71 +1,15 @@
-"""Shared-memory tiling: traversal, equivalence, derived specs."""
+"""Shared-memory tiling: the derived kernel specs.
 
-import numpy as np
+The numerics of the shared backend are the global backend's; their
+bitwise equality, edge tiles included, is asserted in
+``tests/engines/test_cross_engine.py``.
+"""
+
 import pytest
 
 from repro.errors import InvalidLaunchError
 from repro.gpusim.kernel import KernelSpec
-from repro.gpusim.sharedmem import (
-    apply_tiled,
-    shared_mem_spec,
-    tile_count,
-    tile_iter,
-)
-
-
-class TestTileIter:
-    def test_exact_cover(self):
-        tiles = list(tile_iter((64, 64), 32))
-        assert len(tiles) == 4
-
-    def test_clipped_edges(self):
-        tiles = list(tile_iter((33, 65), 32))
-        assert len(tiles) == 2 * 3
-        last_rows, last_cols = tiles[-1]
-        assert last_rows.stop == 33 and last_cols.stop == 65
-
-    def test_covers_every_element_once(self):
-        shape = (37, 51)
-        cover = np.zeros(shape, dtype=int)
-        for rows, cols in tile_iter(shape, 16):
-            cover[rows, cols] += 1
-        assert np.all(cover == 1)
-
-    def test_tile_count_matches_iter(self):
-        shape = (100, 70)
-        assert tile_count(shape, 32) == len(list(tile_iter(shape, 32)))
-
-    def test_bad_tile_size(self):
-        with pytest.raises(InvalidLaunchError):
-            list(tile_iter((4, 4), 0))
-        with pytest.raises(InvalidLaunchError):
-            tile_count((4, 4), -1)
-
-
-class TestApplyTiled:
-    def test_bitwise_equal_to_unfused(self, rng_np):
-        a = rng_np.normal(size=(70, 45)).astype(np.float32)
-        b = rng_np.normal(size=(70, 45)).astype(np.float32)
-        expected = a * b + a
-        out = np.empty_like(a)
-        apply_tiled(out, lambda x, y: x * y + x, a, b, tile_size=32)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_multiple_inputs(self, rng_np):
-        arrays = [rng_np.normal(size=(20, 20)).astype(np.float32) for _ in range(5)]
-        out = np.empty((20, 20), dtype=np.float32)
-        apply_tiled(out, lambda *xs: sum(xs), *arrays, tile_size=8)
-        np.testing.assert_array_equal(out, sum(arrays))
-
-    def test_tile_size_does_not_change_result(self, rng_np):
-        a = rng_np.normal(size=(33, 17)).astype(np.float32)
-        outs = []
-        for tile in (4, 16, 64):
-            out = np.empty_like(a)
-            apply_tiled(out, lambda x: np.sqrt(np.abs(x)), a, tile_size=tile)
-            outs.append(out)
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[1], outs[2])
+from repro.gpusim.sharedmem import shared_mem_spec
 
 
 class TestSharedMemSpec:

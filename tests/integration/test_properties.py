@@ -16,7 +16,6 @@ from repro.gpusim.kernel import KernelSpec, LaunchConfig
 from repro.gpusim.launch import Launcher, resource_aware_config
 from repro.gpusim.reduction import ParallelReducer
 from repro.gpusim.rng import ParallelRNG, philox4x32
-from repro.gpusim.sharedmem import apply_tiled
 from repro.gpusim.device import tesla_v100
 
 _V100 = tesla_v100()
@@ -100,27 +99,6 @@ def test_parallel_reduction_equals_argmin(values):
     idx, val = reducer.argmin(values)
     assert idx == int(np.argmin(values))
     assert val == float(values[idx])
-
-
-# ---------------------------------------------------------------------------
-# Tiling
-# ---------------------------------------------------------------------------
-
-
-@given(
-    rows=st.integers(1, 80),
-    cols=st.integers(1, 80),
-    tile=st.integers(1, 40),
-    seed=st.integers(0, 1000),
-)
-@settings(max_examples=30, deadline=None)
-def test_tiled_apply_equals_unfused(rows, cols, tile, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(rows, cols)).astype(np.float32)
-    b = rng.normal(size=(rows, cols)).astype(np.float32)
-    out = np.empty_like(a)
-    apply_tiled(out, lambda x, y: x * y + 1.0, a, b, tile_size=tile)
-    np.testing.assert_array_equal(out, a * b + 1.0)
 
 
 # ---------------------------------------------------------------------------
