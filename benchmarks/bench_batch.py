@@ -9,16 +9,17 @@ bar from ISSUE 2 is a ≥1.5x improvement on the default 4-streams-per-device
 fleet; the benchmark asserts it so a scheduling regression fails loudly
 instead of quietly shipping a worse number.
 
-Host wall clock is recorded per policy too: the fused path's whole point is
-collapsing ``m`` Python engine loops into one stacked loop, so
-``host_wall_seconds`` (and the ``host_wall_delta`` summary) is the tentpole
-metric for ISSUE 6 alongside the makespan.
+Only simulated results are recorded: host wall time is measured by the
+interleaved-pair harness in ``perfbench/`` (the ``batch-mixed`` workload),
+not by single runs here.
 
 Determinism is checked in the same pass: every job's batch result must be
 bit-identical (best value, best position, solo runtime) to a fresh solo run
 of the same spec — the batch layer's core contract.  ``--check-parity``
 deepens the check to the full serialized result payload
-(``repro.io.result_to_dict``), which is what the golden tests pin.
+(``repro.io.result_to_dict``), which is what the golden tests pin, and adds
+a dispatch-bound fleet (many small swarms, every job fusable) checked the
+same way under ``packed`` and ``fused``.
 
 Run from the repo root::
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +48,10 @@ STREAMS = 4
 SPEEDUP_FLOOR = 1.5  # acceptance bar: batch makespan vs sum-of-solo
 
 
-def dispatch_bound(n_jobs: int, streams: int, *, check_parity: bool = False) -> dict:
-    """Host-wall comparison on a dispatch-dominated fleet.
-
-    The mixed workload's wall clock is dominated by real objective and
-    update arithmetic that every policy pays identically, which caps how
-    much the fused stacking can show up in it.  Many small swarms are the
-    regime the fusion targets: per-iteration Python dispatch dwarfs the
-    math, so collapsing ``m`` engine loops into one is visible end to
-    end.  Each policy gets one warm-up run (compile/caches) and the best
-    of two timed runs.
-    """
+def dispatch_bound_parity(n_jobs: int, streams: int) -> None:
+    """Deep parity on a dispatch-bound fleet: ``n_jobs`` small sphere
+    swarms (n=64, d=8, 200 iterations), so every job joins one fused group
+    and runs most of its iterations as fused rounds."""
     from repro.batch import Job
 
     jobs = [
@@ -72,39 +65,14 @@ def dispatch_bound(n_jobs: int, streams: int, *, check_parity: bool = False) -> 
         )
         for i in range(n_jobs)
     ]
-    solo = solo_baseline(jobs) if check_parity else None
-    section = {
-        "workload": {
-            "n_jobs": n_jobs,
-            "problem": "sphere",
-            "dim": 8,
-            "n_particles": 64,
-            "max_iter": 200,
-        },
-    }
+    solo = solo_baseline(jobs)
     for policy in ("packed", "fused"):
-        scheduler_for = lambda: BatchScheduler(
+        batch = BatchScheduler(
             streams_per_device=streams, policy=policy
-        )
-        scheduler_for().run(jobs)  # warm-up
-        wall = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            batch = scheduler_for().run(jobs)
-            wall = min(wall, time.perf_counter() - t0)
-        if solo is not None:
-            check_bit_identical(batch, solo, deep=True)
-        section[f"{policy}_seconds"] = wall
-    section["packed_over_fused"] = (
-        section["packed_seconds"] / section["fused_seconds"]
-    )
-    print(
-        f"dispatch-bound ({n_jobs} x sphere-64x8x200): "
-        f"packed={section['packed_seconds']:.2f}s "
-        f"fused={section['fused_seconds']:.2f}s "
-        f"({section['packed_over_fused']:.2f}x lower)"
-    )
-    return section
+        ).run(jobs)
+        check_bit_identical(batch, solo, deep=True)
+    print(f"dispatch-bound ({n_jobs} x sphere-64x8x200): packed and fused "
+          "bit-identical to solo")
 
 
 def solo_baseline(jobs) -> list:
@@ -162,9 +130,7 @@ def run(
         scheduler = BatchScheduler(
             n_devices=n_devices, streams_per_device=streams, policy=policy
         )
-        t0 = time.perf_counter()
         batch = scheduler.run(jobs)
-        wall = time.perf_counter() - t0
         check_bit_identical(batch, solo, deep=check_parity)
         prof = batch.fleet_profile
         row = {
@@ -174,7 +140,6 @@ def run(
             "mean_queue_wait_seconds": batch.mean_queue_wait_seconds,
             "max_queue_wait_seconds": batch.max_queue_wait_seconds,
             "device_makespans": list(batch.device_makespans),
-            "host_wall_seconds": wall,
             "fleet_kernel_launches": sum(
                 k.launches for k in prof.kernels.values()
             ),
@@ -186,7 +151,6 @@ def run(
                     "members": g.get("members"),
                     "n_fused": g.get("n_fused"),
                     "fast_rounds": g.get("fast_rounds"),
-                    "update_mode": g.get("update_mode"),
                     "lane_seconds": g.get("lane_seconds"),
                 }
                 for g in batch.fused_rows
@@ -195,37 +159,10 @@ def run(
         print(
             f"{policy:8s} makespan={batch.makespan_seconds:.4f}s "
             f"speedup={batch.speedup:.2f}x "
-            f"occupancy={batch.fleet_occupancy:.1%} wall={wall:.2f}s"
+            f"occupancy={batch.fleet_occupancy:.1%}"
         )
-    pol = payload["policies"]
-    if "fused" in pol and "packed" in pol:
-        packed_wall = pol["packed"]["host_wall_seconds"]
-        fused_wall = pol["fused"]["host_wall_seconds"]
-        payload["host_wall_delta"] = {
-            "packed_seconds": packed_wall,
-            "fused_seconds": fused_wall,
-            "packed_over_fused": (
-                packed_wall / fused_wall if fused_wall > 0 else float("inf")
-            ),
-            # The mixed workload spends most of its wall clock on real
-            # objective/update arithmetic (1024x16 rastrigin/levy sweeps,
-            # tensor-core fragment math) that every policy pays
-            # identically, so this ratio is capped well below the
-            # stacking factor; the dispatch_bound section below measures
-            # the regime where per-iteration Python dispatch dominates
-            # and the fused loop's amortization is visible end to end.
-            "note": (
-                "mixed workload is math-bound; see dispatch_bound for the "
-                "dispatch-dominated regime"
-            ),
-        }
-        print(
-            f"host wall: packed={packed_wall:.2f}s fused={fused_wall:.2f}s "
-            f"({packed_wall / fused_wall:.2f}x lower)"
-        )
-    payload["dispatch_bound"] = dispatch_bound(
-        n_jobs, streams, check_parity=check_parity
-    )
+    if check_parity:
+        dispatch_bound_parity(n_jobs, streams)
     best = max(p["speedup"] for p in payload["policies"].values())
     assert best >= SPEEDUP_FLOOR, (
         f"batch speedup {best:.2f}x below the {SPEEDUP_FLOOR}x floor"

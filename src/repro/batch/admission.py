@@ -76,9 +76,9 @@ def estimate_group_bytes(jobs) -> int:
 
     A fused group (``policy="fused"``) is priced as a unit, not per job:
     every member's persistent swarm arrays are resident at once, **plus**
-    the stacked ``m*n x d`` tensors the fused runner allocates on top —
-    the random-weight pair in storage precision, two float32 update
-    scratch planes, and the float64 stacked evaluation buffer.  Same
+    the ``m*n x d`` per-round working set on top — every member's
+    random-weight pair in storage precision and two float32 update
+    scratch planes, and a float64 plane for the stacked evaluation.  Same
     allocator-slack factor as :func:`estimate_job_bytes`, so a group of
     one degenerates to roughly the solo estimate plus its stacking
     overhead.

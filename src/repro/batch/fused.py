@@ -1,37 +1,31 @@
 """Fused multi-swarm batching: ``m`` compatible jobs in one engine loop.
 
 FastPSO's thesis is amortising fixed per-launch costs across one swarm;
-this module amortises the *host-side engine loop* across many swarms.  The
-batch scheduler still pays one Python iteration pipeline per job — for the
-small/medium jobs the service shape targets, that pipeline is ~99% of host
-wall clock.  The fused path stacks ``m`` compatible jobs (same engine
-configuration, dim, swarm size and iteration budget; seeds, hyperparameters
-and problems may differ) into ``m*n x d`` position/velocity/pbest tensors
-and drives them through **one** loop:
+this module amortises the *objective evaluation* across many swarms.  The
+fused path stacks the positions of ``m`` compatible jobs (same engine
+configuration, dim, swarm size and iteration budget; seeds,
+hyperparameters and problems may differ) into one ``m*n x d`` tensor, and
+each fused round does two things:
 
-* one stacked evaluation, pbest update and velocity/position update per
-  iteration over all ``m`` swarms (NumPy amortises its per-op dispatch the
-  way a batched kernel amortises launches).  A stacked group is just a
-  taller matrix, so it has no numerics of its own: each same-function row
-  block is scored by one call to the registry function's own evaluator,
-  and the velocity update is :func:`repro.core.swarm._eq4_update` with
-  per-row coefficient columns;
-* one batched per-swarm gbest reduction (``argmin`` over the ``(m, n)``
-  view — first-tie semantics identical to the two-pass parallel reducer);
-* per-swarm Philox streams, clocks, launchers and allocators: every member
-  keeps the engine it would have run solo, so cost attribution, budgets,
-  checkpoints and the result JSON stay per-swarm.
+* one stacked evaluation.  A stacked group is just a taller matrix, so it
+  has no numerics of its own: each same-function row block is scored by
+  one call to the registry function's own evaluator;
+* each member's own replay tail, :func:`repro.gpusim.graph.replay_tail`:
+  the pbest claim, gbest scan, the engine's step (iv) and the member's
+  captured accounting — the same body a solo run's Python replay runs
+  after it evaluates.  Every member keeps the engine it would have run
+  solo (Philox stream, clock, launcher, allocator, workspace), so cost
+  attribution, budgets, checkpoints and the result JSON stay per-swarm.
 
 Bit-identity contract
 ---------------------
 Every member's trajectory, simulated seconds and result are **bit-identical**
-to its solo run.  The stacked array work performs the same IEEE operations
-in the same order on each member's rows (row-stacking cannot change a row's
-result for element-wise ops and row reductions), the per-member simulated
-clock replays the member's own captured charge sequence (the same float
-additions the solo loop performs), and the per-member RNG consumes exactly
-the captured number of Philox blocks per iteration (asserted every round,
-mirroring the launch graph's first-replay verification).
+to its solo run.  The stacked evaluation is checked at group start to
+reproduce each member's own evaluator row for row (row-stacking cannot
+change a row's result for row reductions), and everything after it is the
+solo replay's own code on the member's arrays.  The per-member RNG
+consumes exactly the captured number of Philox blocks per round (asserted
+every round, mirroring the launch graph's first-replay verification).
 
 How a member joins the fast loop
 --------------------------------
@@ -69,14 +63,11 @@ import numpy as np
 
 from repro.core.problem import Problem
 from repro.core.schema import BuiltinEvaluation
-from repro.core.swarm import _eq4_update, draw_weights
-from repro.core.topology import social_positions
 from repro.errors import EvaluationError, GraphReplayError, InvalidParameterError
 from repro.functions.base import _REGISTRY
 from repro.gpusim.costmodel import kernel_cost
-from repro.gpusim.graph import traced_capture
+from repro.gpusim.graph import replay_tail, traced_capture
 from repro.gpusim.launch import resource_aware_config
-from repro.gpusim.tensorcore import fragment_multiply_add
 
 __all__ = [
     "FUSABLE_ENGINES",
@@ -203,7 +194,6 @@ class _Member:
         "stopped",
         "rows",
         "fast_replays",
-        "rng_before",
         "spec_map",
         "result",
     )
@@ -218,7 +208,6 @@ class _Member:
         self.stopped = False
         self.rows = slice(0, 0)
         self.fast_replays = 0
-        self.rng_before = 0
         self.spec_map = None
         self.result = None
 
@@ -273,7 +262,6 @@ class FusedGroupRunner:
         self.members = [_Member(index, run) for index, run in runs]
         self.fast_rounds = 0
         self.saved_seconds_per_round = 0.0
-        self.update_mode = None
         self.lane_seconds = 0.0
         self.results: list = []
 
@@ -310,7 +298,6 @@ class FusedGroupRunner:
             "n_members": len(self.members),
             "n_fused": sum(1 for m in self.members if m.fast_replays > 0),
             "fast_rounds": self.fast_rounds,
-            "update_mode": self.update_mode,
             "saved_seconds_per_round": self.saved_seconds_per_round,
             "lane_seconds": self.lane_seconds,
             "solo_reasons": {
@@ -331,9 +318,9 @@ class FusedGroupRunner:
             # Pin the runner to the Python replay tier.  The checks below
             # expect phase "replay" after RAMP_GRAPH steps (a promotion
             # would leave it at "native-verify"), and the fast loop rebinds
-            # the member's swarm arrays to row views of the stacked
-            # tensors, while a NativePlan keeps the raw addresses of the
-            # arrays it was built on.
+            # the member's positions to a row view of the stacked tensor,
+            # while a NativePlan keeps the raw addresses of the arrays it
+            # was built on.
             runner.allow_native = False
             for _ in range(RAMP_GRAPH):
                 if member.stopped or member.t >= run.max_iter:
@@ -433,213 +420,53 @@ class FusedGroupRunner:
                 m.mode = "solo"
         return compatible
 
-    def _pick_update_mode(self, engine) -> str:
-        if getattr(engine, "half_storage", False):
-            # fp16 storage: NumPy's value-based casting makes column-vector
-            # coefficient broadcasts promote to float32 where the solo
-            # scalar path stays float16 — stack everything *except* the
-            # velocity/position update, which runs per member on row views.
-            return "permember"
-        if getattr(engine, "backend", None) == "tensorcore":
-            return "wmma"
-        return "scratch"
-
     def _fast_loop(self, fast: list) -> None:
         head = fast[0]
         n = head.run.n_particles
         d = head.run.problem.dim
-        m_count = len(fast)
-        rows = m_count * n
-        dtype = getattr(head.engine, "storage_dtype", np.float32)
-        self.update_mode = mode = self._pick_update_mode(head.engine)
         n_rounds = min(m.remaining for m in fast)
         if n_rounds <= 0:
             return
 
-        # Stacked swarm tensors (m*n x d).  Copy members in, then rebind
-        # each member's SwarmState arrays to its contiguous row block: the
-        # member's own replay closures, checkpoints and solo tail steps all
-        # keep working on the same storage.
-        pos = np.empty((rows, d), dtype)
-        vel = np.empty((rows, d), dtype)
-        pb = np.empty((rows, d), dtype)
-        pv = np.empty(rows, np.float64)
-        values = np.empty(rows, np.float64)
-        mask = np.empty(rows, bool)
-        stacked_update = mode in ("scratch", "wmma")
+        # Only the positions are stacked (m*n x d): copy members in, then
+        # rebind each member's positions to its contiguous row block, so
+        # the stacked evaluation reads what the member's own replay tail,
+        # checkpoints and solo steps write.
+        pos = np.empty((len(fast) * n, d), head.run.state.positions.dtype)
+        values = np.empty(len(fast) * n, np.float64)
         for k, m in enumerate(fast):
-            block = slice(k * n, (k + 1) * n)
-            state = m.run.state
-            pos[block] = state.positions
-            vel[block] = state.velocities
-            pb[block] = state.pbest_positions
-            pv[block] = state.pbest_values
-            state.positions = pos[block]
-            state.velocities = vel[block]
-            state.pbest_positions = pb[block]
-            state.pbest_values = pv[block]
-            m.rows = block
-
-        if stacked_update:
-            # The stacked update brings its own temporaries, so each
-            # member's host workspace (weights, pull terms) sits idle
-            # until a solo tail step refills it: drop it rather than hold
-            # m idle copies next to the stacked ones.
-            for m in fast:
-                m.engine._ws.release()
-            # One combined (2, n, d) Philox draw per member per round replaces
-            # the two (n, d) weight draws when the matrix element count is
-            # counter-block aligned (n*d % 4 == 0): Philox is counter-based,
-            # so the single call consumes the same blocks in the same order
-            # and the two halves are bit-identical to the solo L and G
-            # matrices — while halving the dominant per-round dispatch cost.
-            combined_draw = dtype == np.float32 and (n * d) % 4 == 0
-            if combined_draw:
-                lg = np.empty((m_count, 2, n, d), np.float32)
-                l_mat = lg[:, 0]  # (m, n, d) views of the per-member draws
-                g_mat = lg[:, 1]
-            else:
-                l_mat = np.empty((rows, d), dtype)
-                g_mat = np.empty((rows, d), dtype)
-            social = np.empty((rows, d), np.float32)
-            w_col = np.empty((rows, 1), np.float32)
-            c1_col = np.empty((rows, 1), np.float32)
-            c2_col = np.empty((rows, 1), np.float32)
-            any_clamp = any(
-                m.run.problem.velocity_bounds(m.run.params.velocity_clamp)
-                is not None
-                for m in fast
-            )
-            vb_lo = vb_hi = vb3 = None
-            if any_clamp:
-                # Members without a clamp keep +/-inf rows: clipping to an
-                # infinite band is the identity (NaN and -0.0 included).
-                vb_lo = np.full((rows, d), -np.inf, np.float32)
-                vb_hi = np.full((rows, d), np.inf, np.float32)
-            any_clip = any(m.run.params.clip_positions for m in fast)
-            clip_lo = clip_hi = None
-            if any_clip:
-                clip_lo = np.full((rows, d), -np.inf, np.float32)
-                clip_hi = np.full((rows, d), np.inf, np.float32)
-                for m in fast:
-                    if m.run.params.clip_positions:
-                        problem = m.run.problem
-                        clip_lo[m.rows] = problem.lower_bounds.astype(
-                            np.float32
-                        )
-                        clip_hi[m.rows] = problem.upper_bounds.astype(
-                            np.float32
-                        )
-            # The stacked update math runs on (m, n, d) views so the
-            # combined-draw L/G operands (strided slices of ``lg``) and the
-            # contiguous swarm tensors share one shape.  Reshaping a
-            # contiguous (rows, d) array is a view; elementwise ufuncs are
-            # stride-agnostic, so values are bit-identical either way.
-            shape3 = (m_count, n, d)
-            pos3 = pos.reshape(shape3)
-            vel3 = vel.reshape(shape3)
-            pb3 = pb.reshape(shape3)
-            social3 = social.reshape(shape3)
-            w3 = w_col.reshape(m_count, n, 1)
-            c13 = c1_col.reshape(m_count, n, 1)
-            c23 = c2_col.reshape(m_count, n, 1)
-            l3 = l_mat if combined_draw else l_mat.reshape(shape3)
-            g3 = g_mat if combined_draw else g_mat.reshape(shape3)
-            if any_clamp:
-                vb3 = (vb_lo.reshape(shape3), vb_hi.reshape(shape3))
-            clip_lo3 = clip_lo.reshape(shape3) if any_clip else None
-            clip_hi3 = clip_hi.reshape(shape3) if any_clip else None
-            multiply_add = scratch = None
-            if mode == "wmma":
-                multiply_add = fragment_multiply_add
-            else:
-                scratch = (
-                    np.empty(shape3, np.float32),
-                    np.empty(shape3, np.float32),
-                )
+            m.rows = slice(k * n, (k + 1) * n)
+            pos[m.rows] = m.run.state.positions
+            m.run.state.positions = pos[m.rows]
 
         eval_blocks = self._eval_blocks(fast, pos, n)
 
         for _ in range(n_rounds):
-            for m in fast:
-                m.rng_before = m.run.rng.position
             # -- eval: one evaluator call per stacked row block --------------
-            for rows_k, evaluate in eval_blocks:
-                values[rows_k] = evaluate(pos[rows_k])
-            # -- pbest: one stacked compare-and-claim ------------------------
-            np.less(values, pv, out=mask)
-            pv[mask] = values[mask]
-            pb[mask] = pos[mask]
-            # -- gbest: batched per-swarm first-tie argmin -------------------
-            best_idx = np.argmin(pv.reshape(m_count, n), axis=1)
-            for k, m in enumerate(fast):
-                state = m.run.state
-                idx = int(best_idx[k])
-                val = float(pv[k * n + idx])
-                if val < state.gbest_value:
-                    state.gbest_value = val
-                    state.gbest_index = idx
-                    state.gbest_position = state.pbest_positions[idx].copy()
-            # -- swarm: per-member inputs, one stacked update ----------------
-            if stacked_update:
-                for k, m in enumerate(fast):
-                    engine = m.engine
-                    run = m.run
-                    engine._progress = m.t / max(1, run.max_iter - 1)
-                    p = engine._scheduled_params(run.params)
-                    block = m.rows
-                    w_col[block] = np.float32(p.inertia)
-                    c1_col[block] = np.float32(p.cognitive)
-                    c2_col[block] = np.float32(p.social)
-                    if combined_draw:
-                        run.rng.uniform((2, n, d), out=lg[k])
-                    else:
-                        draw_weights(
-                            run.rng, n, d, out=(l_mat[block], g_mat[block])
-                        )
-                    social[block] = social_positions(run.state, p.topology)
-                    vb = engine._current_velocity_bounds(run.problem, p)
-                    if vb is not None:
-                        vb_lo[block] = vb[0].astype(np.float32)
-                        vb_hi[block] = vb[1].astype(np.float32)
-                _eq4_update(
-                    vel3, pos3, pb3, social3, l3, g3, w3, c13, c23, vb3,
-                    out=vel3, multiply_add=multiply_add, scratch=scratch,
-                )
-                np.add(pos3, vel3, out=pos3)
-                if any_clip:
-                    np.clip(pos3, clip_lo3, clip_hi3, out=pos3)
-            else:  # permember: fp16 keeps the solo scalar-coefficient path
-                for m in fast:
-                    engine = m.engine
-                    run = m.run
-                    engine._progress = m.t / max(1, run.max_iter - 1)
-                    engine._swarm_numerics(
-                        run.problem,
-                        engine._scheduled_params(run.params),
-                        run.state,
-                        run.rng,
-                    )
-            # -- per-member clock replay + bookkeeping -----------------------
+            for rows, evaluate in eval_blocks:
+                values[rows] = evaluate(pos[rows])
+            # -- each member's replay tail and bookkeeping ------------------
             any_stopped = False
             for m in fast:
-                consumed = m.run.rng.position - m.rng_before
+                run = m.run
+                engine = run.engine
+                engine._progress = m.t / max(1, run.max_iter - 1)
+                rng_before = run.rng.position
+                replay_tail(
+                    engine, m.graph, run.problem, run.params, run.state,
+                    run.rng, values[m.rows],
+                )
+                consumed = run.rng.position - rng_before
                 if consumed != m.graph.rng_blocks:
                     raise GraphReplayError(
                         "fused iteration consumed "
                         f"{consumed} RNG blocks for member {m.index}; capture "
                         f"recorded {m.graph.rng_blocks}"
                     )
-                improved = int(np.count_nonzero(mask[m.rows]))
-                engine = m.engine
-                m.graph.charge(
-                    engine.clock,
-                    lambda: engine._charge_pbest_copy(improved, d),
-                )
                 if m.mode == "graph":
-                    m.run.runner.info["replays"] += 1
+                    run.runner.info["replays"] += 1
                 m.fast_replays += 1
-                m.stopped = m.run.after_iteration(m.t)
+                m.stopped = run.after_iteration(m.t)
                 m.t += 1
                 any_stopped = any_stopped or m.stopped
             self.fast_rounds += 1

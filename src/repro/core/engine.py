@@ -53,9 +53,10 @@ class EngineRun:
 
     The split exists for hosts that interleave several runs in one loop —
     the fused multi-swarm batch path (:mod:`repro.batch.fused`) steps ``m``
-    compatible runs in lockstep and replaces :meth:`run_semantics` with
-    stacked array work, while :meth:`after_iteration` keeps every run's own
-    bookkeeping (history, budget, checkpoint, stop criteria) unchanged.
+    compatible runs in lockstep and replaces :meth:`run_semantics` with one
+    stacked evaluation plus each run's own replay tail, while
+    :meth:`after_iteration` keeps every run's own bookkeeping (history,
+    budget, checkpoint, stop criteria) unchanged.
     """
 
     __slots__ = (
@@ -538,25 +539,18 @@ class Engine(ABC):
         already resolved by :meth:`_scheduled_params`.  L and G are drawn
         into the workspace at the swarm's storage dtype, and the velocity
         update takes the workspace pull-term scratch, which
-        :func:`~repro.core.swarm._eq4_update` uses only on all-float32
-        operands.  A replayed iteration
-        (:meth:`~repro.gpusim.graph.IterationRunner._replay`) and the fused
-        loop's fp16 members call this hook with no charges; the CPU
-        engines' eager step and ``gpu-pso``'s update kernel run it and
-        charge around it.  ``fastpso`` overrides it with the semantics of
-        the kernels its eager step launches, which compose the same calls
-        and add the tensor-core backend's ``multiply_add``.
+        :func:`~repro.core.swarm.velocity_update` uses only on all-float32
+        operands.  A replayed iteration and every member of a fused round
+        (:func:`~repro.gpusim.graph.replay_tail`) call this hook with no
+        charges; the CPU engines' eager step and ``gpu-pso``'s update
+        kernel run it and charge around it.  ``fastpso`` overrides it with
+        the semantics of the kernels its eager step launches, which compose
+        the same calls and add the tensor-core backend's ``multiply_add``.
         """
         n, d = state.n_particles, state.dim
         dtype = state.positions.dtype
         l_mat, g_mat = draw_weights(
-            rng,
-            n,
-            d,
-            out=(
-                self._ws.array("l_weights", (n, d), dtype),
-                self._ws.array("g_weights", (n, d), dtype),
-            ),
+            rng, n, d, out=self._weight_buffers(n, d, dtype)
         )
         velocity_update(
             state.velocities,
@@ -571,6 +565,15 @@ class Engine(ABC):
             scratch=self._vel_scratch(n, d, dtype),
         )
         position_update(state.positions, state.velocities, problem, params)
+
+    def _weight_buffers(self, n: int, d: int, dtype):
+        """Workspace buffers for the weight matrices L and G: drawing into
+        them consumes the same Philox blocks and gives the same values as
+        a fresh draw, with no host allocation."""
+        return (
+            self._ws.array("l_weights", (n, d), dtype),
+            self._ws.array("g_weights", (n, d), dtype),
+        )
 
     def _vel_scratch(self, n: int, d: int, dtype):
         """Workspace pull-term buffers for Eq. (4), or ``None`` for a

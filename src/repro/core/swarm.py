@@ -183,38 +183,19 @@ def velocity_update(
     (mixed-precision promotion would otherwise change intermediate
     rounding).
 
-    This wrapper only reads ``w, c1, c2`` from *params*.  The op sequence
-    lives once, in :func:`_eq4_update`, which the fused multi-swarm loop
-    calls with per-row coefficient columns and which
-    ``gpusim/_fastpath.c`` mirrors.
+    This is the one Python statement of the Eq. (4) numerics: every
+    engine's velocity kernel runs it, and so does each member of a fused
+    multi-swarm round.  The scratch fast path's operation sequence is a
+    compatibility contract: ``gpusim/_fastpath.c`` mirrors it op-for-op
+    (same order, same ``-ffp-contract=off`` no-FMA arithmetic) so the
+    native iteration tier stays bit-identical.  Changing the order or
+    grouping here requires the matching change in ``fastpath_step`` — the
+    known-answer self-test and the promotion gate will otherwise demote
+    every run to the Python replay tier.
     """
     if out is None:
         out = np.empty_like(velocities)
     w, c1, c2 = map(np.float32, (params.inertia, params.cognitive, params.social))
-    return _eq4_update(
-        velocities, positions, pbest_positions, social_positions, l_weights,
-        g_weights, w, c1, c2, velocity_bounds, out, multiply_add, scratch,
-    )
-
-
-def _eq4_update(
-    velocities, positions, pbest_positions, social_positions, l_weights,
-    g_weights, w, c1, c2, velocity_bounds, out, multiply_add, scratch,
-) -> np.ndarray:
-    """The one Python statement of the Eq. (4) numerics, written to *out*.
-
-    ``w, c1, c2`` are float32 scalars, or float32 ``(m, n, 1)`` per-row
-    columns for ``m`` swarms stacked on ``(m, n, d)`` views; an IEEE
-    multiply by either gives each row its own swarm's result.
-
-    The scratch fast path's operation sequence is a compatibility
-    contract: ``gpusim/_fastpath.c`` mirrors it op-for-op (same order,
-    same ``-ffp-contract=off`` no-FMA arithmetic) so the native iteration
-    tier stays bit-identical.  Changing the order or grouping here
-    requires the matching change in ``fastpath_step`` — the known-answer
-    self-test and the promotion gate will otherwise demote every run to
-    the Python replay tier.
-    """
     if (
         scratch is not None
         and multiply_add is None

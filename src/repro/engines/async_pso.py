@@ -118,6 +118,7 @@ class AsyncFastPSOEngine(FastPSOEngine):
                 rng,
                 n,
                 d,
+                out=self._weight_buffers(n, d, self.storage_dtype),
                 config=self._cfg("weights_rng", 2 * n * d),
             )
             for chunk in self._chunk_slices(n):

@@ -73,6 +73,35 @@ _F64 = 8
 _RNG_FLOPS_PER_WORD = 12.0
 
 
+def _fused_update(
+    velocities,
+    positions,
+    pbest_positions,
+    social,
+    l_mat,
+    g_mat,
+    params,
+    vbounds,
+    problem,
+    *,
+    scratch,
+):
+    """Fused Eq. (4) + Eq. (2): identical numerics, one kernel."""
+    velocity_update(
+        velocities,
+        positions,
+        pbest_positions,
+        social,
+        l_mat,
+        g_mat,
+        params,
+        vbounds,
+        out=velocities,
+        scratch=scratch,
+    )
+    position_update(positions, velocities, problem, params)
+
+
 class FastPSOEngine(Engine):
     """Element-wise PSO on the simulated GPU (the paper's FastPSO).
 
@@ -214,6 +243,9 @@ class FastPSOEngine(Engine):
             )
 
         prof = problem.evaluator.profile()
+        # No semantics closes over the engine (workspace buffers arrive as
+        # arguments), so a finished engine and its device buffers are freed
+        # by refcount rather than by the cyclic collector.
         self._kernels = {
             "init_rng": Kernel(
                 KernelSpec(
@@ -223,9 +255,7 @@ class FastPSOEngine(Engine):
                     bytes_written_per_elem=self._elem_bytes,
                     registers_per_thread=24,
                 ),
-                semantics=lambda problem, n, rng, strategy: initialize_swarm(
-                    problem, n, rng, strategy, dtype=self.storage_dtype
-                ),
+                semantics=partial(initialize_swarm, dtype=self.storage_dtype),
             ),
             "weights_rng": Kernel(
                 KernelSpec(
@@ -235,17 +265,7 @@ class FastPSOEngine(Engine):
                     bytes_written_per_elem=self._elem_bytes,
                     registers_per_thread=24,
                 ),
-                # Drawn into the workspace arena: same Philox consumption
-                # and values as a fresh draw, zero host allocation.
-                semantics=lambda rng, n, d: draw_weights(
-                    rng,
-                    n,
-                    d,
-                    out=(
-                        self._ws.array("l_weights", (n, d), self.storage_dtype),
-                        self._ws.array("g_weights", (n, d), self.storage_dtype),
-                    ),
-                ),
+                semantics=draw_weights,
             ),
             "velocity": Kernel(vel_spec, semantics=vel_semantics),
             "position": Kernel(
@@ -307,7 +327,7 @@ class FastPSOEngine(Engine):
                     reread_fraction=3.0 / 5.0,
                     working_set_bytes_per_elem=3.0 * self._elem_bytes,
                 ),
-                semantics=self._fused_update,
+                semantics=_fused_update,
             ),
             # Cost-only entry: the position copy happens inside
             # ``pbest_update`` (one fused kernel on real hardware), so its
@@ -346,35 +366,6 @@ class FastPSOEngine(Engine):
             self._kernels["evaluate_particle"] = Kernel(
                 spec, problem.evaluator.evaluate
             )
-
-    # -- kernel semantics -------------------------------------------------------
-    def _fused_update(
-        self,
-        velocities,
-        positions,
-        pbest_positions,
-        social,
-        l_mat,
-        g_mat,
-        params,
-        vbounds,
-        problem,
-    ):
-        """Fused Eq. (4) + Eq. (2): identical numerics, one kernel."""
-        n, d = positions.shape
-        velocity_update(
-            velocities,
-            positions,
-            pbest_positions,
-            social,
-            l_mat,
-            g_mat,
-            params,
-            vbounds,
-            out=velocities,
-            scratch=self._vel_scratch(n, d, positions.dtype),
-        )
-        position_update(positions, velocities, problem, params)
 
     # -- step hooks -------------------------------------------------------------
     def _initialize(
@@ -493,7 +484,11 @@ class FastPSOEngine(Engine):
         This is :meth:`Engine._swarm_numerics` with the tensor-core
         backend's ``multiply_add`` in the velocity kernel."""
         n, d = state.n_particles, state.dim
-        l_mat, g_mat = run("weights_rng", 2 * n * d, rng, n, d)
+        dtype = self.storage_dtype
+        l_mat, g_mat = run(
+            "weights_rng", 2 * n * d, rng, n, d,
+            out=self._weight_buffers(n, d, dtype),
+        )
         args = (
             state.velocities,
             state.positions,
@@ -505,14 +500,25 @@ class FastPSOEngine(Engine):
             self._current_velocity_bounds(problem, params),
         )
         if self.fuse_update:
-            run("fused_update", n * d, *args, problem)
+            run(
+                "fused_update",
+                n * d,
+                *args,
+                problem,
+                scratch=self._vel_scratch(n, d, dtype),
+            )
             return
         run(
             "velocity",
             n * d,
             *args,
             out=state.velocities,
-            scratch=self._vel_scratch(n, d, self.storage_dtype),
+            # The tensor-core kernel's multiply_add never reads the scratch.
+            scratch=(
+                None
+                if self.backend == "tensorcore"
+                else self._vel_scratch(n, d, dtype)
+            ),
         )
         run("position", n * d, state.positions, state.velocities, problem, params)
 

@@ -96,12 +96,10 @@ class GpuParticleEngine(Engine):
                     dependent_loads_per_elem=2.0,
                     registers_per_thread=64,
                 ),
-                # Numerics identical to fastpso's swarm update.
-                semantics=lambda problem, params, state, rng: (
-                    self._swarm_numerics(
-                        problem, self._scheduled_params(params), state, rng
-                    )
-                ),
+                # Numerics identical to fastpso's swarm update.  The engine
+                # is the first argument, not a closure, so it is freed by
+                # refcount rather than by the cyclic collector.
+                semantics=lambda engine, *args: engine._swarm_numerics(*args),
             ),
             "evaluate": Kernel(
                 KernelSpec(
@@ -209,8 +207,9 @@ class GpuParticleEngine(Engine):
         self.ctx.launcher.launch(
             self._kernels["update"],
             state.n_particles * state.dim,
+            self,
             problem,
-            params,
+            self._scheduled_params(params),
             state,
             rng,
             config=self._particle_config(state.n_particles),

@@ -23,7 +23,7 @@
  *      1.0 when the clamp is not adaptive; x * 1.0 == x exactly);
  *   5. the fused velocity + position update.  The float expression
  *      replicates, per element, the exact IEEE op order of the NumPy
- *      scratch fast path in repro.core.swarm._eq4_update:
+ *      scratch fast path in repro.core.swarm.velocity_update:
  *        s1 = pb - p;  s1 = l * s1;   s1 = s1 * c1;
  *        s2 = soc - p; s2 = g * s2;   s2 = s2 * c2;
  *        v' = v * w;   v' = v' + s1;  v' = v' + s2;  clip(v', vlo, vhi)

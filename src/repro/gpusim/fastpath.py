@@ -28,7 +28,7 @@ unchanged.  It provides:
   mismatch simply keeps the run on the Python replay tier.
 
 Bit-parity contract: the C step performs, per element, the exact IEEE
-operation sequence of :func:`repro.core.swarm._eq4_update`'s scratch path
+operation sequence of :func:`repro.core.swarm.velocity_update`'s scratch path
 (see ``_fastpath.c``), computes the float32 velocity bounds as
 ``(float)(lo * frac)`` — the float64 multiply of
 ``Engine._current_velocity_bounds`` and NumPy's float32 cast — claims
@@ -506,8 +506,7 @@ def build_native(engine, graph, problem, params, state, rng):
         lib,
         state,
         rng,
-        engine._ws.array("l_weights", (n, d), np.float32),
-        engine._ws.array("g_weights", (n, d), np.float32),
+        *engine._weight_buffers(n, d, np.float32),
         params,
         pos_bounds,
         problem.velocity_bounds(params.velocity_clamp),

@@ -32,16 +32,16 @@ The lifecycle, driven by :class:`IterationRunner`:
     ``live_buffers`` or ``memory.used_bytes`` on net
     (``allocator-net-change``), is not a steady state and stays eager.
 ``replay``
-    Every further iteration is the eager body's numerics followed by one
-    :meth:`LaunchGraph.charge` (:meth:`IterationRunner._replay`): the
-    shared :mod:`repro.core.swarm` evaluation, pbest claim and gbest scan,
-    the engine's step (iv) without charges
+    Every further iteration is the objective evaluation followed by
+    :func:`replay_tail`: the shared :mod:`repro.core.swarm` pbest claim and
+    gbest scan, the engine's step (iv) without charges
     (:meth:`~repro.core.engine.Engine._swarm_numerics`), then the captured
-    accounting.  There is no per-engine replay plan whose charges could
-    drift from eager: the charges *are* the capture.  The first replay
-    checks that the iteration consumed exactly the captured number of
-    Philox blocks (:class:`~repro.errors.GraphReplayError` on divergence —
-    that would be a repro bug, not a user condition).
+    accounting in one :meth:`LaunchGraph.charge`.  There is no per-engine
+    replay plan whose charges could drift from eager: the charges *are*
+    the capture.  The first replay checks that the iteration consumed
+    exactly the captured number of Philox blocks
+    (:class:`~repro.errors.GraphReplayError` on divergence — that would be
+    a repro bug, not a user condition).
 ``native-verify`` / ``native``
     The third tier (``_fastpath.c``): after the first verified Python
     replay, a native-eligible run (global-memory float32 engines with the
@@ -59,15 +59,17 @@ The lifecycle, driven by :class:`IterationRunner`:
     reconciliation is tier-agnostic).
 
 Every fast tier — the Python replay, the native step and the fused
-multi-swarm loop — is numerics plus one flat :meth:`LaunchGraph.charge`,
-and that is why simulated time stays bit-identical: the charge adds the
-captured charge sequence in captured order, the *same sequence of float
-additions* the eager iteration made (allocator pool hits and driver calls
-are traced slots like any launch), with the engine's dynamic pbest-copy
-charge in its slot, then applies the captured allocator-counter delta as
-integer adds — the counters of the paper's "a pool hit costs only a table
-lookup" (Table 4) advance exactly as the iteration's alloc/free calls would
-have advanced them, without making those calls.  Profiler statistics are
+multi-swarm loop — is numerics plus one flat :meth:`LaunchGraph.charge`.
+A fused round is one stacked evaluation plus each member's
+:func:`replay_tail`, the same call a solo replay makes after it evaluates.
+Simulated time stays bit-identical because the charge adds the captured
+charge sequence in captured order, the *same sequence of float additions*
+the eager iteration made (allocator pool hits and driver calls are traced
+slots like any launch), with the engine's dynamic pbest-copy charge in its
+slot, then applies the captured allocator-counter delta as integer adds —
+the counters of the paper's "a pool hit costs only a table lookup"
+(Table 4) advance exactly as the iteration's alloc/free calls would have
+advanced them, without making those calls.  Profiler statistics are
 aggregated per graph — replayed launches touch no
 :class:`~repro.gpusim.launch.LaunchStats` until
 :meth:`IterationRunner.finalize` folds ``replays x captured-cost`` into the
@@ -82,7 +84,7 @@ and can never replay stale bindings — and re-promotes to the native tier
 when eligible.  The fused multi-swarm ramp sets ``allow_native = False``
 before stepping, pinning the runner to the Python replay tier: it expects
 phase ``replay`` once its ramp is done, and its fast loop rebinds the
-swarm arrays to views of stacked storage, while a
+positions to a view of stacked storage, while a
 :class:`~repro.gpusim.fastpath.NativePlan` keeps the raw addresses of the
 arrays it was built on.
 """
@@ -99,7 +101,13 @@ from repro.core.swarm import gbest_scan, pbest_update
 from repro.errors import GraphReplayError
 from repro.gpusim.alloc import AllocatorStats
 
-__all__ = ["CapturedLaunch", "LaunchGraph", "IterationRunner", "traced_capture"]
+__all__ = [
+    "CapturedLaunch",
+    "LaunchGraph",
+    "IterationRunner",
+    "replay_tail",
+    "traced_capture",
+]
 
 
 #: One recorded launch: (kernel_name, section, n_elems, config, cost).
@@ -280,6 +288,29 @@ def traced_capture(
     return graph
 
 
+def replay_tail(engine, graph, problem, params, state, rng, values) -> None:
+    """Everything a replayed iteration does after its evaluation: steps
+    (ii)-(iv) on *values*, then the captured accounting in one
+    :meth:`LaunchGraph.charge`.
+
+    Steps (ii)-(iii) are the shared :mod:`repro.core.swarm` numerics every
+    engine's eager hooks run (the GPU reduction is tested to agree exactly
+    with :func:`gbest_scan`); step (iv) is the engine's own
+    :meth:`~repro.core.engine.Engine._swarm_numerics`.  The only
+    data-dependent charge, the pbest-position copy, is the graph's dynamic
+    slot.  :meth:`IterationRunner._replay` and every member of a fused
+    multi-swarm round (:mod:`repro.batch.fused`, whose evaluation is
+    stacked) run this one body.
+    """
+    improved = int(np.count_nonzero(pbest_update(state, values)))
+    gbest_scan(state)
+    engine._swarm_numerics(
+        problem, engine._scheduled_params(params), state, rng
+    )
+    d = state.dim
+    graph.charge(engine.clock, lambda: engine._charge_pbest_copy(improved, d))
+
+
 class IterationRunner:
     """Drives one engine's iterations through the capture/replay lifecycle.
 
@@ -359,26 +390,12 @@ class IterationRunner:
 
     # -- the replay body -----------------------------------------------------
     def _replay(self) -> None:
-        """One replayed iteration: the eager body's numerics, then the
-        captured accounting in one :meth:`LaunchGraph.charge`.
-
-        Steps (ii)-(iii) are the shared :mod:`repro.core.swarm` numerics
-        every engine's eager hooks run (the GPU reduction is tested to
-        agree exactly with :func:`gbest_scan`); step (iv) is the engine's
-        own :meth:`~repro.core.engine.Engine._swarm_numerics`.  The only
-        data-dependent charge, the pbest-position copy, is the graph's
-        dynamic slot.
-        """
-        engine, state = self.engine, self.state
-        values = self.problem.evaluator.evaluate(state.positions)
-        improved = int(np.count_nonzero(pbest_update(state, values)))
-        gbest_scan(state)
-        engine._swarm_numerics(
-            self.problem, engine._scheduled_params(self.params), state, self.rng
-        )
-        d = state.dim
-        self.graph.charge(
-            engine.clock, lambda: engine._charge_pbest_copy(improved, d)
+        """One replayed iteration: the objective on the run's positions,
+        then :func:`replay_tail`."""
+        state = self.state
+        replay_tail(
+            self.engine, self.graph, self.problem, self.params, state,
+            self.rng, self.problem.evaluator.evaluate(state.positions),
         )
 
     # -- lifecycle -----------------------------------------------------------

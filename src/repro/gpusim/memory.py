@@ -77,7 +77,9 @@ class GlobalMemory:
 class DeviceBuffer:
     """A typed, shaped region of simulated device memory.
 
-    The backing store is a NumPy array.  ``nbytes`` is the *reserved* size,
+    The backing store is a NumPy array, zero-filled on first access: most
+    buffers only back the cost model and are never read on the host, so
+    they cost no host memory.  ``nbytes`` is the *reserved* size,
     which may exceed ``shape``'s logical size when the buffer came from a
     pooling allocator's size class.
     """
@@ -95,7 +97,7 @@ class DeviceBuffer:
                 f"shape {self.shape} of {self.dtype} needs {logical} bytes "
                 f"but buffer holds only {self.nbytes}"
             )
-        self._data = np.zeros(self.shape, dtype=self.dtype)
+        self._data = None
         self._alive = True
 
     @property
@@ -108,6 +110,8 @@ class DeviceBuffer:
             raise MemoryAccessError(
                 f"buffer #{self.buffer_id} used after free"
             )
+        if self._data is None:
+            self._data = np.zeros(self.shape, dtype=self.dtype)
         return self._data
 
     def retire(self) -> None:
@@ -129,7 +133,7 @@ class DeviceBuffer:
             )
         self.shape = tuple(int(s) for s in shape)
         self.dtype = dtype
-        self._data = np.zeros(self.shape, dtype=dtype)
+        self._data = None
         self._alive = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -28,6 +28,7 @@ from repro.batch.fused import (
 from repro.core.budget import Budget
 from repro.core.parameters import PAPER_DEFAULTS
 from repro.core.problem import Problem
+from repro.core.schedules import LinearInertia
 from repro.engines import make_engine
 from repro.errors import InvalidParameterError
 from repro.functions import Sphere, available_functions, make_function
@@ -157,6 +158,45 @@ class TestBitIdenticalGoldens:
                 outcome.result.history.mean_pbest_values
                 == solo.history.mean_pbest_values
             )
+
+    @pytest.mark.parametrize(
+        "engine",
+        ["fastpso", "fastpso-shared", "fastpso-tc", "fastpso-fp16", "gpu-pso"],
+    )
+    def test_per_member_update_parameters(self, engine):
+        """Every member runs its own step (iv): a group whose members differ
+        in topology, velocity clamp, adaptive bound, position clipping and
+        inertia schedule still equals each member's solo run."""
+        variants = [
+            {},
+            {"topology": "ring"},
+            {
+                "velocity_clamp": 0.5,
+                "final_velocity_fraction": 0.1,
+                "clip_positions": True,
+            },
+            {"velocity_clamp": None, "adaptive_velocity": False},
+            {"inertia_schedule": LinearInertia(0.9, 0.4)},
+        ]
+        jobs = [
+            Job(
+                "rastrigin",
+                dim=8,
+                n_particles=64,
+                max_iter=30,
+                engine=engine,
+                params=replace(PAPER_DEFAULTS, seed=400 + i, **extra),
+                record_history=True,
+            )
+            for i, extra in enumerate(variants)
+        ]
+        batch = BatchScheduler(streams_per_device=2, policy="fused").run(jobs)
+        (row,) = batch.fused_rows
+        assert row["n_fused"] == len(jobs)
+        assert row["fast_rounds"] > 0
+        for job, outcome in zip(jobs, batch.outcomes):
+            assert outcome.status == "completed"
+            assert result_to_dict(outcome.result) == result_to_dict(_solo(job))
 
     def test_mixed_problem_group_stays_exact(self):
         jobs = [

@@ -79,6 +79,13 @@ class TestDeviceBuffer:
         arr = buf.array()
         assert arr.shape == (16, 8) and arr.dtype == np.float64
 
+    def test_contents_persist_until_reshaped(self):
+        buf = DeviceBuffer(1024, (4, 8), np.float32)
+        buf.array()[:] = 3.0
+        assert np.all(buf.array() == 3.0)
+        buf.reshape_view((4, 8), np.float32)
+        assert np.all(buf.array() == 0)
+
     def test_reshape_view_too_large_rejected(self):
         buf = DeviceBuffer(64, (4,), np.float32)
         with pytest.raises(ValueError):
