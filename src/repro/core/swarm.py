@@ -172,7 +172,9 @@ def velocity_update(
     ``social_positions`` is the gbest row (global topology, broadcast) or an
     ``(n, d)`` per-particle matrix (ring topology).  ``multiply_add``
     optionally replaces the two Hadamard products — the tensor-core backend
-    passes :func:`repro.gpusim.tensorcore.fragment_multiply_add` here.
+    passes :func:`repro.gpusim.tensorcore.fragment_multiply_add` here.  It
+    is called as ``multiply_add(weights, pull, out=pull)`` and must write
+    the float32 product into *out*.
     All arithmetic stays in float32.
 
     *scratch* — a pair of ``(n, d)`` float32 buffers — routes the pull
@@ -225,11 +227,15 @@ def velocity_update(
             out += c1 * (l_weights * cog_pull)
             out += c2 * (g_weights * soc_pull)
         else:
-            base = velocities * w
-            term1 = multiply_add(l_weights, cog_pull)
-            term2 = multiply_add(g_weights, soc_pull)
-            np.add(base, c1 * term1, out=out)
-            out += c2 * term2
+            # Each product lands in its own pull temporary; the float32 op
+            # order is that of ``w * V + c1 * (L * cog) + c2 * (G * soc)``.
+            multiply_add(l_weights, cog_pull, out=cog_pull)
+            multiply_add(g_weights, soc_pull, out=soc_pull)
+            np.multiply(cog_pull, c1, out=cog_pull)
+            np.multiply(soc_pull, c2, out=soc_pull)
+            np.multiply(velocities, w, out=out)
+            np.add(out, cog_pull, out=out)
+            np.add(out, soc_pull, out=out)
 
     if velocity_bounds is not None:
         lo, hi = velocity_bounds

@@ -41,6 +41,11 @@
  * vector, RNG block cursor, scheduled inertia, clamp fraction frac) arrive
  * as call arguments.  Returns the number of particles whose pbest improved
  * (the dynamic-size input of the pbest-copy clock charge).
+ *
+ * The library also exports fp16_product, the Hadamard product of the
+ * tensor-core backend (paper Sec. 3.5): both multiplicands rounded to IEEE
+ * binary16, multiplied in float32.  repro.gpusim.tensorcore's
+ * fragment_multiply_add calls it on the Python replay and eager tiers.
  */
 #include <string.h>
 
@@ -69,197 +74,6 @@ typedef struct {
     float c1;                /* cognitive coefficient, float32 */
     float c2;                /* social coefficient, float32 */
 } fastpath_plan;
-
-/* count unit-uniform float32 values starting at counter block0; handles a
- * partial final block (count % 4 != 0) so any n*d is supported.  The unit
- * mapping (double)(word + 0.5) * 2^-32 rounded once to float matches the
- * NumPy float64 -> float32 cast bit-for-bit.
- *
- * The bulk of the work is SIMD where the ISA allows it: counter blocks are
- * mutually independent, so the AVX-512/AVX2 paths run 16/8 blocks per
- * vector across PHILOX_CHAINS independent register chains (enough
- * parallel work to hide the 32x32->64 vpmuludq latency that a single
- * chain stalls on).  SIMD cannot change the output: every round op is
- * exact integer arithmetic, and the unit mapping's int->double->float
- * conversions are exact per lane.  The scalar loop handles the remainder
- * and non-x86 builds. */
-#define PHILOX_CHAINS 4
-
-#if defined(__AVX512F__)
-#include <immintrin.h>
-
-static void fill_unit_f32_simd(uint64_t block0, uint32_t sid_lo,
-                               uint32_t sid_hi, uint64_t* i_io, uint64_t full,
-                               const uint32_t* keys, float* restrict out) {
-    const __m512i vM0 = _mm512_set1_epi32((int)M0);
-    const __m512i vM1 = _mm512_set1_epi32((int)M1);
-    const __mmask16 ODD = 0xAAAA; /* odd 32-bit lanes of each 64-bit pair */
-    uint64_t i = *i_io;
-    for (; i + 16 * PHILOX_CHAINS <= full; i += 16 * PHILOX_CHAINS) {
-        __m512i c0[PHILOX_CHAINS], c1[PHILOX_CHAINS];
-        __m512i c2[PHILOX_CHAINS], c3[PHILOX_CHAINS];
-        for (int q = 0; q < PHILOX_CHAINS; q++) {
-            uint32_t t0[16], t1[16];
-            for (int k = 0; k < 16; k++) {
-                uint64_t b = block0 + i + (uint64_t)(16 * q + k);
-                t0[k] = (uint32_t)b;
-                t1[k] = (uint32_t)(b >> 32);
-            }
-            c0[q] = _mm512_loadu_si512(t0);
-            c1[q] = _mm512_loadu_si512(t1);
-            c2[q] = _mm512_set1_epi32((int)sid_lo);
-            c3[q] = _mm512_set1_epi32((int)sid_hi);
-        }
-        for (int r = 0; r < ROUNDS; r++) {
-            __m512i k0 = _mm512_set1_epi32((int)keys[2 * r]);
-            __m512i k1 = _mm512_set1_epi32((int)keys[2 * r + 1]);
-            for (int q = 0; q < PHILOX_CHAINS; q++) {
-                /* vpmuludq multiplies the even 32-bit lane of each 64-bit
-                 * pair; the shifted twin covers the odd lanes, and the
-                 * masked moves reassemble full lo/hi vectors. */
-                __m512i pe0 = _mm512_mul_epu32(c0[q], vM0);
-                __m512i po0 =
-                    _mm512_mul_epu32(_mm512_srli_epi64(c0[q], 32), vM0);
-                __m512i pe1 = _mm512_mul_epu32(c2[q], vM1);
-                __m512i po1 =
-                    _mm512_mul_epu32(_mm512_srli_epi64(c2[q], 32), vM1);
-                __m512i lo0 = _mm512_mask_mov_epi32(
-                    pe0, ODD, _mm512_slli_epi64(po0, 32));
-                __m512i hi0 = _mm512_mask_mov_epi32(
-                    _mm512_srli_epi64(pe0, 32), ODD, po0);
-                __m512i lo1 = _mm512_mask_mov_epi32(
-                    pe1, ODD, _mm512_slli_epi64(po1, 32));
-                __m512i hi1 = _mm512_mask_mov_epi32(
-                    _mm512_srli_epi64(pe1, 32), ODD, po1);
-                c0[q] = _mm512_xor_si512(_mm512_xor_si512(hi1, c1[q]), k0);
-                c1[q] = lo1;
-                c2[q] = _mm512_xor_si512(_mm512_xor_si512(hi0, c3[q]), k1);
-                c3[q] = lo0;
-            }
-        }
-        for (int q = 0; q < PHILOX_CHAINS; q++) {
-            uint32_t w0[16], w1[16], w2[16], w3[16];
-            _mm512_storeu_si512(w0, c0[q]);
-            _mm512_storeu_si512(w1, c1[q]);
-            _mm512_storeu_si512(w2, c2[q]);
-            _mm512_storeu_si512(w3, c3[q]);
-            float* restrict o = out + 4 * (i + 16 * q);
-            for (int k = 0; k < 16; k++) {
-                o[4 * k + 0] = (float)(((double)w0[k] + 0.5) * 0x1p-32);
-                o[4 * k + 1] = (float)(((double)w1[k] + 0.5) * 0x1p-32);
-                o[4 * k + 2] = (float)(((double)w2[k] + 0.5) * 0x1p-32);
-                o[4 * k + 3] = (float)(((double)w3[k] + 0.5) * 0x1p-32);
-            }
-        }
-    }
-    *i_io = i;
-}
-
-#elif defined(__AVX2__)
-#include <immintrin.h>
-
-static void fill_unit_f32_simd(uint64_t block0, uint32_t sid_lo,
-                               uint32_t sid_hi, uint64_t* i_io, uint64_t full,
-                               const uint32_t* keys, float* restrict out) {
-    const __m256i vM0 = _mm256_set1_epi32((int)M0);
-    const __m256i vM1 = _mm256_set1_epi32((int)M1);
-    uint64_t i = *i_io;
-    for (; i + 8 * PHILOX_CHAINS <= full; i += 8 * PHILOX_CHAINS) {
-        __m256i c0[PHILOX_CHAINS], c1[PHILOX_CHAINS];
-        __m256i c2[PHILOX_CHAINS], c3[PHILOX_CHAINS];
-        for (int q = 0; q < PHILOX_CHAINS; q++) {
-            uint32_t t0[8], t1[8];
-            for (int k = 0; k < 8; k++) {
-                uint64_t b = block0 + i + (uint64_t)(8 * q + k);
-                t0[k] = (uint32_t)b;
-                t1[k] = (uint32_t)(b >> 32);
-            }
-            c0[q] = _mm256_loadu_si256((const __m256i*)t0);
-            c1[q] = _mm256_loadu_si256((const __m256i*)t1);
-            c2[q] = _mm256_set1_epi32((int)sid_lo);
-            c3[q] = _mm256_set1_epi32((int)sid_hi);
-        }
-        for (int r = 0; r < ROUNDS; r++) {
-            __m256i k0 = _mm256_set1_epi32((int)keys[2 * r]);
-            __m256i k1 = _mm256_set1_epi32((int)keys[2 * r + 1]);
-            for (int q = 0; q < PHILOX_CHAINS; q++) {
-                __m256i pe0 = _mm256_mul_epu32(c0[q], vM0);
-                __m256i po0 =
-                    _mm256_mul_epu32(_mm256_srli_epi64(c0[q], 32), vM0);
-                __m256i pe1 = _mm256_mul_epu32(c2[q], vM1);
-                __m256i po1 =
-                    _mm256_mul_epu32(_mm256_srli_epi64(c2[q], 32), vM1);
-                __m256i lo0 = _mm256_blend_epi32(
-                    pe0, _mm256_slli_epi64(po0, 32), 0xAA);
-                __m256i hi0 = _mm256_blend_epi32(
-                    _mm256_srli_epi64(pe0, 32), po0, 0xAA);
-                __m256i lo1 = _mm256_blend_epi32(
-                    pe1, _mm256_slli_epi64(po1, 32), 0xAA);
-                __m256i hi1 = _mm256_blend_epi32(
-                    _mm256_srli_epi64(pe1, 32), po1, 0xAA);
-                c0[q] = _mm256_xor_si256(_mm256_xor_si256(hi1, c1[q]), k0);
-                c1[q] = lo1;
-                c2[q] = _mm256_xor_si256(_mm256_xor_si256(hi0, c3[q]), k1);
-                c3[q] = lo0;
-            }
-        }
-        for (int q = 0; q < PHILOX_CHAINS; q++) {
-            uint32_t w0[8], w1[8], w2[8], w3[8];
-            _mm256_storeu_si256((__m256i*)w0, c0[q]);
-            _mm256_storeu_si256((__m256i*)w1, c1[q]);
-            _mm256_storeu_si256((__m256i*)w2, c2[q]);
-            _mm256_storeu_si256((__m256i*)w3, c3[q]);
-            float* restrict o = out + 4 * (i + 8 * q);
-            for (int k = 0; k < 8; k++) {
-                o[4 * k + 0] = (float)(((double)w0[k] + 0.5) * 0x1p-32);
-                o[4 * k + 1] = (float)(((double)w1[k] + 0.5) * 0x1p-32);
-                o[4 * k + 2] = (float)(((double)w2[k] + 0.5) * 0x1p-32);
-                o[4 * k + 3] = (float)(((double)w3[k] + 0.5) * 0x1p-32);
-            }
-        }
-    }
-    *i_io = i;
-}
-
-#else
-
-static void fill_unit_f32_simd(uint64_t block0, uint32_t sid_lo,
-                               uint32_t sid_hi, uint64_t* i_io, uint64_t full,
-                               const uint32_t* keys, float* restrict out) {
-    (void)block0; (void)sid_lo; (void)sid_hi; (void)i_io; (void)full;
-    (void)keys; (void)out;
-}
-
-#endif
-
-static void fill_unit_f32(uint64_t block0, uint64_t stream_id, uint64_t count,
-                          const uint32_t* keys, float* restrict out) {
-    uint32_t sid_lo = (uint32_t)stream_id;
-    uint32_t sid_hi = (uint32_t)(stream_id >> 32);
-    uint64_t full = count / 4;
-    uint64_t i = 0;
-    fill_unit_f32_simd(block0, sid_lo, sid_hi, &i, full, keys, out);
-    for (; i < full; i++) {
-        uint64_t b = block0 + i;
-        uint32_t w[4];
-        philox_block((uint32_t)b, (uint32_t)(b >> 32), sid_lo, sid_hi, keys,
-                     w);
-        out[4 * i + 0] = (float)(((double)w[0] + 0.5) * 0x1p-32);
-        out[4 * i + 1] = (float)(((double)w[1] + 0.5) * 0x1p-32);
-        out[4 * i + 2] = (float)(((double)w[2] + 0.5) * 0x1p-32);
-        out[4 * i + 3] = (float)(((double)w[3] + 0.5) * 0x1p-32);
-    }
-    uint64_t tail = count - 4 * full;
-    if (tail) {
-        uint64_t b = block0 + full;
-        uint32_t w[4];
-        philox_block((uint32_t)b, (uint32_t)(b >> 32), sid_lo, sid_hi, keys,
-                     w);
-        for (uint64_t k = 0; k < tail; k++) {
-            out[4 * full + k] = (float)(((double)w[k] + 0.5) * 0x1p-32);
-        }
-    }
-}
 
 /* Eq. 4 velocity + Eq. 5 clamp + Eq. 2 position, one pass.  A standalone
  * function with restrict parameters: every buffer is distinct by
@@ -347,9 +161,9 @@ int64_t fastpath_step(const fastpath_plan* pl, const double* values,
 
     /* -- weight draws: L then G (Eq. 4's random matrices) ------------------ */
     uint64_t blocks_per_draw = (nd + 3) / 4;
-    fill_unit_f32(block0, pl->stream_id, nd, pl->keys, pl->l_weights);
-    fill_unit_f32(block0 + blocks_per_draw, pl->stream_id, nd, pl->keys,
-                  pl->g_weights);
+    philox_unit_f32(block0, pl->stream_id, nd, pl->keys, pl->l_weights);
+    philox_unit_f32(block0 + blocks_per_draw, pl->stream_id, nd, pl->keys,
+                    pl->g_weights);
 
     /* -- this iteration's velocity bounds (Eq. 5) ------------------------ */
     const float* vlo = NULL;
@@ -368,4 +182,118 @@ int64_t fastpath_step(const fastpath_plan* pl, const double* values,
                  pl->velocities, pl->l_weights, pl->g_weights,
                  pl->gbest_position, vlo, vhi, pl->pos_lo, pl->pos_hi);
     return improved;
+}
+
+/* -- fp16 fragment product -------------------------------------------------
+ *
+ * out[i] = (float)half(a[i]) * (float)half(b[i]), bit-identical to NumPy's
+ * a.astype(float16).astype(float32) * b.astype(float16).astype(float32).
+ * The product itself is exact in float32 (two 11-bit significands), so only
+ * the two roundings to half can differ, and NumPy's are software ports of
+ * npy_floatbits_to_halfbits / npy_halfbits_to_floatbits, reproduced below.
+ * F16C vcvtps2ph with round-to-nearest-even agrees with them on every
+ * float32 except the signalling NaNs: F16C quiets them, while NumPy keeps
+ * them signalling and bumps a payload truncated to zero to 1
+ * (0x7f800001 -> half 0x7c01 -> 0x7f802000).  The multiply quiets either
+ * NaN, but the payloads then differ, so any 8-lane group holding a NaN
+ * operand runs the scalar ports.  out may alias a or b: each group is
+ * loaded before it is stored. */
+
+static uint16_t float_to_half_bits(uint32_t f) {
+    uint16_t h_sgn = (uint16_t)((f & 0x80000000u) >> 16);
+    uint32_t f_exp = f & 0x7f800000u;
+    uint32_t f_sig;
+    if (f_exp >= 0x47800000u) { /* overflow, inf or NaN */
+        f_sig = f & 0x007fffffu;
+        if (f_exp == 0x7f800000u && f_sig != 0) {
+            uint16_t ret = (uint16_t)(0x7c00u + (f_sig >> 13));
+            if (ret == 0x7c00u) ret++; /* keep a NaN a NaN */
+            return (uint16_t)(h_sgn + ret);
+        }
+        return (uint16_t)(h_sgn + 0x7c00u);
+    }
+    if (f_exp <= 0x38000000u) { /* half subnormal or signed zero */
+        if (f_exp < 0x33000000u) return h_sgn;
+        f_exp >>= 23;
+        f_sig = 0x00800000u + (f & 0x007fffffu);
+        f_sig >>= (113 - f_exp);
+        /* ties to even; the || catches bits the shift dropped */
+        if (((f_sig & 0x00003fffu) != 0x00001000u) || (f & 0x000007ffu)) {
+            f_sig += 0x00001000u;
+        }
+        return (uint16_t)(h_sgn + (uint16_t)(f_sig >> 13));
+    }
+    uint16_t h_exp = (uint16_t)((f_exp - 0x38000000u) >> 13);
+    f_sig = f & 0x007fffffu;
+    if ((f_sig & 0x00003fffu) != 0x00001000u) f_sig += 0x00001000u;
+    /* a carry out of the significand bumps the exponent (to inf at most) */
+    return (uint16_t)(h_sgn + h_exp + (uint16_t)(f_sig >> 13));
+}
+
+static uint32_t half_to_float_bits(uint16_t h) {
+    uint16_t h_exp = h & 0x7c00u;
+    uint32_t f_sgn = ((uint32_t)h & 0x8000u) << 16;
+    if (h_exp == 0x0000u) {
+        uint16_t h_sig = h & 0x03ffu;
+        if (h_sig == 0) return f_sgn;
+        h_sig <<= 1;
+        while ((h_sig & 0x0400u) == 0) {
+            h_sig <<= 1;
+            h_exp++;
+        }
+        return f_sgn + (((uint32_t)(127 - 15 - h_exp)) << 23) +
+               (((uint32_t)(h_sig & 0x03ffu)) << 13);
+    }
+    if (h_exp == 0x7c00u) {
+        return f_sgn + 0x7f800000u + (((uint32_t)(h & 0x03ffu)) << 13);
+    }
+    return f_sgn + (((uint32_t)(h & 0x7fffu) + 0x1c000u) << 13);
+}
+
+static inline uint32_t fp16_round_bits(float x) {
+    uint32_t u;
+    memcpy(&u, &x, sizeof u);
+    return half_to_float_bits(float_to_half_bits(u));
+}
+
+/* One lane through the scalar ports.  The product of a NaN is the first
+ * NaN operand, quieted, as x86 SSE multiplies (and so NumPy's multiply
+ * loop) return it.  The compiler may commute fa * fb, so both operands are
+ * first set to that NaN, which makes the order irrelevant. */
+static inline float fp16_lane(float a, float b) {
+    uint32_t ua = fp16_round_bits(a), ub = fp16_round_bits(b);
+    float fa, fb;
+    if ((ua & 0x7fffffffu) > 0x7f800000u) ub = ua | 0x00400000u;
+    if ((ub & 0x7fffffffu) > 0x7f800000u) ua = ub | 0x00400000u;
+    memcpy(&fa, &ua, sizeof fa);
+    memcpy(&fb, &ub, sizeof fb);
+    return fa * fb;
+}
+
+#if defined(__F16C__) && defined(__AVX__)
+#include <immintrin.h>
+#endif
+
+void fp16_product(const float* a, const float* b, float* out, uint64_t n) {
+    uint64_t i = 0;
+#if defined(__F16C__) && defined(__AVX__)
+    for (; i + 8 <= n; i += 8) {
+        __m256 va = _mm256_loadu_ps(a + i);
+        __m256 vb = _mm256_loadu_ps(b + i);
+        if (_mm256_movemask_ps(_mm256_cmp_ps(va, vb, _CMP_UNORD_Q))) {
+            for (uint64_t k = i; k < i + 8; k++) {
+                out[k] = fp16_lane(a[k], b[k]);
+            }
+            continue;
+        }
+        __m256 ha = _mm256_cvtph_ps(
+            _mm256_cvtps_ph(va, _MM_FROUND_TO_NEAREST_INT));
+        __m256 hb = _mm256_cvtph_ps(
+            _mm256_cvtps_ph(vb, _MM_FROUND_TO_NEAREST_INT));
+        _mm256_storeu_ps(out + i, _mm256_mul_ps(ha, hb));
+    }
+#endif
+    for (; i < n; i++) {
+        out[i] = fp16_lane(a[i], b[i]);
+    }
 }

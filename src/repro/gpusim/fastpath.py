@@ -36,9 +36,15 @@ pbest/gbest with the same strict-``<`` / first-NaN order, and consumes
 exactly ``2 * ceil(n*d / 4)`` Philox blocks per iteration — the same
 stream consumption :func:`repro.core.swarm.draw_weights` performs.
 
-Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable (checked on every load);
-no compiler or a failed known-answer self-test silently fall back to the
-Python replay tier.
+The same library exports ``fp16_product``, the tensor-core backend's
+fp16-rounded Hadamard product, which
+:func:`repro.gpusim.tensorcore.fragment_multiply_add` calls on every tier
+that runs Python numerics; the self-test checks it byte for byte against
+NumPy's fp16 round trip.
+
+Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable both (checked on every
+load); no compiler or a failed known-answer self-test silently fall back
+to the Python replay tier and the NumPy fp16 round trip.
 """
 
 from __future__ import annotations
@@ -197,7 +203,42 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         _self_test_case(lib, vel_bounds, 1.0, pos_bounds)
         and _self_test_case(lib, vel_bounds, 0.6180339887, pos_bounds)
         and _self_test_case(lib, None, 1.0, None)
+        and _self_test_fp16(lib)
     )
+
+
+#: float32 bit patterns for the fp16 known-answer case: signed zeros, a
+#: float32 subnormal, the fp16 subnormal ties 2^-25 and 3 * 2^-25, 2^-24,
+#: the largest float below 2^-14 and 2^-14 itself, 65504, the largest
+#: float that rounds to 65504, 65520 (rounds to inf), infinities, a quiet
+#: NaN, and signalling NaNs whose payload sits below and above the 13 bits
+#: the fp16 rounding drops.
+_FP16_PROBES = np.array(
+    [
+        0x00000000, 0x80000000, 0x00000001, 0x33000000, 0x33C00000,
+        0x33800000, 0x387FFFFF, 0x38800000, 0x477FE000, 0x477FEFFF,
+        0x477FF000, 0x7F800000, 0xFF800000, 0x7FC00000, 0x7F800001,
+        0xFFA00000, 0x3F800001, 0xBEAAAAAB, 0x3DCCCCCD,
+    ],
+    dtype=np.uint32,
+).view(np.float32)
+
+
+def _self_test_fp16(lib) -> bool:
+    """``fp16_product`` vs the NumPy fp16 round trip, byte for byte.
+
+    Every probe meets every probe, so the 361 products cover the F16C
+    vector body, the NaN-lane scalar groups and the scalar tail.
+    """
+    a = np.repeat(_FP16_PROBES, _FP16_PROBES.size)
+    b = np.tile(_FP16_PROBES, _FP16_PROBES.size)
+    got = np.empty_like(a)
+    lib.fp16_product(a.ctypes.data, b.ctypes.data, got.ctypes.data, a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = a.astype(np.float16).astype(np.float32) * b.astype(
+            np.float16
+        ).astype(np.float32)
+    return got.tobytes() == want.tobytes()
 
 
 def _self_test_case(lib, vel_bounds, frac: float, pos_bounds) -> bool:
@@ -360,6 +401,11 @@ _MODULE = native.NativeModule(
                 ctypes.c_float,
                 ctypes.c_double,
             ],
+        ),
+        # a*, b*, out*, n — the tensor-core fp16 fragment product.
+        "fp16_product": (
+            None,
+            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64],
         ),
     },
     self_test=_self_test,

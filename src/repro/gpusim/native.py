@@ -1,8 +1,9 @@
 """Shared loader for the optional native (C) fast paths.
 
-Two C modules ride on this machinery: ``_philox.c`` (the Philox RNG hot
-path, PR 4) and ``_fastpath.c`` (the whole captured PSO iteration as one
-call).  Both follow one convention, implemented here exactly once:
+Two C modules ride on this machinery: ``_philox.c`` (the Philox RNG
+fills, SIMD for float32) and ``_fastpath.c`` (the whole captured PSO
+iteration as one call, plus the tensor-core backend's fp16 fragment
+product).  Both follow one convention, implemented here exactly once:
 
 * compiled on demand with the system C compiler (``cc``/``gcc``/``clang``)
   into a per-user cache directory (``$TMPDIR/repro-native-<uid>``), keyed by

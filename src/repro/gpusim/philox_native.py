@@ -4,8 +4,12 @@ The per-iteration weight regeneration is the single largest host cost of a
 steady-state FastPSO run: two ``n x d`` uniform draws per iteration, each a
 full Philox4x32-10 pass.  The NumPy uint64-lane pipeline in
 :mod:`repro.gpusim.rng` already avoids allocation, but each round is ~10
-full-array ufunc sweeps; a scalar C loop keeps each counter block in
-registers and runs ~6x faster.
+full-array ufunc sweeps; ``_philox.c`` keeps each counter block in
+registers, and its float32 fill runs 16 (AVX-512) or 8 (AVX2) blocks per
+vector.  That fill, ``philox_unit_f32``, is the one float32 unit-fill loop
+in C: every ``ParallelRNG.uniform(out=float32)`` draw calls it, and the
+native iteration step (``_fastpath.c``, which includes the file) draws
+its weights through it too.
 
 The compile/cache/bind machinery lives in :mod:`repro.gpusim.native`
 (shared with ``_fastpath.c``); this module contributes the source file, the
@@ -50,11 +54,36 @@ _UNIT_ARGTYPES = [
 ]
 
 
-def _self_test(lib: ctypes.CDLL) -> bool:
-    """Known-answer check against the reference bijection before first use."""
-    from repro.gpusim.rng import PHILOX_ROUNDS, _key_schedule, philox4x32
+def _reference_unit(seed: int, sid: int, block0: int, n_blocks: int) -> np.ndarray:
+    """Unit float64 draws of blocks ``block0 ..`` from the reference bijection."""
+    from repro.gpusim.rng import philox4x32
 
-    seed, sid, block0, n_blocks = 0x1234_5678_9ABC_DEF0, 7, 3, 8
+    idx = np.arange(block0, block0 + n_blocks, dtype=np.uint64)
+    ctr = np.empty((n_blocks, 4), dtype=np.uint32)
+    ctr[:, 0] = (idx & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    ctr[:, 1] = (idx >> np.uint64(32)).astype(np.uint32)
+    ctr[:, 2] = np.uint32(sid & 0xFFFFFFFF)
+    ctr[:, 3] = np.uint32(sid >> 32)
+    words = philox4x32(
+        ctr,
+        np.array(
+            [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF], dtype=np.uint32
+        ),
+    )
+    return (words.reshape(-1).astype(np.float64) + 0.5) * 2.0**-32
+
+
+def _self_test(lib: ctypes.CDLL) -> bool:
+    """Known-answer check against the reference bijection before first use.
+
+    The float32 case starts at an odd block with a stream id whose high
+    word is set and fills 267 values (67 blocks, the last one partial):
+    one full 64-block AVX-512 group (two AVX2 groups), then the scalar
+    loop and the partial-block tail.
+    """
+    from repro.gpusim.rng import PHILOX_ROUNDS, _key_schedule
+
+    seed = 0x1234_5678_9ABC_DEF0
     keys = np.array(
         [
             half
@@ -65,22 +94,16 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         ],
         dtype=np.uint32,
     )
+    sid, block0, n_blocks = 7, 3, 8
     got = np.empty(4 * n_blocks, dtype=np.float64)
     lib.philox_unit_f64(block0, sid, n_blocks, keys.ctypes.data, got.ctypes.data)
-    idx = np.arange(block0, block0 + n_blocks, dtype=np.uint64)
-    ctr = np.empty((n_blocks, 4), dtype=np.uint32)
-    ctr[:, 0] = (idx & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    ctr[:, 1] = (idx >> np.uint64(32)).astype(np.uint32)
-    ctr[:, 2] = np.uint32(sid)
-    ctr[:, 3] = 0
-    words = philox4x32(
-        ctr,
-        np.array(
-            [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF], dtype=np.uint32
-        ),
-    )
-    want = (words.reshape(-1).astype(np.float64) + 0.5) * 2.0**-32
-    return bool(np.array_equal(got, want))
+    if not np.array_equal(got, _reference_unit(seed, sid, block0, n_blocks)):
+        return False
+    sid, block0, count = 0xA5A5_0001_0000_0003, 2**32 - 33, 267
+    got32 = np.empty(count, dtype=np.float32)
+    lib.philox_unit_f32(block0, sid, count, keys.ctypes.data, got32.ctypes.data)
+    want32 = _reference_unit(seed, sid, block0, -(-count // 4))[:count]
+    return got32.tobytes() == want32.astype(np.float32).tobytes()
 
 
 _MODULE = native.NativeModule(
@@ -119,7 +142,7 @@ def unit_f32(
     lib.philox_unit_f32(
         block0,
         stream_id,
-        n_blocks,
+        4 * n_blocks,
         keys.ctypes.data,
         out.ctypes.data,
     )

@@ -361,24 +361,24 @@ class ParallelRNG:
             and out is not None
             and low == 0.0
             and high == 1.0
-            and n % 4 == 0
             and out.dtype == np.float32
             and out.flags["C_CONTIGUOUS"]
         ):
             # Hottest call shape (the per-iteration weight matrices): unit
             # float32 straight into the caller's buffer, no float64 staging.
             # The C kernel rounds each double once to float32 — exactly what
-            # ``copyto(float32_out, float64_unit)`` does below, so values
-            # and stream consumption are bit-identical to the NumPy path.
-            n_blocks = n // 4
+            # ``copyto(float32_out, float64_unit)`` does below — and, like
+            # the NumPy path, consumes ceil(n / 4) blocks (a partial last
+            # block fills the tail), so values and stream consumption are
+            # bit-identical.
             self._native.philox_unit_f32(
                 self._block,
                 self.stream_id,
-                n_blocks,
+                n,
                 self._keys_addr,
                 out.ctypes.data,
             )
-            self._block += n_blocks
+            self._block += -(-n // 4)
             return out
         unit = self._draw_unit(n)
         if low != 0.0 or high != 1.0:

@@ -11,7 +11,13 @@ are modelled faithfully:
   element-wise products in Eq. (4) therefore carry ~1e-3 relative rounding,
   which is why fastpso's Table 2 errors match but do not beat the fp32
   baselines.  :func:`fragment_multiply_add` implements this and is what the
-  tensor-core backend's kernel semantics call.
+  tensor-core backend's kernel semantics call.  When the native fast-path
+  library is loaded (:func:`repro.gpusim.fastpath.load`) and the operands
+  are C-contiguous float32, the product runs as one C call
+  (``fp16_product`` in ``_fastpath.c``, F16C conversions where the CPU has
+  them); otherwise, and under ``REPRO_NO_NATIVE_FASTPATH=1``, the NumPy
+  round trip below runs, which is the reference the C kernel is tested
+  against byte for byte.
 * **performance** — the update is bandwidth-bound, so using HMMA arithmetic
   does not reduce elapsed time; the kernel spec swaps the arithmetic
   throughput term and adds fragment load/sync instruction overhead.  The
@@ -24,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidLaunchError
+from repro.gpusim import fastpath
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelSpec
 
@@ -54,10 +61,16 @@ def to_half(arr: np.ndarray) -> np.ndarray:
         return np.asarray(arr).astype(np.float16)
 
 
+def _c_f32(arr: np.ndarray) -> bool:
+    return arr.dtype == np.float32 and arr.flags.c_contiguous
+
+
 def fragment_multiply_add(
     a: np.ndarray,
     b: np.ndarray,
     acc: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Element-wise ``a * b + acc`` with HMMA precision semantics.
 
@@ -65,6 +78,9 @@ def fragment_multiply_add(
     accumulation are carried out in fp32 (Volta accumulates HMMA partial
     products at full precision).  Shapes must match; broadcasting is
     deliberately not supported because wmma fragments are fixed-shape.
+
+    The float32 result is written into *out* when given (it may be ``a``
+    or ``b`` itself), else into a new array.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -72,15 +88,28 @@ def fragment_multiply_add(
         raise InvalidLaunchError(
             f"fragment operands must have identical shapes, got {a.shape} vs {b.shape}"
         )
-    prod = to_half(a).astype(np.float32) * to_half(b).astype(np.float32)
-    if acc is None:
-        return prod
-    acc = np.asarray(acc, dtype=np.float32)
-    if acc.shape != a.shape:
+    if acc is not None:
+        acc = np.asarray(acc, dtype=np.float32)
+        if acc.shape != a.shape:
+            raise InvalidLaunchError(
+                f"accumulator shape {acc.shape} does not match operands {a.shape}"
+            )
+    if out is None:
+        out = np.empty(a.shape, dtype=np.float32)
+    elif out.shape != a.shape:
         raise InvalidLaunchError(
-            f"accumulator shape {acc.shape} does not match operands {a.shape}"
+            f"output shape {out.shape} does not match operands {a.shape}"
         )
-    return prod + acc
+    lib = fastpath.load()
+    if lib is not None and _c_f32(a) and _c_f32(b) and _c_f32(out):
+        lib.fp16_product(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.size)
+    else:
+        np.multiply(
+            to_half(a).astype(np.float32), to_half(b).astype(np.float32), out=out
+        )
+    if acc is not None:
+        np.add(out, acc, out=out)
+    return out
 
 
 def tensor_core_spec(

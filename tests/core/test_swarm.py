@@ -109,9 +109,9 @@ class TestVelocityUpdate:
         ones = np.ones((1, 2), dtype=np.float32)
         calls = []
 
-        def spy(a, b):
+        def spy(a, b, out):
             calls.append((a.copy(), b.copy()))
-            return a * b
+            return np.multiply(a, b, out=out)
 
         out = velocity_update(
             v, p, pb, np.zeros(2, np.float32), ones, ones, params, None,

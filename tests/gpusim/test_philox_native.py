@@ -88,6 +88,30 @@ class TestStreamEquivalence:
         )
         assert native.position == fallback.position
 
+    @pytest.mark.parametrize(
+        "stream_id, start", [(3, 0), (0xA5A5_0001_0000_0003, 2**32 - 37)]
+    )
+    def test_odd_float32_draws_match_numpy_path(self, monkeypatch, stream_id, start):
+        # Odd element counts end in a partial Philox block; each draw must
+        # still consume ceil(n / 4) blocks.  Sizes span the scalar loop and
+        # whole AVX-512/AVX2 groups, from odd block offsets across the
+        # 2^32 counter carry.
+        sizes = [1, 3, 5, 13, 7 * 9, 267, 33 * 31, 1023]
+        native = ParallelRNG(seed=0xDEADBEEF, stream_id=stream_id)
+        monkeypatch.setenv("REPRO_NO_NATIVE_RNG", "1")
+        numpy_path = ParallelRNG(seed=0xDEADBEEF, stream_id=stream_id)
+        assert numpy_path._native is None
+        native.seek(start)
+        numpy_path.seek(start)
+        for n in sizes:
+            a = np.empty(n, dtype=np.float32)
+            b = np.empty(n, dtype=np.float32)
+            native.uniform(n, 0.0, 1.0, out=a)
+            numpy_path.uniform(n, 0.0, 1.0, out=b)
+            assert a.tobytes() == b.tobytes(), n
+            assert native.position == numpy_path.position
+        assert native.position == start + sum(-(-n // 4) for n in sizes)
+
     def test_seek_replays_identically(self):
         rng = ParallelRNG(seed=5, stream_id=1)
         first = rng.uniform(64, 0.0, 1.0)
