@@ -10,10 +10,10 @@ each fused round does two things:
 * one stacked evaluation.  A stacked group is just a taller matrix, so it
   has no numerics of its own: each same-function row block is scored by
   one call to the registry function's own evaluator;
-* each member's own replay tail, :func:`repro.gpusim.graph.replay_tail`:
-  the pbest claim, gbest scan, the engine's step (iv) and the member's
-  captured accounting — the same body a solo run's Python replay runs
-  after it evaluates.  Every member keeps the engine it would have run
+* each member's own iteration body on its row block of the values,
+  :func:`repro.gpusim.graph.iteration_body` with flat accounting: the pbest
+  claim, gbest scan, the engine's step (iv) and the member's captured
+  accounting — the same call a solo run's Python replay makes.  Every member keeps the engine it would have run
   solo (Philox stream, clock, launcher, allocator, workspace), so cost
   attribution, budgets, checkpoints and the result JSON stay per-swarm.
 
@@ -66,7 +66,7 @@ from repro.core.schema import BuiltinEvaluation
 from repro.errors import EvaluationError, GraphReplayError, InvalidParameterError
 from repro.functions.base import _REGISTRY
 from repro.gpusim.costmodel import kernel_cost
-from repro.gpusim.graph import replay_tail, traced_capture
+from repro.gpusim.graph import iteration_body, traced_capture
 from repro.gpusim.launch import resource_aware_config
 
 __all__ = [
@@ -236,13 +236,9 @@ def _traced_semantics(member: _Member):
 def _build_spec_map(engine) -> dict:
     """Kernel name -> KernelSpec for every kernel a captured iteration can
     reference (the engine's table plus the reducer's two passes)."""
-    specs = {}
-    for kernel in getattr(engine, "_kernels", {}).values():
-        specs[kernel.spec.name] = kernel.spec
     reducer = engine.ctx.reducer
-    specs[reducer._pass1.spec.name] = reducer._pass1.spec
-    specs[reducer._pass2.spec.name] = reducer._pass2.spec
-    return specs
+    specs = [*engine._kernels.values(), reducer.pass1, reducer.pass2]
+    return {spec.name: spec for spec in specs}
 
 
 class FusedGroupRunner:
@@ -385,9 +381,7 @@ class FusedGroupRunner:
         data-dependent pbest-copy); anything else means the iteration shape
         is not replayable."""
         n_dynamic = sum(1 for _l, _s, dynamic in member.graph.trace if dynamic)
-        if n_dynamic == 0 or (
-            n_dynamic == 1 and hasattr(member.engine, "_charge_pbest_copy")
-        ):
+        if n_dynamic <= 1:
             return True
         member.solo_reason = "unreplayable-dynamic-charges"
         return False
@@ -430,7 +424,7 @@ class FusedGroupRunner:
 
         # Only the positions are stacked (m*n x d): copy members in, then
         # rebind each member's positions to its contiguous row block, so
-        # the stacked evaluation reads what the member's own replay tail,
+        # the stacked evaluation reads what the member's own iteration body,
         # checkpoints and solo steps write.
         pos = np.empty((len(fast) * n, d), head.run.state.positions.dtype)
         values = np.empty(len(fast) * n, np.float64)
@@ -445,16 +439,16 @@ class FusedGroupRunner:
             # -- eval: one evaluator call per stacked row block --------------
             for rows, evaluate in eval_blocks:
                 values[rows] = evaluate(pos[rows])
-            # -- each member's replay tail and bookkeeping ------------------
+            # -- each member's iteration body and bookkeeping ---------------
             any_stopped = False
             for m in fast:
                 run = m.run
                 engine = run.engine
                 engine._progress = m.t / max(1, run.max_iter - 1)
                 rng_before = run.rng.position
-                replay_tail(
-                    engine, m.graph, run.problem, run.params, run.state,
-                    run.rng, values[m.rows],
+                iteration_body(
+                    engine, run.problem, run.params, run.state, run.rng,
+                    m.graph, values[m.rows],
                 )
                 consumed = run.rng.position - rng_before
                 if consumed != m.graph.rng_blocks:

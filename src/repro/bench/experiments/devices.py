@@ -131,8 +131,8 @@ def _update_kernel_cost(engine, spec, n_elems: int) -> object:
     from repro.gpusim.launch import resource_aware_config
 
     kern = engine._kernels["velocity"]
-    config = resource_aware_config(spec, n_elems, kernel_spec=kern.spec)
-    return kernel_cost(spec, kern.spec, config, n_elems)
+    config = resource_aware_config(spec, n_elems, kernel_spec=kern)
+    return kernel_cost(spec, kern, config, n_elems)
 
 
 def run(scale: BenchScale | None = None) -> DevicesResult:

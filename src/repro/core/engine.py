@@ -6,11 +6,16 @@ evaluation, (iii) pbest/gbest update, (iv) swarm update — attributing every
 simulated second to one of the five Figure 5 sections (``init``, ``eval``,
 ``pbest``, ``gbest``, ``swarm``).
 
-Subclasses implement the five step hooks.  The *numerics* of each step are
-shared module functions (:mod:`repro.core.swarm`), so engines differ only in
-how they decompose the work into kernels/loops and what those cost; this is
-the reproduction of the paper's claim that fastpso, fastpso-seq and
-fastpso-omp are one algorithm on three execution substrates.
+Every engine runs one iteration body, :func:`repro.gpusim.graph.
+iteration_body`, whose *numerics* are shared module functions
+(:mod:`repro.core.swarm`) plus :meth:`Engine._swarm_numerics`.  A subclass
+is a cost profile: :meth:`Engine._initialize` (step (i)) builds the swarm
+and the live accounting ``_kernel(key)`` wraps around each kernel's
+numerics — its kernel specs and launch geometry on the GPU, its loop
+charges on the CPU.  Engines therefore differ only in how they decompose
+the work into kernels/loops and what those cost; this is the reproduction
+of the paper's claim that fastpso, fastpso-seq and fastpso-omp are one
+algorithm on three execution substrates.
 """
 
 from __future__ import annotations
@@ -208,34 +213,46 @@ class Engine(ABC):
         # simulated device allocation still goes through the allocator.
         self._ws = Workspace()
 
-    # -- step hooks -----------------------------------------------------------
+    # -- step (i) and the cost profile ----------------------------------------
     @abstractmethod
     def _initialize(
         self, problem: Problem, params: PSOParams, n_particles: int, rng: ParallelRNG
     ) -> SwarmState:
-        """Step (i): allocate and randomly initialise the swarm."""
+        """Step (i): allocate and randomly initialise the swarm, and build
+        the run's live accounting (:attr:`_live`)."""
 
-    @abstractmethod
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        """Step (ii): fitness of every particle at its current position."""
+    #: Live accounting per kernel key, built by :meth:`_initialize` from the
+    #: run's shapes: a context manager (:class:`~repro.gpusim.graph.
+    #: LiveLaunch` or :class:`~repro.gpusim.graph.LiveCharge`) that
+    #: :func:`~repro.gpusim.graph.iteration_body` wraps around the numerics
+    #: of ``"evaluate"``, ``"pbest"``, ``"gbest"`` and the whole step (iv)
+    #: (``"swarm"``), and fastpso around each of its step (iv) kernels.
+    _live: dict = {}
 
-    @abstractmethod
-    def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        """Step (iii), first half: claim improved personal bests."""
+    def _kernel(self, key: str):
+        """Live accounting around kernel *key*'s numerics."""
+        return self._live[key]
 
-    @abstractmethod
-    def _update_gbest(self, state: SwarmState) -> None:
-        """Step (iii), second half: reduce pbest values to the global best."""
+    def _charge_pbest_copy(self, improved: int, dim: int) -> None:
+        """Charge the d-wide position copies of the *improved* particles.
 
-    @abstractmethod
-    def _update_swarm(
+        The copy itself happens inside ``pbest_update``; engines that price
+        it separately override this with a *dynamic* (data-dependent) clock
+        charge.  The default prices it into the pbest kernel.
+        """
+
+    def _eager_iteration(
         self,
         problem: Problem,
         params: PSOParams,
         state: SwarmState,
         rng: ParallelRNG,
     ) -> None:
-        """Step (iv): Eq. (4)/(2) velocity and position updates."""
+        """One iteration with live accounting: the shared
+        :func:`~repro.gpusim.graph.iteration_body`."""
+        from repro.gpusim.graph import iteration_body
+
+        iteration_body(self, problem, params, state, rng)
 
     def _finalize(self, state: SwarmState) -> None:
         """Post-loop work (e.g. device-to-host copy of the result)."""
@@ -532,20 +549,21 @@ class Engine(ABC):
         params: PSOParams,
         state: SwarmState,
         rng: ParallelRNG,
+        kernel,
     ) -> None:
-        """Step (iv) with no charges: the weight draw, Eq. (4) and Eq. (2).
+        """Step (iv): the weight draw, Eq. (4) and Eq. (2).
 
-        The one Python composition of the swarm update.  *params* is
-        already resolved by :meth:`_scheduled_params`.  L and G are drawn
-        into the workspace at the swarm's storage dtype, and the velocity
-        update takes the workspace pull-term scratch, which
+        The one Python composition of the swarm update, run by
+        :func:`~repro.gpusim.graph.iteration_body` inside the step's own
+        ``kernel("swarm")`` accounting.  *params* is already resolved by
+        :meth:`_scheduled_params`.  L and G are drawn into the workspace
+        at the swarm's storage dtype, and the velocity update takes the
+        workspace pull-term scratch, which
         :func:`~repro.core.swarm.velocity_update` uses only on all-float32
-        operands.  A replayed iteration and every member of a fused round
-        (:func:`~repro.gpusim.graph.replay_tail`) call this hook with no
-        charges; the CPU engines' eager step and ``gpu-pso``'s update
-        kernel run it and charge around it.  ``fastpso`` overrides it with
-        the semantics of the kernels its eager step launches, which compose
-        the same calls and add the tensor-core backend's ``multiply_add``.
+        operands.  *kernel* is the body's accounting hook; ``fastpso``
+        overrides this method to wrap it around each of its step (iv)
+        kernels, which compose the same calls and add the tensor-core
+        backend's ``multiply_add``.
         """
         n, d = state.n_particles, state.dim
         dtype = state.positions.dtype

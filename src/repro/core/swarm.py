@@ -286,8 +286,9 @@ def pbest_update(
 def gbest_scan(state: SwarmState) -> tuple[int, float]:
     """Sequential-scan gbest update (lines 10-12); ties keep lowest index.
 
-    The GPU engines replace this with the parallel reduction, which is
-    tested to agree exactly.
+    The claim on every engine and tier.  The GPU engines price it as the
+    two-pass parallel reduction (:mod:`repro.gpusim.reduction`), whose
+    first-index tie breaking is the same order.
     """
     idx = int(np.argmin(state.pbest_values))
     val = float(state.pbest_values[idx])

@@ -156,13 +156,10 @@ def _run_workload(
         if ctx is None:
             continue
         records.extend(ctx.launcher.records)
-        reducer = getattr(ctx, "reducer", None)
-        for attr in ("_pass1", "_pass2"):
-            kern = getattr(reducer, attr, None)
-            if kern is not None:
-                spec_by_name[kern.spec.name] = kern.spec
-    for kern in getattr(engine, "_kernels", {}).values():
-        spec_by_name[kern.spec.name] = kern.spec
+        for spec in (ctx.reducer.pass1, ctx.reducer.pass2):
+            spec_by_name[spec.name] = spec
+    for spec in getattr(engine, "_kernels", {}).values():
+        spec_by_name[spec.name] = spec
     if not records:
         raise CalibrationError(
             f"engine {target.engine!r} produced no launch records; only "

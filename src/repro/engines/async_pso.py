@@ -20,6 +20,12 @@ Timing: each chunk launches the same kernel profiles as FastPSO over
 the per-launch overheads and ``C`` gbest reductions — faithfully showing
 why the paper's fully synchronous element-wise design is the *throughput*
 winner even where async wins on iteration count.
+
+The schedule is this engine's own override of the shared iteration body
+(:meth:`~repro.core.engine.Engine._eager_iteration`), built from the same
+pieces: the kernel specs and ``launcher.launch`` of FastPSO's cost profile,
+:func:`~repro.core.swarm.gbest_scan` and
+:func:`~repro.core.swarm.velocity_update` on row views.  It never replays.
 """
 
 from __future__ import annotations
@@ -28,10 +34,15 @@ import numpy as np
 
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.core.swarm import SwarmState, position_update, velocity_update
+from repro.core.swarm import (
+    SwarmState,
+    draw_weights,
+    gbest_scan,
+    position_update,
+    velocity_update,
+)
 from repro.engines.gpu_elementwise import FastPSOEngine
 from repro.errors import InvalidParameterError
-from repro.gpusim.kernel import Kernel
 from repro.gpusim.rng import ParallelRNG
 
 __all__ = ["AsyncFastPSOEngine"]
@@ -41,7 +52,7 @@ class AsyncFastPSOEngine(FastPSOEngine):
     """Chunked asynchronous element-wise PSO on the simulated GPU."""
 
     #: A replayed iteration is the synchronous evaluate / pbest / gbest /
-    #: swarm numerics (:mod:`repro.gpusim.graph`); the chunked schedule
+    #: swarm body (:mod:`repro.gpusim.graph`); the chunked schedule
     #: interleaves them, so every run executes eagerly.
     supports_graph = False
 
@@ -53,11 +64,16 @@ class AsyncFastPSOEngine(FastPSOEngine):
             raise InvalidParameterError(
                 "the async schedule is implemented for the global backend"
             )
+        if self.fuse_update:
+            raise InvalidParameterError(
+                "the async schedule launches separate velocity and position "
+                "kernels per chunk; fuse_update is not available"
+            )
         self.n_chunks = n_chunks
-        self.name = f"fastpso-async{n_chunks}"
-        # Timing-only kernels reused across _charge calls (keyed by the
-        # underlying kernel spec's identity via the kernel key).
-        self._noop_kernels: dict[str, Kernel] = {}
+        # fastpso[-nocache][-fp16] -> fastpso-async{n}[-nocache][-fp16]
+        self.name = self.name.replace(
+            "fastpso", f"fastpso-async{n_chunks}", 1
+        )
 
     # -- helpers --------------------------------------------------------------
     def _chunk_slices(self, n: int):
@@ -70,64 +86,39 @@ class AsyncFastPSOEngine(FastPSOEngine):
             yield slice(start, start + size)
             start += size
 
-    def _charge(self, kernel_key: str, n_elems: int) -> None:
-        """Timing-only launch: the numerics were applied inline on a view."""
-        noop = self._noop_kernels.get(kernel_key)
-        if noop is None or noop.spec is not self._kernels[kernel_key].spec:
-            noop = Kernel(
-                self._kernels[kernel_key].spec, semantics=lambda: None
-            )
-            self._noop_kernels[kernel_key] = noop
+    def _launch_chunk(self, key: str, n_elems: int) -> None:
+        """Launch one chunk kernel after its numerics ran on a view."""
         self.ctx.launcher.launch(
-            noop, n_elems, config=self._cfg(kernel_key, n_elems)
+            self._kernels[key], n_elems, config=self._cfg(key, n_elems)
         )
 
-    # -- step hooks -----------------------------------------------------------
-    # The async schedule folds evaluation and best-keeping into the swarm
-    # step; the framework's separate steps become no-ops so a particle is
-    # never evaluated twice per iteration.
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        return np.asarray(state.pbest_values)
-
-    def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        return None
-
-    def _update_gbest(self, state: SwarmState) -> None:
-        return None
-
-    def _update_swarm(
+    # -- the chunked body -----------------------------------------------------
+    def _eager_iteration(
         self,
         problem: Problem,
         params: PSOParams,
         state: SwarmState,
         rng: ParallelRNG,
     ) -> None:
+        """The chunked schedule in place of the synchronous body: one weight
+        draw, then evaluate / pbest / gbest / move per chunk.  Everything is
+        charged to the swarm section, where the schedule folds evaluation
+        and best-keeping."""
         params = self._scheduled_params(params)
         n, d = state.n_particles, state.dim
         vbounds = self._current_velocity_bounds(problem, params)
-        alloc = self.ctx.allocator
         # One pair of weight matrices per iteration, drawn up front — the
         # same Philox consumption as the synchronous engine, which is what
         # makes the n_chunks=1 schedule bitwise identical to FastPSO.
-        l_buf = alloc.alloc_like((n, d), self.storage_dtype)
-        g_buf = alloc.alloc_like((n, d), self.storage_dtype)
-        try:
-            l_mat, g_mat = self.ctx.launcher.launch(
-                self._kernels["weights_rng"],
-                2 * n * d,
-                rng,
-                n,
-                d,
-                out=self._weight_buffers(n, d, self.storage_dtype),
-                config=self._cfg("weights_rng", 2 * n * d),
-            )
+        with self.clock.section("swarm"), self._kernel("swarm"):
+            with self._kernel("weights_rng"):
+                l_mat, g_mat = draw_weights(
+                    rng, n, d, out=self._weight_buffers(n, d, self.storage_dtype)
+                )
             for chunk in self._chunk_slices(n):
                 self._process_chunk(
                     problem, params, state, chunk, l_mat, g_mat, vbounds
                 )
-        finally:
-            alloc.free(l_buf)
-            alloc.free(g_buf)
 
     def _process_chunk(
         self, problem, params, state, chunk, l_mat, g_mat, vbounds
@@ -136,36 +127,26 @@ class AsyncFastPSOEngine(FastPSOEngine):
         d = state.dim
 
         # 1. evaluate the chunk at its current positions
-        values = self.ctx.launcher.launch(
-            self._kernels["evaluate"],
-            n_chunk * d,
-            state.positions[chunk],
-            config=self._cfg("evaluate", n_chunk * d),
-        )
+        values = problem.evaluator.evaluate(state.positions[chunk])
+        self._launch_chunk("evaluate", n_chunk * d)
 
         # 2. chunk-local pbest (strict improvement, on views)
         pbest_view = state.pbest_values[chunk]
         mask = values < pbest_view
         pbest_view[mask] = values[mask]
         state.pbest_positions[chunk][mask] = state.positions[chunk][mask]
-        self._charge("pbest", n_chunk)
-        improved = int(np.count_nonzero(mask))
-        if improved:
-            self._charge("pbest_copy", improved * d)
+        self._launch_chunk("pbest", n_chunk)
+        self._charge_pbest_copy(int(np.count_nonzero(mask)), d)
 
         # 3. gbest refresh — the asynchronous point: later chunks of this
         #    iteration immediately see this chunk's discoveries.
-        idx, val = self.ctx.reducer.argmin(state.pbest_values)
-        if val < state.gbest_value:
-            state.gbest_value = val
-            state.gbest_index = idx
-            state.gbest_position = state.pbest_positions[idx].copy()
+        with self._kernel("gbest"):
+            gbest_scan(state)
 
         # 4. move the chunk with the freshest gbest
         scratch = self._vel_scratch(state.n_particles, d, self.storage_dtype)
         if scratch is not None:
-            n_chunk_rows = chunk.stop - chunk.start
-            scratch = (scratch[0][:n_chunk_rows], scratch[1][:n_chunk_rows])
+            scratch = (scratch[0][:n_chunk], scratch[1][:n_chunk])
         velocity_update(
             state.velocities[chunk],
             state.positions[chunk],
@@ -178,8 +159,8 @@ class AsyncFastPSOEngine(FastPSOEngine):
             out=state.velocities[chunk],
             scratch=scratch,
         )
-        self._charge("velocity", n_chunk * d)
+        self._launch_chunk("velocity", n_chunk * d)
         position_update(
             state.positions[chunk], state.velocities[chunk], problem, params
         )
-        self._charge("position", n_chunk * d)
+        self._launch_chunk("position", n_chunk * d)

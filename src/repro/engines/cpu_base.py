@@ -1,9 +1,9 @@
 """Shared machinery for the CPU engines (fastpso-seq / fastpso-omp).
 
 Both are the authors' C++ ports of FastPSO: identical algorithm and RNG
-stream, compiled with ``-O3``.  The numerics here are the shared module
-functions from :mod:`repro.core.swarm`; what this base class adds is the
-*timing*: each step charges the simulated clock with a
+stream, compiled with ``-O3``.  The numerics are the shared iteration body
+(:func:`repro.gpusim.graph.iteration_body`); what this base class adds is
+the *timing*: each step charges the simulated clock with a
 :func:`repro.gpusim.costmodel.cpu_loop_cost` roofline built from the
 problem's shapes and evaluation profile.
 
@@ -19,13 +19,12 @@ The per-step cost layout mirrors the C++ code the paper describes:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.engine import Engine
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.core.swarm import SwarmState, gbest_scan, pbest_update
+from repro.core.swarm import SwarmState
 from repro.gpusim.costmodel import CpuSpec, cpu_loop_cost, xeon_e5_2640v4
+from repro.gpusim.graph import LiveCharge
 from repro.gpusim.rng import ParallelRNG
 
 __all__ = ["CpuEngineBase"]
@@ -54,26 +53,19 @@ class CpuEngineBase(Engine):
         self.graph_enabled = bool(graph)
 
     # -- timing helpers -----------------------------------------------------
-    def _charge(self, n_elems: int, **mix: float) -> None:
-        cost = cpu_loop_cost(self.cpu, n_elems, threads=self.threads, **mix)
-        self.clock.advance(cost.seconds)
+    def _cost(self, n_elems: int, **mix: float) -> float:
+        return cpu_loop_cost(self.cpu, n_elems, threads=self.threads, **mix).seconds
 
-    def _charge_dynamic(self, n_elems: int, **mix: float) -> None:
-        """:meth:`_charge` for data-dependent sizes (see launch-graph capture)."""
-        cost = cpu_loop_cost(self.cpu, n_elems, threads=self.threads, **mix)
-        self.clock.advance_dynamic(cost.seconds)
-
-    def _charge_rng(self, n_draws: int) -> None:
+    def _rng_cost(self, n_draws: int) -> float:
         """PRNG draws, parallelised only to the configured efficiency."""
         eff_threads = max(
             1, int(round(self.threads * self.rng_parallel_efficiency))
         )
-        cost = cpu_loop_cost(
+        return cpu_loop_cost(
             self.cpu, n_draws, rng_per_elem=1.0, threads=eff_threads
-        )
-        self.clock.advance(cost.seconds)
+        ).seconds
 
-    # -- step hooks -------------------------------------------------------------
+    # -- step (i) and the cost profile ------------------------------------------
     def _initialize(
         self, problem: Problem, params: PSOParams, n_particles: int, rng: ParallelRNG
     ) -> SwarmState:
@@ -82,26 +74,46 @@ class CpuEngineBase(Engine):
         state = initialize_swarm(
             problem, n_particles, rng, params.init_strategy
         )
-        n_elems = n_particles * problem.dim
-        self._charge_rng(2 * n_elems)
-        self._charge(n_elems, bytes_per_elem=2 * _F32, flops_per_elem=4.0)
-        return state
-
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        values = problem.evaluator.evaluate(state.positions)
-        prof = problem.evaluator.profile()
-        self._charge(
-            state.n_particles * state.dim,
-            flops_per_elem=prof.flops_per_elem + prof.reduction_flops_per_elem,
-            bytes_per_elem=_F32,
-            transcendental_per_elem=prof.sfu_per_elem,
+        n, d = n_particles, problem.dim
+        n_elems = n * d
+        self.clock.advance(self._rng_cost(2 * n_elems))
+        self.clock.advance(
+            self._cost(n_elems, bytes_per_elem=2 * _F32, flops_per_elem=4.0)
         )
-        return values
+        prof = problem.evaluator.profile()
+        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
+        compare = self._cost(n, flops_per_elem=1.0, bytes_per_elem=8.0)
 
-    def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        mask = pbest_update(state, values)
-        self._charge(state.n_particles, flops_per_elem=1.0, bytes_per_elem=8.0)
-        self._charge_pbest_copy(int(np.count_nonzero(mask)), state.dim)
+        def after(*seconds: float) -> LiveCharge:
+            return LiveCharge(self.clock, after=seconds)
+
+        self._live = {
+            "evaluate": after(
+                self._cost(
+                    n_elems,
+                    flops_per_elem=prof.flops_per_elem
+                    + prof.reduction_flops_per_elem,
+                    bytes_per_elem=_F32,
+                    transcendental_per_elem=prof.sfu_per_elem,
+                )
+            ),
+            # n compares; the row copies are _charge_pbest_copy.
+            "pbest": after(compare),
+            # An n-element scan.
+            "gbest": after(compare),
+            # Inline PRNG: the C++ loop draws l and g on the fly, so the
+            # weight matrices never touch memory.  Then the fused update:
+            # read V, P, pbest positions; write V, P.
+            "swarm": after(
+                self._rng_cost(2 * n_elems),
+                self._cost(
+                    n_elems,
+                    flops_per_elem=10.0 + clamp_flops,
+                    bytes_per_elem=5 * _F32,
+                ),
+            ),
+        }
+        return state
 
     def _charge_pbest_copy(self, improved: int, dim: int) -> None:
         """Row copies for the improved particles: a dynamic-size charge.
@@ -110,34 +122,10 @@ class CpuEngineBase(Engine):
         on the clock) so a captured launch graph sees a fixed charge-slot
         layout across iterations.
         """
-        if improved:
-            self._charge_dynamic(improved * dim, bytes_per_elem=2 * _F32)
-        else:
-            self.clock.advance_dynamic(0.0)
-
-    def _update_gbest(self, state: SwarmState) -> None:
-        gbest_scan(state)
-        self._charge(state.n_particles, flops_per_elem=1.0, bytes_per_elem=8.0)
-
-    def _update_swarm(
-        self,
-        problem: Problem,
-        params: PSOParams,
-        state: SwarmState,
-        rng: ParallelRNG,
-    ) -> None:
-        params = self._scheduled_params(params)
-        self._swarm_numerics(problem, params, state, rng)
-        n_elems = state.n_particles * state.dim
-        # Inline PRNG: the C++ loop draws l and g on the fly, so the weight
-        # matrices never touch memory.
-        self._charge_rng(2 * n_elems)
-        # Fused update: read V, P, pbest positions; write V, P.
-        clamp_flops = 2.0 if params.velocity_clamp is not None else 0.0
-        self._charge(
-            n_elems,
-            flops_per_elem=10.0 + clamp_flops,
-            bytes_per_elem=5 * _F32,
+        self.clock.advance_dynamic(
+            self._cost(improved * dim, bytes_per_elem=2 * _F32)
+            if improved
+            else 0.0
         )
 
     def _graph_build_native(self) -> str | None:

@@ -30,8 +30,6 @@ storage itself is host-backed by design of the simulator.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.core.engine import Engine
@@ -41,7 +39,6 @@ from repro.core.initializers import initialize_swarm
 from repro.core.swarm import (
     SwarmState,
     draw_weights,
-    pbest_update,
     position_update,
     velocity_update,
 )
@@ -49,10 +46,12 @@ from repro.core.topology import social_positions
 from repro._compat import deprecated_kwargs
 from repro.errors import InvalidParameterError
 from repro.gpusim import hostcache
+from repro.gpusim.alloc import CachingAllocator
 from repro.gpusim.context import GpuContext, make_context
 from repro.gpusim.costmodel import GpuCostParams
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import Kernel, KernelSpec
+from repro.gpusim.graph import LiveLaunch
+from repro.gpusim.kernel import KernelSpec
 from repro.gpusim.launch import resource_aware_config
 from repro.gpusim.rng import ParallelRNG
 from repro.gpusim.sharedmem import shared_mem_spec
@@ -73,33 +72,31 @@ _F64 = 8
 _RNG_FLOPS_PER_WORD = 12.0
 
 
-def _fused_update(
-    velocities,
-    positions,
-    pbest_positions,
-    social,
-    l_mat,
-    g_mat,
-    params,
-    vbounds,
-    problem,
-    *,
-    scratch,
-):
-    """Fused Eq. (4) + Eq. (2): identical numerics, one kernel."""
-    velocity_update(
-        velocities,
-        positions,
-        pbest_positions,
-        social,
-        l_mat,
-        g_mat,
-        params,
-        vbounds,
-        out=velocities,
-        scratch=scratch,
-    )
-    position_update(positions, velocities, problem, params)
+class _WeightScratch:
+    """Live accounting of step (iv) as a whole: the two ``n x d`` weight
+    matrices are device allocations made before the step's kernels and
+    freed after them, also when a kernel fails — so the allocator flavour
+    (caching vs direct) is what Table 4 measures."""
+
+    __slots__ = ("allocator", "shape", "dtype", "buffers")
+
+    def __init__(self, allocator, shape: tuple, dtype) -> None:
+        self.allocator = allocator
+        self.shape = shape
+        self.dtype = dtype
+        self.buffers = ()
+
+    def __enter__(self) -> None:
+        alloc = self.allocator
+        l_buf = alloc.alloc_like(self.shape, self.dtype)
+        g_buf = alloc.alloc_like(self.shape, self.dtype)
+        self.buffers = (l_buf, g_buf)
+
+    def __exit__(self, *exc) -> bool:
+        for buf in self.buffers:
+            self.allocator.free(buf)
+        self.buffers = ()
+        return False
 
 
 class FastPSOEngine(Engine):
@@ -173,7 +170,10 @@ class FastPSOEngine(Engine):
         if half_storage:
             self.name += "-fp16"
         self.graph_enabled = bool(graph)
-        self._kernels: dict[str, Kernel] = {}
+        self._multiply_add = (
+            fragment_multiply_add if backend == "tensorcore" else None
+        )
+        self._kernels: dict[str, KernelSpec] = {}
         self._cfg_cache: dict[tuple[str, int], object] = {}
         self._persistent_buffers: list = []
 
@@ -193,7 +193,7 @@ class FastPSOEngine(Engine):
                 self.ctx.spec,
                 n_elems,
                 threads_per_block=self.threads_per_block,
-                kernel_spec=self._kernels[kernel_key].spec,
+                kernel_spec=self._kernels[kernel_key],
             )
             if hostcache.cache_enabled():
                 self._cfg_cache[key] = cfg
@@ -227,7 +227,6 @@ class FastPSOEngine(Engine):
         self._cfg_cache.clear()
         clamped = params.velocity_clamp is not None
         base = self._velocity_base_spec(clamped)
-        vel_semantics = velocity_update
         if self.backend == "global":
             vel_spec = base
         elif self.backend == "shared":
@@ -238,77 +237,57 @@ class FastPSOEngine(Engine):
             vel_spec = tensor_core_spec(
                 base, block_threads=self.threads_per_block
             )
-            vel_semantics = partial(
-                velocity_update, multiply_add=fragment_multiply_add
-            )
 
         prof = problem.evaluator.profile()
-        # No semantics closes over the engine (workspace buffers arrive as
-        # arguments), so a finished engine and its device buffers are freed
-        # by refcount rather than by the cyclic collector.
+        eb = self._elem_bytes
         self._kernels = {
-            "init_rng": Kernel(
-                KernelSpec(
-                    name="swarm_init_rng",
-                    flops_per_elem=_RNG_FLOPS_PER_WORD,
-                    bytes_read_per_elem=0.0,
-                    bytes_written_per_elem=self._elem_bytes,
-                    registers_per_thread=24,
-                ),
-                semantics=partial(initialize_swarm, dtype=self.storage_dtype),
+            "init_rng": KernelSpec(
+                name="swarm_init_rng",
+                flops_per_elem=_RNG_FLOPS_PER_WORD,
+                bytes_read_per_elem=0.0,
+                bytes_written_per_elem=eb,
+                registers_per_thread=24,
             ),
-            "weights_rng": Kernel(
-                KernelSpec(
-                    name="weights_rng",
-                    flops_per_elem=_RNG_FLOPS_PER_WORD,
-                    bytes_read_per_elem=0.0,
-                    bytes_written_per_elem=self._elem_bytes,
-                    registers_per_thread=24,
-                ),
-                semantics=draw_weights,
+            "weights_rng": KernelSpec(
+                name="weights_rng",
+                flops_per_elem=_RNG_FLOPS_PER_WORD,
+                bytes_read_per_elem=0.0,
+                bytes_written_per_elem=eb,
+                registers_per_thread=24,
             ),
-            "velocity": Kernel(vel_spec, semantics=vel_semantics),
-            "position": Kernel(
-                KernelSpec(
-                    name="swarm_position_update",
-                    flops_per_elem=1.0 + (2.0 if params.clip_positions else 0.0),
-                    bytes_read_per_elem=2 * self._elem_bytes,
-                    bytes_written_per_elem=self._elem_bytes,
-                    registers_per_thread=16,
-                    # P and the just-written V' — both hot from the velocity
-                    # kernel one launch earlier.
-                    reread_fraction=1.0,
-                    working_set_bytes_per_elem=2.0 * self._elem_bytes,
-                ),
-                semantics=position_update,
+            "velocity": vel_spec,
+            "position": KernelSpec(
+                name="swarm_position_update",
+                flops_per_elem=1.0 + (2.0 if params.clip_positions else 0.0),
+                bytes_read_per_elem=2 * eb,
+                bytes_written_per_elem=eb,
+                registers_per_thread=16,
+                # P and the just-written V' — both hot from the velocity
+                # kernel one launch earlier.
+                reread_fraction=1.0,
+                working_set_bytes_per_elem=2.0 * eb,
             ),
-            "evaluate": Kernel(
-                KernelSpec(
-                    name="evaluation_kernel",
-                    flops_per_elem=prof.flops_per_elem
-                    + prof.reduction_flops_per_elem,
-                    sfu_per_elem=prof.sfu_per_elem,
-                    bytes_read_per_elem=self._elem_bytes,
-                    bytes_written_per_elem=0.0,  # n values folded in below
-                    registers_per_thread=32,
-                    # Reads the position matrix written one launch earlier.
-                    reread_fraction=1.0,
-                    working_set_bytes_per_elem=float(self._elem_bytes),
-                ),
-                semantics=problem.evaluator.evaluate,
+            "evaluate": KernelSpec(
+                name="evaluation_kernel",
+                flops_per_elem=prof.flops_per_elem
+                + prof.reduction_flops_per_elem,
+                sfu_per_elem=prof.sfu_per_elem,
+                bytes_read_per_elem=eb,
+                bytes_written_per_elem=0.0,  # n values folded in below
+                registers_per_thread=32,
+                # Reads the position matrix written one launch earlier.
+                reread_fraction=1.0,
+                working_set_bytes_per_elem=float(eb),
             ),
-            "pbest": Kernel(
-                KernelSpec(
-                    name="pbest_update",
-                    flops_per_elem=1.0,
-                    bytes_read_per_elem=2 * _F64,
-                    bytes_written_per_elem=_F64,
-                    registers_per_thread=16,
-                    # n-length fitness/pbest vectors: tiny, cache-resident.
-                    reread_fraction=1.0,
-                    working_set_bytes_per_elem=2.0 * _F64,
-                ),
-                semantics=pbest_update,
+            "pbest": KernelSpec(
+                name="pbest_update",
+                flops_per_elem=1.0,
+                bytes_read_per_elem=2 * _F64,
+                bytes_written_per_elem=_F64,
+                registers_per_thread=16,
+                # n-length fitness/pbest vectors: tiny, cache-resident.
+                reread_fraction=1.0,
+                working_set_bytes_per_elem=2.0 * _F64,
             ),
             # Optional fusion of steps (iv)'s two kernels: the paper notes
             # the position update depends on the updated velocity but each
@@ -316,43 +295,37 @@ class FastPSOEngine(Engine):
             # fused kernel keeps v' in registers and writes both arrays —
             # saving one launch and the 8 bytes/element of re-reading P and
             # V' from DRAM.
-            "fused_update": Kernel(
-                KernelSpec(
-                    name="swarm_fused_update",
-                    flops_per_elem=11.0 + (2.0 if clamped else 0.0),
-                    bytes_read_per_elem=5 * self._elem_bytes,
-                    bytes_written_per_elem=2 * self._elem_bytes,
-                    registers_per_thread=40,
-                    # Same re-read structure as the unfused velocity kernel.
-                    reread_fraction=3.0 / 5.0,
-                    working_set_bytes_per_elem=3.0 * self._elem_bytes,
-                ),
-                semantics=_fused_update,
+            "fused_update": KernelSpec(
+                name="swarm_fused_update",
+                flops_per_elem=11.0 + (2.0 if clamped else 0.0),
+                bytes_read_per_elem=5 * eb,
+                bytes_written_per_elem=2 * eb,
+                registers_per_thread=40,
+                # Same re-read structure as the unfused velocity kernel.
+                reread_fraction=3.0 / 5.0,
+                working_set_bytes_per_elem=3.0 * eb,
             ),
-            # Cost-only entry: the position copy happens inside
-            # ``pbest_update`` (one fused kernel on real hardware), so its
-            # modelled time is *charged* (Launcher.charge) rather than
-            # launched — no dedicated no-op dispatch.
-            "pbest_copy": Kernel(
-                KernelSpec(
-                    name="pbest_position_copy",
-                    flops_per_elem=0.0,
-                    bytes_read_per_elem=self._elem_bytes,
-                    bytes_written_per_elem=self._elem_bytes,
-                    registers_per_thread=16,
-                    # Copies the just-evaluated position rows.
-                    reread_fraction=1.0,
-                    working_set_bytes_per_elem=float(self._elem_bytes),
-                ),
-                semantics=lambda: None,  # never dispatched
+            # The position copy happens inside ``pbest_update`` (one fused
+            # kernel on real hardware); its modelled time is charged as a
+            # dynamic slot by _charge_pbest_copy.
+            "pbest_copy": KernelSpec(
+                name="pbest_position_copy",
+                flops_per_elem=0.0,
+                bytes_read_per_elem=eb,
+                bytes_written_per_elem=eb,
+                registers_per_thread=16,
+                # Copies the just-evaluated position rows.
+                reread_fraction=1.0,
+                working_set_bytes_per_elem=float(eb),
             ),
         }
         if problem.evaluator.granularity == "particle":
             # Thread-per-particle schema kernel: each thread runs the user
-            # lambda over its particle's d values.  Built once here rather
-            # than per evaluation call.
+            # lambda over its particle's d values.
             d = problem.dim
-            spec = self._kernels["evaluate"].spec.scaled(
+            self._kernels["evaluate_particle"] = self._kernels[
+                "evaluate"
+            ].scaled(
                 name="evaluation_kernel_particle",
                 flops_per_elem=(
                     prof.flops_per_elem + prof.reduction_flops_per_elem
@@ -363,11 +336,37 @@ class FastPSOEngine(Engine):
                 bytes_written_per_elem=_F64,
                 dependent_loads_per_elem=1.0,
             )
-            self._kernels["evaluate_particle"] = Kernel(
-                spec, problem.evaluator.evaluate
-            )
 
-    # -- step hooks -------------------------------------------------------------
+    def _build_live(self, problem: Problem, n: int) -> None:
+        """The run's live accounting: every kernel's spec, size and cached
+        resource-aware geometry, the gbest reduction's passes, and the
+        weight-matrix allocations around step (iv)."""
+        launcher = self.ctx.launcher
+        d = problem.dim
+
+        def launch(key: str, n_elems: int) -> LiveLaunch:
+            config = self._cfg(key, n_elems)
+            return LiveLaunch(launcher, (self._kernels[key], n_elems, config))
+
+        if "evaluate_particle" in self._kernels:
+            evaluate = launch("evaluate_particle", n)
+        else:
+            evaluate = launch("evaluate", n * d)
+        self._live = {
+            "init": launch("init_rng", 2 * n * d),
+            "evaluate": evaluate,
+            "pbest": launch("pbest", n),
+            "gbest": LiveLaunch(launcher, *self.ctx.reducer.passes(n)),
+            "swarm": _WeightScratch(
+                self.ctx.allocator, (n, d), self.storage_dtype
+            ),
+            "weights_rng": launch("weights_rng", 2 * n * d),
+            "velocity": launch("velocity", n * d),
+            "position": launch("position", n * d),
+            "fused_update": launch("fused_update", n * d),
+        }
+
+    # -- step (i) ----------------------------------------------------------------
     def _initialize(
         self, problem: Problem, params: PSOParams, n_particles: int, rng: ParallelRNG
     ) -> SwarmState:
@@ -384,49 +383,21 @@ class FastPSOEngine(Engine):
             alloc.alloc_like((n,), np.float64),  # pbest values
             alloc.alloc_like((n,), np.float64),  # current values
         ]
-        return self._launch(
-            "init_rng", 2 * n * d, problem, n, rng, params.init_strategy
-        )
-
-    def _launch(self, key: str, n_elems: int, *args, **kwargs):
-        """Launch kernel *key* over *n_elems* elements with its cached
-        resource-aware geometry: the eager dispatch of :meth:`_swarm_step`."""
-        return self.ctx.launcher.launch(
-            self._kernels[key],
-            n_elems,
-            *args,
-            config=self._cfg(key, n_elems),
-            **kwargs,
-        )
-
-    def _semantics(self, key: str, n_elems: int, *args, **kwargs):
-        """Run kernel *key*'s semantics only, charging nothing: the replay
-        dispatch of :meth:`_swarm_step`."""
-        return self._kernels[key].semantics(*args, **kwargs)
-
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        if "evaluate_particle" in self._kernels:
-            return self._launch(
-                "evaluate_particle", state.n_particles, state.positions
+        self._build_live(problem, n)
+        with self._kernel("init"):
+            return initialize_swarm(
+                problem, n, rng, params.init_strategy, dtype=self.storage_dtype
             )
-        return self._launch(
-            "evaluate", state.n_particles * state.dim, state.positions
-        )
-
-    def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        mask = self._launch("pbest", state.n_particles, state, values)
-        self._charge_pbest_copy(int(np.count_nonzero(mask)), state.dim)
 
     def _charge_pbest_copy(self, improved: int, dim: int) -> None:
         """Account the d-wide position copies for the improved particles.
 
-        The copy's semantics already happened inside ``pbest_update``; only
-        its modelled time and profile row are added here, without a no-op
-        kernel dispatch.  The charge is *dynamic* (data-dependent size), and
-        always present — a 0.0-second charge when nothing improved — so a
-        captured launch graph keeps a fixed charge-slot layout across
-        iterations (``x + 0.0`` is bitwise identity, so simulated times are
-        unchanged).
+        The copy's numerics already happened inside ``pbest_update``; only
+        its modelled time and profile row are added here, without a fault
+        hook.  The charge is *dynamic* (data-dependent size), and always
+        present — a 0.0-second charge when nothing improved — so a captured
+        launch graph keeps a fixed charge-slot layout across iterations
+        (``x + 0.0`` is bitwise identity, so simulated times are unchanged).
         """
         if improved:
             copy_elems = improved * dim
@@ -439,56 +410,25 @@ class FastPSOEngine(Engine):
         else:
             self.clock.advance_dynamic(0.0)
 
-    def _update_gbest(self, state: SwarmState) -> None:
-        idx, val = self.ctx.reducer.argmin(state.pbest_values)
-        if val < state.gbest_value:
-            state.gbest_value = val
-            state.gbest_index = idx
-            state.gbest_position = state.pbest_positions[idx].copy()
-
-    def _update_swarm(
-        self,
-        problem: Problem,
-        params: PSOParams,
-        state: SwarmState,
-        rng: ParallelRNG,
-    ) -> None:
-        n, d = state.n_particles, state.dim
-        alloc = self.ctx.allocator
-        # Per-iteration weight matrices: fresh allocations each time, so the
-        # allocator flavour (caching vs direct) is what Table 4 measures.
-        l_buf = alloc.alloc_like((n, d), self.storage_dtype)
-        g_buf = alloc.alloc_like((n, d), self.storage_dtype)
-        try:
-            self._swarm_step(
-                problem, self._scheduled_params(params), state, rng, self._launch
-            )
-        finally:
-            alloc.free(l_buf)
-            alloc.free(g_buf)
-
+    # -- step (iv) ---------------------------------------------------------------
     def _swarm_numerics(
         self,
         problem: Problem,
         params: PSOParams,
         state: SwarmState,
         rng: ParallelRNG,
+        kernel,
     ) -> None:
-        self._swarm_step(problem, params, state, rng, self._semantics)
-
-    def _swarm_step(self, problem, params, state, rng, run) -> None:
-        """Step (iv)'s kernels in order, each dispatched through *run*
-        (:meth:`_launch` eagerly, :meth:`_semantics` on replay), so both
-        execute the same kernel semantics: the weight draw, then the fused
-        update or the velocity kernel followed by the position kernel.
-        This is :meth:`Engine._swarm_numerics` with the tensor-core
-        backend's ``multiply_add`` in the velocity kernel."""
+        """Step (iv)'s kernels in order, each inside *kernel*: the weight
+        draw, then the fused update or the velocity kernel followed by the
+        position kernel.  This is :meth:`Engine._swarm_numerics` with the
+        tensor-core backend's ``multiply_add`` in the velocity kernel."""
         n, d = state.n_particles, state.dim
         dtype = self.storage_dtype
-        l_mat, g_mat = run(
-            "weights_rng", 2 * n * d, rng, n, d,
-            out=self._weight_buffers(n, d, dtype),
-        )
+        with kernel("weights_rng"):
+            l_mat, g_mat = draw_weights(
+                rng, n, d, out=self._weight_buffers(n, d, dtype)
+            )
         args = (
             state.velocities,
             state.positions,
@@ -500,27 +440,31 @@ class FastPSOEngine(Engine):
             self._current_velocity_bounds(problem, params),
         )
         if self.fuse_update:
-            run(
-                "fused_update",
-                n * d,
-                *args,
-                problem,
-                scratch=self._vel_scratch(n, d, dtype),
-            )
+            with kernel("fused_update"):
+                velocity_update(
+                    *args,
+                    out=state.velocities,
+                    scratch=self._vel_scratch(n, d, dtype),
+                )
+                position_update(
+                    state.positions, state.velocities, problem, params
+                )
             return
-        run(
-            "velocity",
-            n * d,
-            *args,
-            out=state.velocities,
-            # The tensor-core kernel's multiply_add never reads the scratch.
-            scratch=(
-                None
-                if self.backend == "tensorcore"
-                else self._vel_scratch(n, d, dtype)
-            ),
-        )
-        run("position", n * d, state.positions, state.velocities, problem, params)
+        with kernel("velocity"):
+            velocity_update(
+                *args,
+                out=state.velocities,
+                multiply_add=self._multiply_add,
+                # The tensor-core kernel's multiply_add never reads the
+                # scratch.
+                scratch=(
+                    None
+                    if self._multiply_add is not None
+                    else self._vel_scratch(n, d, dtype)
+                ),
+            )
+        with kernel("position"):
+            position_update(state.positions, state.velocities, problem, params)
 
     # -- launch graphs -----------------------------------------------------------
     def _graph_blockers(self) -> str | None:
@@ -552,17 +496,11 @@ class FastPSOEngine(Engine):
         # weight matrices (the first iteration's misses already populated the
         # pool).  Pre-warm with one alloc/free pair of the same shapes so the
         # resumed iterations see identical pool behaviour — and the memory
-        # high-water mark (peak_device_bytes) matches too.
-        from repro.gpusim.alloc import CachingAllocator
-
-        alloc = self.ctx.allocator
-        if not isinstance(alloc, CachingAllocator):
-            return  # direct allocator: every iteration misses either way
-        n, d = n_particles, problem.dim
-        l_buf = alloc.alloc_like((n, d), self.storage_dtype)
-        g_buf = alloc.alloc_like((n, d), self.storage_dtype)
-        alloc.free(l_buf)
-        alloc.free(g_buf)
+        # high-water mark (peak_device_bytes) matches too.  The direct
+        # allocator misses every iteration either way.
+        if isinstance(self.ctx.allocator, CachingAllocator):
+            with self._kernel("swarm"):
+                pass
 
     def _finalize(self, state: SwarmState) -> None:
         # Device-to-host copy of the result vector.

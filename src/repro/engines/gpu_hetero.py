@@ -12,10 +12,7 @@ despite using 20 extra cores.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.problem import Problem
-from repro.core.swarm import SwarmState
 from repro.engines.gpu_particle import GpuParticleEngine
 from repro._compat import deprecated_kwargs
 from repro.errors import InvalidParameterError
@@ -26,6 +23,7 @@ from repro.gpusim.costmodel import (
     xeon_e5_2640v4,
 )
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.graph import LiveCharge
 
 __all__ = ["GpuHeteroEngine"]
 
@@ -61,16 +59,12 @@ class GpuHeteroEngine(GpuParticleEngine):
         self.cpu = cpu or xeon_e5_2640v4()
         self.cpu_threads = cpu_threads
 
-    def _transfer(self, nbytes: int) -> None:
-        self.clock.advance(
-            _TRANSFER_SUBMIT_OVERHEAD_S + nbytes / self.ctx.spec.pcie_bandwidth
-        )
+    def _transfer_seconds(self, nbytes: int) -> float:
+        return _TRANSFER_SUBMIT_OVERHEAD_S + nbytes / self.ctx.spec.pcie_bandwidth
 
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        n, d = state.n_particles, state.dim
-        # D2H: current positions for host-side evaluation.
-        self._transfer(n * d * _F64)
-        values = problem.evaluator.evaluate(state.positions)
+    def _build_live(self, problem: Problem, n: int) -> None:
+        super()._build_live(problem, n)
+        d = problem.dim
         prof = problem.evaluator.profile()
         cost = cpu_loop_cost(
             self.cpu,
@@ -80,7 +74,11 @@ class GpuHeteroEngine(GpuParticleEngine):
             transcendental_per_elem=prof.sfu_per_elem,
             threads=self.cpu_threads,
         )
-        self.clock.advance(cost.seconds)
-        # H2D: fitness values back to the device for the best-update kernels.
-        self._transfer(n * _F64)
-        return values
+        # Host-side evaluation: positions down over PCIe (D2H), the
+        # multicore loop, fitness values back up (H2D) for the best-update
+        # kernels.
+        self._live["evaluate"] = LiveCharge(
+            self.clock,
+            before=(self._transfer_seconds(n * d * _F64),),
+            after=(cost.seconds, self._transfer_seconds(n * _F64)),
+        )

@@ -30,12 +30,13 @@ from repro.core.engine import Engine
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
 from repro.core.initializers import initialize_swarm
-from repro.core.swarm import SwarmState, pbest_update
+from repro.core.swarm import SwarmState
 from repro._compat import deprecated_kwargs
 from repro.gpusim.context import GpuContext, make_context
 from repro.gpusim.costmodel import GpuCostParams
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import Kernel, KernelSpec
+from repro.gpusim.graph import LiveLaunch
+from repro.gpusim.kernel import KernelSpec
 from repro.gpusim.launch import thread_per_item_config
 from repro.gpusim.rng import ParallelRNG
 
@@ -75,7 +76,7 @@ class GpuParticleEngine(Engine):
         )
         self.clock = self.ctx.clock
         self.threads_per_block = threads_per_block
-        self._kernels: dict[str, Kernel] = {}
+        self._kernels: dict[str, KernelSpec] = {}
         self._buffers: list = []
 
     # -- kernels -------------------------------------------------------------
@@ -86,56 +87,42 @@ class GpuParticleEngine(Engine):
             _DRAWS_PER_ELEM * _CURAND_STATE_BYTES * _STATE_DRAM_FRACTION
         )
         self._kernels = {
-            # Fused per-particle update: inline XORWOW draws + Eq. (4)/(2).
-            "update": Kernel(
-                KernelSpec(
-                    name="particle_update",
-                    flops_per_elem=12.0 + 10.0 * _DRAWS_PER_ELEM,  # rng arith
-                    bytes_read_per_elem=3 * _F64 + state_traffic,
-                    bytes_written_per_elem=2 * _F64 + state_traffic,
-                    dependent_loads_per_elem=2.0,
-                    registers_per_thread=64,
-                ),
-                # Numerics identical to fastpso's swarm update.  The engine
-                # is the first argument, not a closure, so it is freed by
-                # refcount rather than by the cyclic collector.
-                semantics=lambda engine, *args: engine._swarm_numerics(*args),
+            # Fused per-particle update: inline XORWOW draws + Eq. (4)/(2),
+            # numerics identical to fastpso's swarm update.
+            "update": KernelSpec(
+                name="particle_update",
+                flops_per_elem=12.0 + 10.0 * _DRAWS_PER_ELEM,  # rng arith
+                bytes_read_per_elem=3 * _F64 + state_traffic,
+                bytes_written_per_elem=2 * _F64 + state_traffic,
+                dependent_loads_per_elem=2.0,
+                registers_per_thread=64,
             ),
-            "evaluate": Kernel(
-                KernelSpec(
-                    name="particle_evaluate",
-                    flops_per_elem=(
-                        prof.flops_per_elem + prof.reduction_flops_per_elem
-                    )
-                    * d,
-                    sfu_per_elem=prof.sfu_per_elem * d,
-                    bytes_read_per_elem=_F64 * d,
-                    bytes_written_per_elem=_F64,
-                    dependent_loads_per_elem=1.0,
-                    registers_per_thread=48,
-                ),
-                semantics=problem.evaluator.evaluate,
+            "evaluate": KernelSpec(
+                name="particle_evaluate",
+                flops_per_elem=(
+                    prof.flops_per_elem + prof.reduction_flops_per_elem
+                )
+                * d,
+                sfu_per_elem=prof.sfu_per_elem * d,
+                bytes_read_per_elem=_F64 * d,
+                bytes_written_per_elem=_F64,
+                dependent_loads_per_elem=1.0,
+                registers_per_thread=48,
             ),
-            "pbest": Kernel(
-                KernelSpec(
-                    name="particle_pbest",
-                    flops_per_elem=1.0,
-                    bytes_read_per_elem=2 * _F64 + _F64 * d * 0.5,
-                    bytes_written_per_elem=_F64,
-                    registers_per_thread=24,
-                ),
-                semantics=pbest_update,
+            "pbest": KernelSpec(
+                name="particle_pbest",
+                flops_per_elem=1.0,
+                bytes_read_per_elem=2 * _F64 + _F64 * d * 0.5,
+                bytes_written_per_elem=_F64,
+                registers_per_thread=24,
             ),
-            "init": Kernel(
-                KernelSpec(
-                    name="particle_init",
-                    flops_per_elem=10.0 * _DRAWS_PER_ELEM,
-                    bytes_read_per_elem=state_traffic,
-                    bytes_written_per_elem=2 * _F64 + state_traffic,
-                    dependent_loads_per_elem=1.0,
-                    registers_per_thread=48,
-                ),
-                semantics=initialize_swarm,
+            "init": KernelSpec(
+                name="particle_init",
+                flops_per_elem=10.0 * _DRAWS_PER_ELEM,
+                bytes_read_per_elem=state_traffic,
+                bytes_written_per_elem=2 * _F64 + state_traffic,
+                dependent_loads_per_elem=1.0,
+                registers_per_thread=48,
             ),
         }
 
@@ -144,7 +131,25 @@ class GpuParticleEngine(Engine):
             self.ctx.spec, n, threads_per_block=self.threads_per_block
         )
 
-    # -- step hooks -------------------------------------------------------------
+    def _build_live(self, problem: Problem, n: int) -> None:
+        """The run's live accounting: one thread per particle for every
+        kernel, the whole step (iv) as one ``particle_update`` launch."""
+        launcher = self.ctx.launcher
+        d = problem.dim
+        config = self._particle_config(n)
+
+        def launch(key: str, n_elems: int) -> LiveLaunch:
+            return LiveLaunch(launcher, (self._kernels[key], n_elems, config))
+
+        self._live = {
+            "init": launch("init", n * d),
+            "evaluate": launch("evaluate", n),
+            "pbest": launch("pbest", n),
+            "gbest": LiveLaunch(launcher, *self.ctx.reducer.passes(n)),
+            "swarm": launch("update", n * d),
+        }
+
+    # -- step (i) ----------------------------------------------------------------
     def _initialize(
         self, problem: Problem, params: PSOParams, n_particles: int, rng: ParallelRNG
     ) -> SwarmState:
@@ -162,58 +167,9 @@ class GpuParticleEngine(Engine):
             alloc.alloc_like((n,), np.float64),  # pbest values
             alloc.alloc((_CURAND_STATE_BYTES * n)),  # curand states
         ]
-        state = self.ctx.launcher.launch(
-            self._kernels["init"],
-            n * d,
-            problem,
-            n,
-            rng,
-            params.init_strategy,
-            config=self._particle_config(n),
-        )
-        return state
-
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        return self.ctx.launcher.launch(
-            self._kernels["evaluate"],
-            state.n_particles,
-            state.positions,
-            config=self._particle_config(state.n_particles),
-        )
-
-    def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        self.ctx.launcher.launch(
-            self._kernels["pbest"],
-            state.n_particles,
-            state,
-            values,
-            config=self._particle_config(state.n_particles),
-        )
-
-    def _update_gbest(self, state: SwarmState) -> None:
-        idx, val = self.ctx.reducer.argmin(state.pbest_values)
-        if val < state.gbest_value:
-            state.gbest_value = val
-            state.gbest_index = idx
-            state.gbest_position = state.pbest_positions[idx].copy()
-
-    def _update_swarm(
-        self,
-        problem: Problem,
-        params: PSOParams,
-        state: SwarmState,
-        rng: ParallelRNG,
-    ) -> None:
-        self.ctx.launcher.launch(
-            self._kernels["update"],
-            state.n_particles * state.dim,
-            self,
-            problem,
-            self._scheduled_params(params),
-            state,
-            rng,
-            config=self._particle_config(state.n_particles),
-        )
+        self._build_live(problem, n)
+        with self._kernel("init"):
+            return initialize_swarm(problem, n, rng, params.init_strategy)
 
     def _finalize(self, state: SwarmState) -> None:
         spec = self.ctx.spec

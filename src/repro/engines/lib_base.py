@@ -30,12 +30,7 @@ import numpy as np
 from repro.core.engine import Engine
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.core.swarm import (
-    INIT_VELOCITY_FRACTION,
-    SwarmState,
-    gbest_scan,
-    pbest_update,
-)
+from repro.core.swarm import INIT_VELOCITY_FRACTION, SwarmState
 from repro.functions.base import EvalProfile
 from repro.gpusim.costmodel import (
     CpuSpec,
@@ -43,6 +38,7 @@ from repro.gpusim.costmodel import (
     cpu_loop_cost,
     xeon_e5_2640v4,
 )
+from repro.gpusim.graph import LiveCharge
 from repro.gpusim.rng import ParallelRNG
 
 __all__ = ["LibraryEngineBase", "VELOCITY_GUARD"]
@@ -73,39 +69,36 @@ class LibraryEngineBase(Engine):
         self.overhead = PythonOverheadModel()
 
     # -- timing helpers ------------------------------------------------------
-    def _charge_ufuncs(self, n_ops: int, n_elems: int) -> None:
+    def _ufunc_seconds(self, n_ops: int, n_elems: int) -> float:
         """*n_ops* NumPy array operations over *n_elems* float64 elements."""
         traffic = (
             n_ops * n_elems * 2 * _F64 * self.overhead.temp_traffic_factor
         )
         stream = cpu_loop_cost(self.cpu, 1, bytes_per_elem=traffic, threads=1)
-        self.clock.advance(stream.seconds + self.overhead.ufunc_time(n_ops))
+        return stream.seconds + self.overhead.ufunc_time(n_ops)
 
-    def _charge_np_random(self, n_draws: int) -> None:
+    def _np_random_seconds(self, n_draws: int) -> float:
         cycles = n_draws * _NP_RANDOM_CYCLES
-        self.clock.advance(cycles / (self.cpu.clock_ghz * 1e9))
+        return cycles / (self.cpu.clock_ghz * 1e9)
 
-    def _charge_eval(self, n: int, d: int, prof: EvalProfile) -> None:
+    def _eval_seconds(self, n: int, d: int, prof: EvalProfile) -> tuple:
+        trans = cpu_loop_cost(
+            self.cpu, n * d, transcendental_per_elem=prof.sfu_per_elem, threads=1
+        )
         if self.eval_strategy == "vectorized":
             # One fused pass per transcendental-ish term + reduce, as ufuncs.
             n_ops = 3 + int(round(2 * prof.sfu_per_elem))
-            self._charge_ufuncs(n_ops, n * d)
-            trans = cpu_loop_cost(
-                self.cpu, n * d, transcendental_per_elem=prof.sfu_per_elem, threads=1
-            )
-            self.clock.advance(trans.seconds)
-        else:
-            # Per-particle Python loop: one interpreted call plus several
-            # small-array NumPy ops per particle.  Transcendental-heavy
-            # objectives issue proportionally more small ops, which is why
-            # scikit-opt's Griewank run costs ~2x its Sphere run (Table 1).
-            per_particle_ufuncs = 2 + int(round(6 * prof.sfu_per_elem))
-            self.clock.advance(self.overhead.call_time(n))
-            self.clock.advance(n * per_particle_ufuncs * self.overhead.per_small_ufunc)
-            trans = cpu_loop_cost(
-                self.cpu, n * d, transcendental_per_elem=prof.sfu_per_elem, threads=1
-            )
-            self.clock.advance(trans.seconds)
+            return (self._ufunc_seconds(n_ops, n * d), trans.seconds)
+        # Per-particle Python loop: one interpreted call plus several
+        # small-array NumPy ops per particle.  Transcendental-heavy
+        # objectives issue proportionally more small ops, which is why
+        # scikit-opt's Griewank run costs ~2x its Sphere run (Table 1).
+        per_particle_ufuncs = 2 + int(round(6 * prof.sfu_per_elem))
+        return (
+            self.overhead.call_time(n),
+            n * per_particle_ufuncs * self.overhead.per_small_ufunc,
+            trans.seconds,
+        )
 
     # -- numerics -----------------------------------------------------------
     def _initialize(
@@ -120,8 +113,26 @@ class LibraryEngineBase(Engine):
             * width
             * rng.uniform((n, d), -1.0, 1.0, dtype=np.float64)
         )
-        self._charge_np_random(2 * n * d)
-        self._charge_ufuncs(6, n * d)
+        self.clock.advance(self._np_random_seconds(2 * n * d))
+        self.clock.advance(self._ufunc_seconds(6, n * d))
+        clock = self.clock
+        self._live = {
+            "evaluate": LiveCharge(
+                clock,
+                after=self._eval_seconds(n, d, problem.evaluator.profile()),
+            ),
+            "pbest": LiveCharge(clock, after=(self._ufunc_seconds(4, n),)),
+            "gbest": LiveCharge(clock, after=(self._ufunc_seconds(2, n),)),
+            "swarm": LiveCharge(
+                clock,
+                after=(
+                    self._np_random_seconds(2 * n * d),
+                    self._ufunc_seconds(
+                        self.update_ufunc_ops + self.overhead_ufunc_ops, n * d
+                    ),
+                ),
+            ),
+        }
         return SwarmState(
             positions=positions,
             velocities=velocities,
@@ -130,27 +141,18 @@ class LibraryEngineBase(Engine):
             gbest_position=np.zeros(d),
         )
 
-    def _evaluate(self, problem: Problem, state: SwarmState) -> np.ndarray:
-        values = problem.evaluator.evaluate(state.positions)
-        self._charge_eval(
-            state.n_particles, state.dim, problem.evaluator.profile()
-        )
-        return values
+    def _scheduled_params(self, params: PSOParams) -> PSOParams:
+        # The libraries' update has no inertia schedule, as it has no
+        # velocity clamp: step (iv) below reads the raw parameters.
+        return params
 
-    def _update_pbest(self, state: SwarmState, values: np.ndarray) -> None:
-        pbest_update(state, values)
-        self._charge_ufuncs(4, state.n_particles)
-
-    def _update_gbest(self, state: SwarmState) -> None:
-        gbest_scan(state)
-        self._charge_ufuncs(2, state.n_particles)
-
-    def _update_swarm(
+    def _swarm_numerics(
         self,
         problem: Problem,
         params: PSOParams,
         state: SwarmState,
         rng: ParallelRNG,
+        kernel,
     ) -> None:
         n, d = state.n_particles, state.dim
         l_mat = rng.uniform((n, d), 0.0, 1.0, dtype=np.float64)
@@ -167,8 +169,3 @@ class LibraryEngineBase(Engine):
         p += v
         if self.clip_positions:
             np.clip(p, problem.lower_bounds, problem.upper_bounds, out=p)
-
-        self._charge_np_random(2 * n * d)
-        self._charge_ufuncs(
-            self.update_ufunc_ops + self.overhead_ufunc_ops, n * d
-        )

@@ -11,10 +11,11 @@ end-to-end time is the *slowest device's* timeline plus the exchange costs
 — the asynchronous behaviour the paper describes as the advantage of this
 strategy over the per-iteration-synchronised tile-matrix approach.
 
-This engine overrides :meth:`optimize` rather than the step hooks because
-it owns several device timelines; the per-device steps are the unmodified
-:class:`FastPSOEngine` hooks, so numerics per sub-swarm are identical to
-single-GPU FastPSO.
+This engine overrides :meth:`optimize` rather than running one body
+because it owns several device timelines; each device runs the unmodified
+:class:`FastPSOEngine` iteration (:func:`repro.gpusim.graph.iteration_body`
+through its own :class:`~repro.gpusim.graph.IterationRunner`), so numerics
+per sub-swarm are identical to single-GPU FastPSO.
 """
 
 from __future__ import annotations
@@ -116,11 +117,9 @@ class MultiGpuFastPSOEngine(Engine):
             return "record-launches"
         return None
 
-    # -- the hooks are unused; the loop below drives the workers directly --
+    # -- step (i) is unused; the loop below drives the workers directly --
     def _initialize(self, *a, **k):  # pragma: no cover - not reachable
         raise NotImplementedError
-
-    _evaluate = _update_pbest = _update_gbest = _update_swarm = _initialize
 
     def optimize(
         self,

@@ -162,11 +162,11 @@ class GraphReplayError(GpuSimError):
     """A launch-graph replay diverged from its captured iteration.
 
     Raised when the first replayed iteration, or a fused round, consumes a
-    different number of Philox blocks than capture recorded.  This
-    indicates a bug in an engine's replay numerics (its
-    ``_swarm_numerics`` out of sync with its eager step), never a
-    data-dependent condition — those fall back to eager execution during
-    validation instead of raising.
+    different number of Philox blocks than capture recorded.  Live and
+    flat accounting run one iteration body, so this indicates a bug in an
+    engine's step (iv) (a ``_swarm_numerics`` whose draws depend on the
+    accounting mode), never a data-dependent condition — those fall back
+    to eager execution during validation instead of raising.
     """
 
 

@@ -3,10 +3,11 @@
 This package stands in for the CUDA runtime and a Tesla V100: device specs,
 global/shared memory, a caching allocator, kernel launches with occupancy
 and roofline timing, counter-based parallel RNG, parallel reductions, tensor
-cores, streams and multi-GPU coordination.  Kernel *semantics* execute for
-real (NumPy); kernel *timing* comes from the analytic models in
-:mod:`repro.gpusim.costmodel`, so optimization results are genuine while
-elapsed times reproduce the paper's hardware behaviour.
+cores, streams and multi-GPU coordination.  A kernel is a cost profile: the
+numerics it stands for execute for real (NumPy, in the engines' one
+iteration body, :mod:`repro.gpusim.graph`); kernel *timing* comes from the
+analytic models in :mod:`repro.gpusim.costmodel`, so optimization results
+are genuine while elapsed times reproduce the paper's hardware behaviour.
 """
 
 from repro.gpusim.alloc import (
@@ -39,7 +40,7 @@ from repro.gpusim.hostcache import (
     clear_all_caches,
     set_enabled,
 )
-from repro.gpusim.kernel import Kernel, KernelSpec, LaunchConfig
+from repro.gpusim.kernel import KernelSpec, LaunchConfig
 from repro.gpusim.launch import (
     Launcher,
     LaunchRecord,
@@ -88,7 +89,6 @@ __all__ = [
     "laptop_gpu",
     "tesla_a100",
     "tesla_v100",
-    "Kernel",
     "KernelSpec",
     "LaunchConfig",
     "Launcher",

@@ -12,9 +12,7 @@ profiler handle through every call site.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = ["SimClock"]
 
@@ -38,6 +36,9 @@ class SimClock:
     _trace: "list[tuple[str | None, float, bool]] | None" = field(
         default=None, repr=False
     )
+    # label -> its reusable section context manager (stateless, so nesting
+    # the same label is fine).
+    _sections: dict = field(default_factory=dict, repr=False, compare=False)
 
     def advance(self, seconds: float) -> float:
         """Advance simulated time by *seconds* (must be non-negative).
@@ -94,20 +95,17 @@ class SimClock:
         """Label of the innermost active section, or ``None`` outside any."""
         return self._stack[-1] if self._stack else None
 
-    @contextmanager
-    def section(self, label: str) -> Iterator[None]:
+    def section(self, label: str) -> "_Section":
         """Attribute clock advances inside the ``with`` body to *label*.
 
         Sections nest; time is charged to the innermost label only, so a
         parent section's total excludes its children (the harness sums them
         explicitly when it wants inclusive totals).
         """
-        self._stack.append(label)
-        try:
-            yield
-        finally:
-            popped = self._stack.pop()
-            assert popped == label, "section stack corrupted"
+        entered = self._sections.get(label)
+        if entered is None:
+            entered = self._sections[label] = _Section(self._stack, label)
+        return entered
 
     def reset(self) -> None:
         """Zero the clock and drop all section totals."""
@@ -119,3 +117,23 @@ class SimClock:
     def total(self, label: str) -> float:
         """Total seconds attributed to *label* (0.0 if never entered)."""
         return self.section_totals.get(label, 0.0)
+
+
+class _Section:
+    """The context manager of :meth:`SimClock.section` (a plain class: the
+    eager iteration enters four sections, and a generator-based context
+    manager costs several times more per entry)."""
+
+    __slots__ = ("stack", "label")
+
+    def __init__(self, stack: list, label: str) -> None:
+        self.stack = stack
+        self.label = label
+
+    def __enter__(self) -> None:
+        self.stack.append(self.label)
+
+    def __exit__(self, *exc) -> bool:
+        popped = self.stack.pop()
+        assert popped == self.label, "section stack corrupted"
+        return False

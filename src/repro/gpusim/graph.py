@@ -9,6 +9,16 @@ numerics plus one flat charge of the captured accounting — no kernel dict
 lookups, no spec hashing, no config resolution, no per-launch clock or
 profiler updates.
 
+Every tier runs one iteration body, :func:`iteration_body`: the objective,
+the shared :mod:`repro.core.swarm` pbest claim and gbest scan, then the
+engine's step (iv) (:meth:`~repro.core.engine.Engine._swarm_numerics`).
+Only its accounting differs.  *Live* accounting (warmup, capture, validate
+and every eager run) enters the four clock sections and wraps each
+kernel's numerics in the engine's cost profile: the fault hook before,
+the charge after, in the eager launch order.  *Flat* accounting (the
+Python replay and fused rounds) runs the numerics bare and then charges
+the captured iteration in one :meth:`LaunchGraph.charge`.
+
 The lifecycle, driven by :class:`IterationRunner`:
 
 ``warmup``
@@ -32,13 +42,10 @@ The lifecycle, driven by :class:`IterationRunner`:
     ``live_buffers`` or ``memory.used_bytes`` on net
     (``allocator-net-change``), is not a steady state and stays eager.
 ``replay``
-    Every further iteration is the objective evaluation followed by
-    :func:`replay_tail`: the shared :mod:`repro.core.swarm` pbest claim and
-    gbest scan, the engine's step (iv) without charges
-    (:meth:`~repro.core.engine.Engine._swarm_numerics`), then the captured
-    accounting in one :meth:`LaunchGraph.charge`.  There is no per-engine
-    replay plan whose charges could drift from eager: the charges *are*
-    the capture.  The first replay checks that the iteration consumed
+    Every further iteration is :func:`iteration_body` with flat
+    accounting.  There is no per-engine replay plan whose charges could
+    drift from eager: the numerics are the same calls, and the charges
+    *are* the capture.  The first replay checks that the iteration consumed
     exactly the captured number of Philox blocks
     (:class:`~repro.errors.GraphReplayError` on divergence — that would be
     a repro bug, not a user condition).
@@ -61,7 +68,8 @@ The lifecycle, driven by :class:`IterationRunner`:
 Every fast tier — the Python replay, the native step and the fused
 multi-swarm loop — is numerics plus one flat :meth:`LaunchGraph.charge`.
 A fused round is one stacked evaluation plus each member's
-:func:`replay_tail`, the same call a solo replay makes after it evaluates.
+:func:`iteration_body` on its row block of the values, the same call a solo
+replay makes.
 Simulated time stays bit-identical because the charge adds the captured
 charge sequence in captured order, the *same sequence of float additions*
 the eager iteration made (allocator pool hits and driver calls are traced
@@ -105,7 +113,9 @@ __all__ = [
     "CapturedLaunch",
     "LaunchGraph",
     "IterationRunner",
-    "replay_tail",
+    "LiveCharge",
+    "LiveLaunch",
+    "iteration_body",
     "traced_capture",
 ]
 
@@ -288,35 +298,135 @@ def traced_capture(
     return graph
 
 
-def replay_tail(engine, graph, problem, params, state, rng, values) -> None:
-    """Everything a replayed iteration does after its evaluation: steps
-    (ii)-(iv) on *values*, then the captured accounting in one
-    :meth:`LaunchGraph.charge`.
+class _Flat:
+    """Flat accounting around a kernel or section: nothing happens."""
 
-    Steps (ii)-(iii) are the shared :mod:`repro.core.swarm` numerics every
-    engine's eager hooks run (the GPU reduction is tested to agree exactly
-    with :func:`gbest_scan`); step (iv) is the engine's own
-    :meth:`~repro.core.engine.Engine._swarm_numerics`.  The only
-    data-dependent charge, the pbest-position copy, is the graph's dynamic
-    slot.  :meth:`IterationRunner._replay` and every member of a fused
-    multi-swarm round (:mod:`repro.batch.fused`, whose evaluation is
-    stacked) run this one body.
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+_FLAT = _Flat()
+
+
+def _flat(_key: str) -> _Flat:
+    """The flat-mode accounting hook: every kernel and section is a no-op;
+    the iteration's charges come from :meth:`LaunchGraph.charge`."""
+    return _FLAT
+
+
+class LiveLaunch:
+    """Live accounting of a kernel's launches around its numerics.
+
+    Each of *launches* is ``(spec, n_elems, config)``.  Entering runs
+    the first launch's fault hook, so an injected fault fires before the
+    numerics; a clean exit charges it and then launches the rest (the
+    gbest reduction's second pass).  A raising body charges nothing, so
+    ``clock.now`` after a failed kernel is what the eager launch path has
+    always left there.
     """
-    improved = int(np.count_nonzero(pbest_update(state, values)))
-    gbest_scan(state)
-    engine._swarm_numerics(
-        problem, engine._scheduled_params(params), state, rng
-    )
+
+    __slots__ = ("launcher", "launches")
+
+    def __init__(self, launcher, *launches: tuple) -> None:
+        self.launcher = launcher
+        self.launches = launches
+
+    def __enter__(self) -> None:
+        self.launcher.hook(self.launches[0][0].name)
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            launcher, launches = self.launcher, self.launches
+            spec, n_elems, config = launches[0]
+            launcher.charge(spec, n_elems, config=config)
+            for spec, n_elems, config in launches[1:]:
+                launcher.launch(spec, n_elems, config=config)
+        return False
+
+
+class LiveCharge:
+    """Live accounting of host-side work: clock charges before and after
+    the numerics (``before`` on entry, ``after`` on a clean exit), each its
+    own :meth:`~repro.gpusim.clock.SimClock.advance` in order."""
+
+    __slots__ = ("clock", "before", "after")
+
+    def __init__(self, clock, before: tuple = (), after: tuple = ()) -> None:
+        self.clock = clock
+        self.before = before
+        self.after = after
+
+    def __enter__(self) -> None:
+        for seconds in self.before:
+            self.clock.advance(seconds)
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            for seconds in self.after:
+                self.clock.advance(seconds)
+        return False
+
+
+def iteration_body(
+    engine, problem, params, state, rng, graph=None, values=None
+) -> None:
+    """One PSO iteration: objective → pbest claim → gbest scan → step (iv).
+
+    The one body every tier runs (the native step aside, which is
+    verified against it).  The numerics are the shared
+    :mod:`repro.core.swarm` calls plus the engine's
+    :meth:`~repro.core.engine.Engine._swarm_numerics`; only the accounting
+    differs between the two modes:
+
+    * *live* (``graph is None``: eager, warmup, capture, validate) — the
+      four clock sections, and the engine's ``_kernel(key)`` context around
+      each kernel's numerics: its fault hook before them, its charge after,
+      in the eager launch order.  The pbest-position copy is charged in the
+      pbest section by ``_charge_pbest_copy``.
+    * *flat* (a captured *graph*: Python replay, fused rounds) — no
+      accounting while the numerics run, then the captured charges in one
+      :meth:`LaunchGraph.charge`, with ``_charge_pbest_copy`` in its
+      dynamic slot.
+
+    *values* is the objective's output when the caller already evaluated
+    (a fused round's stacked evaluation); otherwise the body evaluates.
+    """
+    live = graph is None
+    kernel = engine._kernel if live else _flat
+    section = engine.clock.section if live else _flat
     d = state.dim
-    graph.charge(engine.clock, lambda: engine._charge_pbest_copy(improved, d))
+    with section("eval"):
+        if values is None:
+            with kernel("evaluate"):
+                values = problem.evaluator.evaluate(state.positions)
+    with section("pbest"):
+        with kernel("pbest"):
+            improved = int(np.count_nonzero(pbest_update(state, values)))
+        if live:
+            engine._charge_pbest_copy(improved, d)
+    with section("gbest"), kernel("gbest"):
+        gbest_scan(state)
+    with section("swarm"), kernel("swarm"):
+        engine._swarm_numerics(
+            problem, engine._scheduled_params(params), state, rng, kernel
+        )
+    if not live:
+        graph.charge(
+            engine.clock, lambda: engine._charge_pbest_copy(improved, d)
+        )
 
 
 class IterationRunner:
     """Drives one engine's iterations through the capture/replay lifecycle.
 
     Built once per ``optimize()`` call (and per worker, for multi-GPU).
-    :meth:`run_iteration` runs the eager four-section body, the replay
-    (numerics plus the captured charges) or the native step;
+    :meth:`run_iteration` runs :func:`iteration_body` with live or flat
+    accounting, or the native step;
     :meth:`finalize` reconciles profiler statistics.
     The runner publishes its state on ``engine.graph_info`` for tests and
     diagnostics.
@@ -376,26 +486,16 @@ class IterationRunner:
         }
         engine.graph_info = self.info
 
-    # -- the eager body ------------------------------------------------------
+    # -- the two accounting modes of the one body ----------------------------
     def _run_eager(self) -> None:
-        engine, clock = self.engine, self.engine.clock
-        with clock.section("eval"):
-            values = engine._evaluate(self.problem, self.state)
-        with clock.section("pbest"):
-            engine._update_pbest(self.state, values)
-        with clock.section("gbest"):
-            engine._update_gbest(self.state)
-        with clock.section("swarm"):
-            engine._update_swarm(self.problem, self.params, self.state, self.rng)
+        self.engine._eager_iteration(
+            self.problem, self.params, self.state, self.rng
+        )
 
-    # -- the replay body -----------------------------------------------------
     def _replay(self) -> None:
-        """One replayed iteration: the objective on the run's positions,
-        then :func:`replay_tail`."""
-        state = self.state
-        replay_tail(
-            self.engine, self.graph, self.problem, self.params, state,
-            self.rng, self.problem.evaluator.evaluate(state.positions),
+        iteration_body(
+            self.engine, self.problem, self.params, self.state, self.rng,
+            self.graph,
         )
 
     # -- lifecycle -----------------------------------------------------------

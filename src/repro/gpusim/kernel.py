@@ -1,14 +1,14 @@
-"""Kernel abstraction: an instruction/byte mix plus NumPy semantics.
+"""Kernel abstraction: a cost profile, an instruction/byte mix plus geometry.
 
-A simulated kernel has two halves:
-
-* a :class:`KernelSpec` describing its per-element resource demands — FLOPs,
-  bytes read/written, special-function (transcendental) ops, dependent global
-  loads, register and shared-memory footprint, and whether its global-memory
-  accesses coalesce.  The cost model consumes only the spec.
-* a ``semantics`` callable that performs the actual array computation with
-  NumPy when the kernel is launched, so optimization results are genuinely
-  computed rather than modelled.
+A simulated kernel is a :class:`KernelSpec` describing its per-element
+resource demands — FLOPs, bytes read/written, special-function
+(transcendental) ops, dependent global loads, register and shared-memory
+footprint, and whether its global-memory accesses coalesce — launched with a
+:class:`LaunchConfig`.  The cost model consumes only these.  The array
+computation a kernel stands for is not part of it: engines run the shared
+:mod:`repro.core.swarm` numerics themselves, between the launcher's fault
+hook and its charge (:mod:`repro.gpusim.launch`), so optimization results
+are genuinely computed rather than modelled.
 
 This mirrors how the paper reasons about its kernels: the element-wise
 swarm-update kernel is characterised by its arithmetic intensity and access
@@ -18,12 +18,11 @@ pattern, independent of the PSO mathematics it encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from repro.errors import InvalidLaunchError
 from repro.gpusim.device import DeviceSpec
 
-__all__ = ["KernelSpec", "Kernel", "LaunchConfig"]
+__all__ = ["KernelSpec", "LaunchConfig"]
 
 
 @dataclass(frozen=True)
@@ -178,26 +177,3 @@ class LaunchConfig:
         if n_elems <= 0:
             return 0
         return -(-n_elems // self.total_threads)
-
-
-class Kernel:
-    """A launchable kernel: spec + NumPy semantics.
-
-    ``semantics`` receives whatever positional/keyword arguments the caller
-    passes to :meth:`repro.gpusim.launch.Launcher.launch` and mutates device
-    buffers in place (or returns derived arrays).  The cost model never sees
-    the semantics; the semantics never see the clock.
-    """
-
-    def __init__(self, spec: KernelSpec, semantics: Callable[..., object]) -> None:
-        if not callable(semantics):
-            raise TypeError("kernel semantics must be callable")
-        self.spec = spec
-        self.semantics = semantics
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Kernel({self.spec.name!r})"

@@ -8,6 +8,13 @@ paper's Eq. 3), realised as a grid-stride loop.  Baseline engines instead use
 item regardless of device capacity — the behaviour the paper identifies as
 wasteful for large problems and starving for small ones.
 
+A kernel here is a cost profile (:class:`~repro.gpusim.kernel.KernelSpec`
+plus geometry); its numerics belong to the caller.  :class:`Launcher`
+accounts one launch in two calls, :meth:`Launcher.hook` (the fault
+injector) before the numerics and :meth:`Launcher.charge` (clock, profile,
+launch log, graph capture) after them; :meth:`Launcher.launch` is the two
+back to back.
+
 Host fast path: launch geometry and modelled cost are pure functions of
 ``(device, kernel spec, config, n_elems, cost params)``, all immutable, so a
 steady-state PSO run recomputes nothing after its first iteration — the
@@ -35,7 +42,7 @@ from repro.gpusim.costmodel import (
 )
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.hostcache import memoized
-from repro.gpusim.kernel import Kernel, KernelSpec, LaunchConfig
+from repro.gpusim.kernel import KernelSpec, LaunchConfig
 
 __all__ = [
     "resource_aware_config",
@@ -163,7 +170,7 @@ class LaunchStats:
     def add_many(self, cost: KernelCost, n_elems: int, count: int) -> None:
         """Fold *count* identical launches in one update.
 
-        Used by launch-graph replay, which executes a launch's semantics
+        Used by launch-graph replay, which runs a launch's numerics
         ``count`` times without touching the stats and reconciles the
         profile here when the graph is flushed.
         """
@@ -184,10 +191,11 @@ class LaunchStats:
 
 @dataclass
 class Launcher:
-    """Executes kernels on a simulated device: semantics + clock + profile.
+    """Accounts kernels on a simulated device: fault hook + clock + profile.
 
     The launcher is the single choke point where simulated time advances for
-    kernels.  By default it keeps only aggregated :class:`LaunchStats`
+    kernels; their numerics run in the caller, between :meth:`hook` and
+    :meth:`charge`.  By default it keeps only aggregated :class:`LaunchStats`
     (memory O(distinct kernels)); construct with ``record_launches=True`` to
     additionally retain the full per-launch :class:`LaunchRecord` log that
     the Figure 5 / Table 3 experiment paths consume.
@@ -200,8 +208,9 @@ class Launcher:
     record_launches: bool = False
     stats: dict[tuple[str, str | None], LaunchStats] = field(default_factory=dict)
     # (kernel spec, explicit config or None, n_elems) -> (config, cost).
-    # Engine kernels are long-lived objects, so steady-state launches hit
-    # this table on an identity-shortcut dict lookup and recompute nothing.
+    # Engine kernel specs are long-lived objects, so steady-state launches
+    # hit this table on an identity-shortcut dict lookup and recompute
+    # nothing.
     _launch_cache: dict = field(default_factory=dict, repr=False)
     #: Optional :class:`repro.reliability.faults.FaultInjector` consulted
     #: before every launch (may raise injected errors or stall the stream).
@@ -212,90 +221,52 @@ class Launcher:
     #: for exactly one iteration, then detaches it.
     capture: "list | None" = field(default=None, repr=False)
 
-    def launch(
-        self,
-        kernel: Kernel,
-        n_elems: int,
-        *args: object,
-        config: LaunchConfig | None = None,
-        **kwargs: object,
-    ) -> object:
-        """Run *kernel* over *n_elems* elements and charge its modelled time.
+    def hook(self, kernel_name: str) -> None:
+        """The fault hook that precedes a kernel's numerics.
 
-        Returns whatever the kernel's semantics callable returns.  If
-        *config* is omitted the resource-aware geometry is used.
+        Consults the attached fault injector (which may raise an injected
+        error) and charges any stream stall it returns to the current clock
+        section — deliberately *not* to :class:`LaunchStats`: the kernel
+        itself runs at its modelled speed.
         """
         if self.fault_injector is not None:
-            stall = self.fault_injector.on_launch(kernel.spec.name)
+            stall = self.fault_injector.on_launch(kernel_name)
             if stall:
-                # A stream stall: extra latency attributed to the current
-                # clock section, deliberately *not* to LaunchStats — the
-                # kernel itself ran at its modelled speed.
                 self.clock.advance(stall)
-        key = (kernel.spec, config, n_elems)
-        cached = (
-            self._launch_cache.get(key) if hostcache.cache_enabled() else None
-        )
-        if cached is not None:
-            config, cost = cached
-            result = kernel.semantics(*args, **kwargs)
-        else:
-            if config is None:
-                config = resource_aware_config(
-                    self.spec, max(1, n_elems), kernel_spec=kernel.spec
-                )
-            config.validate(self.spec, kernel.spec.shared_mem_per_block)
 
-            result = kernel.semantics(*args, **kwargs)
-
-            cost = kernel_cost(
-                self.spec, kernel.spec, config, n_elems, self.cost_params
-            )
-            if hostcache.cache_enabled():
-                self._launch_cache[key] = (config, cost)
-
-        section = self.clock.current_section
-        if self.capture is not None:
-            self.capture.append(
-                (kernel.spec.name, section, n_elems, config, cost)
-            )
-        self.clock.advance(cost.seconds)
-        stats_key = (kernel.spec.name, section)
-        bucket = self.stats.get(stats_key)
-        if bucket is None:
-            bucket = LaunchStats(kernel_name=kernel.spec.name, section=section)
-            self.stats[stats_key] = bucket
-        bucket.add(cost, n_elems)
-        if self.record_launches:
-            self.records.append(
-                LaunchRecord(
-                    kernel_name=kernel.name,
-                    n_elems=n_elems,
-                    config=config,
-                    cost=cost,
-                    section=section,
-                )
-            )
-        return result
+    def launch(
+        self,
+        spec: KernelSpec,
+        n_elems: int,
+        *,
+        config: LaunchConfig | None = None,
+    ) -> KernelCost:
+        """Launch a kernel over *n_elems* elements: :meth:`hook` then
+        :meth:`charge`.  The kernel's numerics are the caller's; an engine
+        that runs them between the two calls uses
+        :class:`~repro.gpusim.graph.LiveLaunch`.  If *config* is omitted the
+        resource-aware geometry is used."""
+        self.hook(spec.name)
+        return self.charge(spec, n_elems, config=config)
 
     def charge(
         self,
-        kernel: Kernel,
+        spec: KernelSpec,
         n_elems: int,
         *,
         config: LaunchConfig | None = None,
         dynamic: bool = False,
     ) -> KernelCost:
-        """Charge a kernel's modelled time without dispatching it.
+        """Charge a kernel's modelled time: the one accounting path.
 
-        For work whose *semantics* already happened as a side effect of an
-        earlier kernel (the pbest-position copy lives inside
-        ``pbest_update``): same cost model, same clock accounting, same
-        profiling rows as :meth:`launch`, but no semantics callable, no
-        fault hook and no per-launch dispatch overhead.  ``dynamic=True``
-        marks the clock charge as data-dependent for launch-graph capture.
+        Advances the clock in the current section, adds the profile row,
+        appends to the opt-in launch log and, while launch-graph capture is
+        attached, to its sink.  ``dynamic=True`` marks a data-dependent
+        charge (the pbest-position copy, whose size is the number of
+        improved particles): the clock traces it as a dynamic slot and the
+        capture sink skips it, since a replay charges it live.
         """
-        key = (kernel.spec, config, n_elems)
+        key = (spec, config, n_elems)
         cached = (
             self._launch_cache.get(key) if hostcache.cache_enabled() else None
         )
@@ -304,29 +275,29 @@ class Launcher:
         else:
             if config is None:
                 config = resource_aware_config(
-                    self.spec, max(1, n_elems), kernel_spec=kernel.spec
+                    self.spec, max(1, n_elems), kernel_spec=spec
                 )
-            config.validate(self.spec, kernel.spec.shared_mem_per_block)
-            cost = kernel_cost(
-                self.spec, kernel.spec, config, n_elems, self.cost_params
-            )
+            config.validate(self.spec, spec.shared_mem_per_block)
+            cost = kernel_cost(self.spec, spec, config, n_elems, self.cost_params)
             if hostcache.cache_enabled():
                 self._launch_cache[key] = (config, cost)
         section = self.clock.current_section
         if dynamic:
             self.clock.advance_dynamic(cost.seconds)
         else:
+            if self.capture is not None:
+                self.capture.append((spec.name, section, n_elems, config, cost))
             self.clock.advance(cost.seconds)
-        stats_key = (kernel.spec.name, section)
+        stats_key = (spec.name, section)
         bucket = self.stats.get(stats_key)
         if bucket is None:
-            bucket = LaunchStats(kernel_name=kernel.spec.name, section=section)
+            bucket = LaunchStats(kernel_name=spec.name, section=section)
             self.stats[stats_key] = bucket
         bucket.add(cost, n_elems)
         if self.record_launches:
             self.records.append(
                 LaunchRecord(
-                    kernel_name=kernel.name,
+                    kernel_name=spec.name,
                     n_elems=n_elems,
                     config=config,
                     cost=cost,

@@ -11,7 +11,7 @@ are modelled faithfully:
   element-wise products in Eq. (4) therefore carry ~1e-3 relative rounding,
   which is why fastpso's Table 2 errors match but do not beat the fp32
   baselines.  :func:`fragment_multiply_add` implements this and is what the
-  tensor-core backend's kernel semantics call.  When the native fast-path
+  tensor-core backend's velocity kernel calls.  When the native fast-path
   library is loaded (:func:`repro.gpusim.fastpath.load`) and the operands
   are C-contiguous float32, the product runs as one C call
   (``fp16_product`` in ``_fastpath.c``, F16C conversions where the CPU has

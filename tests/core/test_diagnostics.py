@@ -94,14 +94,10 @@ class TestDiagnose:
         initial = position_diversity(state)
         engine.optimize(sphere10, n_particles=64, max_iter=1, params=params)
         # Run a full optimization and inspect the final state via a fresh
-        # engine that exposes it: drive the hooks manually.
-        engine2 = FastPSOEngine()
-        rng2 = ParallelRNG(params.seed)
-        state2 = engine2._initialize(sphere10, params, 64, rng2)
+        # engine that exposes it: step the run manually.
+        run = FastPSOEngine().start_run(
+            sphere10, n_particles=64, max_iter=200, params=params
+        )
         for t in range(200):
-            engine2._progress = t / 199
-            values = engine2._evaluate(sphere10, state2)
-            engine2._update_pbest(state2, values)
-            engine2._update_gbest(state2)
-            engine2._update_swarm(sphere10, params, state2, rng2)
-        assert position_diversity(state2) < initial
+            run.step(t)
+        assert position_diversity(run.state) < initial

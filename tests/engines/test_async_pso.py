@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.engines import AsyncFastPSOEngine, FastPSOEngine
+from repro.engines import AsyncFastPSOEngine, FastPSOEngine, make_engine
 from repro.errors import InvalidParameterError
+from repro.reliability import FaultInjector
 
 
 @pytest.fixture
@@ -28,6 +29,23 @@ class TestConstruction:
             AsyncFastPSOEngine(n_chunks=0)
         with pytest.raises(InvalidParameterError, match="global"):
             AsyncFastPSOEngine(backend="shared")
+
+    def test_fuse_update_refused(self):
+        """The schedule launches separate velocity and position kernels per
+        chunk; a fused-update request used to be accepted and ignored."""
+        with pytest.raises(InvalidParameterError, match="fuse_update"):
+            make_engine("fastpso-async", fuse_update=True)
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"caching": False}, "fastpso-async4-nocache"),
+            ({"half_storage": True}, "fastpso-async4-fp16"),
+            ({"caching": False, "half_storage": True}, "fastpso-async4-nocache-fp16"),
+        ],
+    )
+    def test_name_keeps_option_suffixes(self, options, name):
+        assert make_engine("fastpso-async", **options).name == name
 
     def test_chunk_slices_partition_exactly(self):
         engine = AsyncFastPSOEngine(n_chunks=3)
@@ -119,3 +137,28 @@ class TestAsyncBehaviour:
         engine = AsyncFastPSOEngine(n_chunks=4)
         engine.optimize(problem, n_particles=60, max_iter=10, params=params)
         assert engine.ctx.allocator.live_buffers == 0
+
+    def test_pbest_copy_is_a_dynamic_charge(self, problem, params):
+        """The pbest-position copy is charged like fastpso's: profiled, but
+        never a launch that consumes a fault-injector ordinal, so the
+        ordinal of every later launch is independent of how many chunks
+        improved."""
+        hooked = []
+
+        class Recorder(FaultInjector):
+            def on_launch(self, kernel_name):
+                hooked.append(kernel_name)
+                return super().on_launch(kernel_name)
+
+        engine = AsyncFastPSOEngine(n_chunks=4, record_launches=True)
+        engine.attach_fault_injector(Recorder())
+        engine.optimize(problem, n_particles=32, max_iter=3, params=params)
+        assert "pbest_position_copy" not in hooked
+        copies = [
+            r
+            for r in engine.ctx.launcher.records
+            if r.kernel_name == "pbest_position_copy"
+        ]
+        assert copies and all(r.section == "swarm" for r in copies)
+        # init + 3 iterations x (weights + 4 chunks x 6 kernels)
+        assert len(hooked) == 1 + 3 * (1 + 4 * 6)

@@ -7,7 +7,7 @@ from repro.errors import DeviceOutOfMemoryError
 from repro.gpusim.alloc import CachingAllocator, DirectAllocator
 from repro.gpusim.context import make_context
 from repro.gpusim.device import laptop_gpu
-from repro.gpusim.kernel import Kernel, KernelSpec
+from repro.gpusim.kernel import KernelSpec
 
 
 class TestMakeContext:
@@ -27,7 +27,7 @@ class TestMakeContext:
         buf = ctx.alloc_matrix(100, 10)
         t_alloc = ctx.now
         assert t_alloc > 0
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         ctx.launcher.launch(k, 1000)
         assert ctx.now > t_alloc
         ctx.transfers.htod(buf, np.zeros((100, 10), np.float32))
@@ -52,13 +52,13 @@ class TestMakeContext:
         assert not np.array_equal(a, b)
 
     def test_profile_report_reflects_launches(self, ctx):
-        k = Kernel(KernelSpec(name="probe"), semantics=lambda: None)
+        k = KernelSpec(name="probe")
         ctx.launcher.launch(k, 1000)
         report = ctx.profile_report()
         assert "probe" in report.kernels
 
     def test_reset_timeline(self, ctx):
-        k = Kernel(KernelSpec(name="probe"), semantics=lambda: None)
+        k = KernelSpec(name="probe")
         ctx.launcher.launch(k, 1000)
         ctx.reset_timeline()
         assert ctx.now == 0.0

@@ -19,7 +19,7 @@ from repro.gpusim.costmodel import (
     kernel_cost,
 )
 from repro.gpusim.device import tesla_a100, tesla_v100
-from repro.gpusim.kernel import Kernel, KernelSpec, LaunchConfig
+from repro.gpusim.kernel import KernelSpec, LaunchConfig
 from repro.gpusim.launch import Launcher, resource_aware_config
 from repro.gpusim.occupancy import occupancy
 from repro.gpusim.profiler import build_report, build_report_from_stats
@@ -147,7 +147,7 @@ class TestHashability:
 
 class TestLauncherMemory:
     def _launch_many(self, launcher, n_launches):
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         for _ in range(n_launches):
             launcher.launch(k, 1000)
 
@@ -161,7 +161,7 @@ class TestLauncherMemory:
 
     def test_stats_track_sections(self, v100):
         launcher = Launcher(spec=v100, clock=SimClock())
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         with launcher.clock.section("swarm"):
             launcher.launch(k, 100)
         assert ("k", "swarm") in launcher.stats
@@ -173,9 +173,8 @@ class TestLauncherMemory:
             KernelSpec(name="b", bytes_read_per_elem=8.0),
         ]
         for spec in specs:
-            k = Kernel(spec, semantics=lambda: None)
             for n in (100, 2048, 100):
-                launcher.launch(k, n)
+                launcher.launch(spec, n)
         from_records = build_report(launcher.records)
         from_stats = build_report_from_stats(launcher.stats)
         assert from_records.kernels == from_stats.kernels

@@ -1,9 +1,9 @@
-"""KernelSpec/LaunchConfig/Kernel construction and validation."""
+"""KernelSpec/LaunchConfig construction and validation."""
 
 import pytest
 
 from repro.errors import InvalidLaunchError
-from repro.gpusim.kernel import Kernel, KernelSpec, LaunchConfig
+from repro.gpusim.kernel import KernelSpec, LaunchConfig
 
 
 class TestKernelSpec:
@@ -75,13 +75,3 @@ class TestLaunchConfig:
         LaunchConfig(1, 1024).validate(v100)
         with pytest.raises(InvalidLaunchError):
             LaunchConfig(1, 1056).validate(v100)
-
-
-class TestKernel:
-    def test_semantics_must_be_callable(self):
-        with pytest.raises(TypeError):
-            Kernel(KernelSpec(name="k"), semantics="not callable")
-
-    def test_name_delegates_to_spec(self):
-        k = Kernel(KernelSpec(name="my_kernel"), semantics=lambda: None)
-        assert k.name == "my_kernel"

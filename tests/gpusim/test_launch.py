@@ -1,11 +1,10 @@
 """Launch geometry helpers and the Launcher choke point."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidLaunchError
 from repro.gpusim.clock import SimClock
-from repro.gpusim.kernel import Kernel, KernelSpec, LaunchConfig
+from repro.gpusim.kernel import KernelSpec, LaunchConfig
 from repro.gpusim.launch import (
     Launcher,
     resource_aware_config,
@@ -61,21 +60,15 @@ class TestLauncher:
         # Per-launch records are opt-in since the aggregation-first rework.
         return Launcher(spec=v100, clock=SimClock(), record_launches=True)
 
-    def test_launch_executes_semantics_and_returns(self, v100):
-        launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="double"), semantics=lambda a: a * 2)
-        out = launcher.launch(k, 4, np.arange(4))
-        np.testing.assert_array_equal(out, [0, 2, 4, 6])
-
     def test_launch_advances_clock(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         launcher.launch(k, 1_000_000)
         assert launcher.clock.now > 0
 
     def test_launch_records_profile_entry(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         launcher.launch(k, 123)
         assert len(launcher.records) == 1
         rec = launcher.records[0]
@@ -84,29 +77,26 @@ class TestLauncher:
 
     def test_launch_uses_default_resource_aware_config(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         launcher.launch(k, 10_000_000)
         cfg = launcher.records[0].config
         assert cfg.total_threads <= v100.max_resident_threads
 
     def test_launch_with_explicit_config(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         launcher.launch(k, 100, config=LaunchConfig(2, 64))
         assert launcher.records[0].config.grid_blocks == 2
 
     def test_launch_validates_shared_mem(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(
-            KernelSpec(name="k", shared_mem_per_block=200 * 1024),
-            semantics=lambda: None,
-        )
+        k = KernelSpec(name="k", shared_mem_per_block=200 * 1024)
         with pytest.raises(InvalidLaunchError):
             launcher.launch(k, 100)
 
     def test_launch_tags_active_section(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         with launcher.clock.section("swarm"):
             launcher.launch(k, 100)
         assert launcher.records[0].section == "swarm"
@@ -114,15 +104,7 @@ class TestLauncher:
 
     def test_reset_records(self, v100):
         launcher = self._launcher(v100)
-        k = Kernel(KernelSpec(name="k"), semantics=lambda: None)
+        k = KernelSpec(name="k")
         launcher.launch(k, 100)
         launcher.reset_records()
         assert launcher.records == []
-
-    def test_kwargs_forwarded(self, v100):
-        launcher = self._launcher(v100)
-        k = Kernel(
-            KernelSpec(name="k"), semantics=lambda a, *, scale: a * scale
-        )
-        out = launcher.launch(k, 4, np.ones(4), scale=3.0)
-        np.testing.assert_array_equal(out, 3.0 * np.ones(4))

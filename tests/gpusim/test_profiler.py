@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpusim.clock import SimClock
-from repro.gpusim.kernel import Kernel, KernelSpec
+from repro.gpusim.kernel import KernelSpec
 from repro.gpusim.launch import Launcher
 from repro.gpusim.profiler import build_report
 
@@ -15,7 +15,7 @@ def launcher(v100):
 
 
 def _kernel(name, **spec_kwargs):
-    return Kernel(KernelSpec(name=name, **spec_kwargs), semantics=lambda: None)
+    return KernelSpec(name=name, **spec_kwargs)
 
 
 class TestBuildReport:

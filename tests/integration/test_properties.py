@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.core.swarm import SwarmState, pbest_update, velocity_update
+from repro.core.swarm import SwarmState, gbest_scan, pbest_update, velocity_update
 from repro.core.topology import ring_best_indices
 from repro.gpusim.alloc import size_class
 from repro.gpusim.clock import SimClock
@@ -95,10 +95,25 @@ def test_size_class_properties(n):
 )
 @settings(max_examples=40, deadline=None)
 def test_parallel_reduction_equals_argmin(values):
-    reducer = ParallelReducer(Launcher(spec=_V100, clock=SimClock()))
-    idx, val = reducer.argmin(values)
-    assert idx == int(np.argmin(values))
-    assert val == float(values[idx])
+    """The GPU gbest step is the reduction's launches plus the gbest_scan
+    claim; the claim is the first-index argmin whenever it improves on the
+    running +inf gbest."""
+    launcher = Launcher(spec=_V100, clock=SimClock())
+    ParallelReducer(launcher).argmin(values)
+    assert launcher.clock.now > 0
+    n = values.shape[0]
+    state = SwarmState(
+        positions=np.zeros((n, 1), dtype=np.float32),
+        velocities=np.zeros((n, 1), dtype=np.float32),
+        pbest_values=values.copy(),
+        pbest_positions=np.zeros((n, 1), dtype=np.float32),
+    )
+    idx, val = gbest_scan(state)
+    if values.min() < np.inf:
+        assert idx == int(np.argmin(values))
+        assert val == float(values[idx])
+    else:
+        assert idx == -1
 
 
 # ---------------------------------------------------------------------------
