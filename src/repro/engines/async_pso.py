@@ -128,7 +128,11 @@ class AsyncFastPSOEngine(FastPSOEngine):
 
         # 1. evaluate the chunk at its current positions
         values = problem.evaluator.evaluate(state.positions[chunk])
-        self._launch_chunk("evaluate", n_chunk * d)
+        if "evaluate_particle" in self._kernels:
+            # Thread-per-particle objective, priced as FastPSO prices it.
+            self._launch_chunk("evaluate_particle", n_chunk)
+        else:
+            self._launch_chunk("evaluate", n_chunk * d)
 
         # 2. chunk-local pbest (strict improvement, on views)
         pbest_view = state.pbest_values[chunk]

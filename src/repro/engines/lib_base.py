@@ -14,6 +14,9 @@ Algorithmic fidelity:
   scikit-opt rows.  A numerical guard clamps |v| at ``1e12`` only to keep
   float arithmetic finite (real libraries overflow to inf/NaN and stop
   improving, which is behaviourally identical: pbest never updates again).
+* Neither has an inertia schedule: the update reads a constant ``w``, so
+  ``start_run`` refuses a ``PSOParams.inertia_schedule`` with
+  ``InvalidParameterError`` rather than accept it and never apply it.
 * Both use float64 NumPy arrays.
 
 Cost structure: every step is a sequence of NumPy ufuncs on ``(n, d)``
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import Engine
-from repro.core.parameters import PSOParams
+from repro.core.engine import Engine, EngineRun
+from repro.core.parameters import PAPER_DEFAULTS, PSOParams
 from repro.core.problem import Problem
 from repro.core.swarm import INIT_VELOCITY_FRACTION, SwarmState
+from repro.errors import InvalidParameterError
 from repro.functions.base import EvalProfile
 from repro.gpusim.costmodel import (
     CpuSpec,
@@ -67,6 +71,18 @@ class LibraryEngineBase(Engine):
         super().__init__()
         self.cpu = cpu or xeon_e5_2640v4()
         self.overhead = PythonOverheadModel()
+
+    def start_run(
+        self, problem: Problem, *, params: PSOParams = PAPER_DEFAULTS, **kwargs
+    ) -> EngineRun:
+        # The libraries' update reads a constant inertia: a schedule would
+        # be accepted and never applied.
+        if params.inertia_schedule is not None:
+            raise InvalidParameterError(
+                f"{self.name} has no inertia schedule (the library's update "
+                "reads a constant inertia); inertia_schedule is not available"
+            )
+        return super().start_run(problem, params=params, **kwargs)
 
     # -- timing helpers ------------------------------------------------------
     def _ufunc_seconds(self, n_ops: int, n_elems: int) -> float:
@@ -140,11 +156,6 @@ class LibraryEngineBase(Engine):
             pbest_positions=positions.copy(),
             gbest_position=np.zeros(d),
         )
-
-    def _scheduled_params(self, params: PSOParams) -> PSOParams:
-        # The libraries' update has no inertia schedule, as it has no
-        # velocity clamp: step (iv) below reads the raw parameters.
-        return params
 
     def _swarm_numerics(
         self,

@@ -4,12 +4,14 @@ The per-iteration weight regeneration is the single largest host cost of a
 steady-state FastPSO run: two ``n x d`` uniform draws per iteration, each a
 full Philox4x32-10 pass.  The NumPy uint64-lane pipeline in
 :mod:`repro.gpusim.rng` already avoids allocation, but each round is ~10
-full-array ufunc sweeps; ``_philox.c`` keeps each counter block in
-registers, and its float32 fill runs 16 (AVX-512) or 8 (AVX2) blocks per
-vector.  That fill, ``philox_unit_f32``, is the one float32 unit-fill loop
-in C: every ``ParallelRNG.uniform(out=float32)`` draw calls it, and the
-native iteration step (``_fastpath.c``, which includes the file) draws
-its weights through it too.
+full-array ufunc sweeps; ``_philox.c`` keeps each counter block in its own
+64-bit SIMD lane, 8 (AVX-512) or 4 (AVX2) blocks per vector, and runs one
+round body for both fills.  ``philox_unit_f32`` is the one float32
+unit-fill loop in C: every ``ParallelRNG.uniform(out=float32)`` draw calls
+it, and the native iteration step (``_fastpath.c``, which includes the
+file) draws its weights through it too.  ``philox_unit_f64`` serves every
+other unit draw (swarm initialisation, ranged draws, the float32 staging
+draw of a half-precision weight draw).
 
 The compile/cache/bind machinery lives in :mod:`repro.gpusim.native`
 (shared with ``_fastpath.c``); this module contributes the source file, the
@@ -76,10 +78,13 @@ def _reference_unit(seed: int, sid: int, block0: int, n_blocks: int) -> np.ndarr
 def _self_test(lib: ctypes.CDLL) -> bool:
     """Known-answer check against the reference bijection before first use.
 
-    The float32 case starts at an odd block with a stream id whose high
-    word is set and fills 267 values (67 blocks, the last one partial):
-    one full 64-block AVX-512 group (two AVX2 groups), then the scalar
-    loop and the partial-block tail.
+    Both fills cross every loop of ``_philox.c`` at its group sizes (32
+    blocks per AVX-512 group, 16 per AVX2 group, 8 or 4 per vector).  The
+    float64 case fills 43 whole blocks: one AVX-512 group (two AVX2
+    groups), one-vector groups up to block 40 and three scalar blocks.  The
+    float32 case starts at an odd block just below the 2^32 counter carry,
+    with a stream id whose high word is set, and fills 175 values (44
+    blocks): the same 43 whole blocks, then a partial last block.
     """
     from repro.gpusim.rng import PHILOX_ROUNDS, _key_schedule
 
@@ -94,12 +99,12 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         ],
         dtype=np.uint32,
     )
-    sid, block0, n_blocks = 7, 3, 8
+    sid, block0, n_blocks = 7, 3, 43
     got = np.empty(4 * n_blocks, dtype=np.float64)
     lib.philox_unit_f64(block0, sid, n_blocks, keys.ctypes.data, got.ctypes.data)
     if not np.array_equal(got, _reference_unit(seed, sid, block0, n_blocks)):
         return False
-    sid, block0, count = 0xA5A5_0001_0000_0003, 2**32 - 33, 267
+    sid, block0, count = 0xA5A5_0001_0000_0003, 2**32 - 33, 175
     got32 = np.empty(count, dtype=np.float32)
     lib.philox_unit_f32(block0, sid, count, keys.ctypes.data, got32.ctypes.data)
     want32 = _reference_unit(seed, sid, block0, -(-count // 4))[:count]

@@ -273,8 +273,9 @@ class ParallelRNG:
         """
         n_blocks = -(-n // 4)
         if self._native is not None:
-            # Scalar C kernel: same words, same (word + 0.5) * 2**-32 double
-            # mapping, written straight into the reusable unit buffer.
+            # C fill (the float32 fill's SIMD rounds): same words, same
+            # (word + 0.5) * 2**-32 double mapping, written straight into
+            # the reusable unit buffer.
             self._ensure_scratch(n_blocks)
             unit = self._unit
             self._native.philox_unit_f64(

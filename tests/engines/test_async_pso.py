@@ -162,3 +162,22 @@ class TestAsyncBehaviour:
         assert copies and all(r.section == "swarm" for r in copies)
         # init + 3 iterations x (weights + 4 chunks x 6 kernels)
         assert len(hooked) == 1 + 3 * (1 + 4 * 6)
+
+    def test_particle_objective_priced_per_particle(self, params):
+        """A thread-per-particle objective is launched as FastPSO launches
+        it: evaluation_kernel_particle over each chunk's particles, never
+        the element-wise evaluation over n_chunk * d."""
+        problem = Problem.from_callable(
+            lambda row: float(np.sum(row)), 6, (-1.0, 1.0)
+        )
+        engine = AsyncFastPSOEngine(n_chunks=4, record_launches=True)
+        engine.optimize(problem, n_particles=16, max_iter=2, params=params)
+        evals = [
+            r
+            for r in engine.ctx.launcher.records
+            if r.kernel_name.startswith("evaluation_kernel")
+        ]
+        assert evals and {r.kernel_name for r in evals} == {
+            "evaluation_kernel_particle"
+        }
+        assert {r.n_elems for r in evals} == {4}

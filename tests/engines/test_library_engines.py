@@ -5,12 +5,14 @@ import pytest
 
 from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
+from repro.core.schedules import LinearInertia
 from repro.engines import (
     FastPSOEngine,
     PySwarmsLikeEngine,
     ScikitOptLikeEngine,
 )
 from repro.engines.lib_base import VELOCITY_GUARD
+from repro.errors import InvalidParameterError
 
 
 @pytest.fixture
@@ -116,5 +118,32 @@ class TestScikitEarlyStop:
             max_iter=50,
             params=small_params,
             stop=MaxIterations(5),
+        )
+        assert r.iterations == 5
+
+
+class TestInertiaScheduleRefused:
+    """The libraries' update reads a constant inertia; a schedule used to be
+    accepted and silently ignored."""
+
+    @pytest.mark.parametrize(
+        "engine_cls, name",
+        [(PySwarmsLikeEngine, "pyswarms"), (ScikitOptLikeEngine, "scikit-opt")],
+    )
+    def test_start_run_refuses_schedule(self, problem, engine_cls, name):
+        params = PSOParams(seed=4, inertia_schedule=LinearInertia(0.9, 0.4))
+        with pytest.raises(InvalidParameterError, match=name):
+            engine_cls().optimize(
+                problem, n_particles=16, max_iter=5, params=params
+            )
+        with pytest.raises(InvalidParameterError, match="inertia_schedule"):
+            engine_cls().start_run(
+                problem, n_particles=16, max_iter=5, params=params
+            )
+
+    @pytest.mark.parametrize("engine_cls", [PySwarmsLikeEngine, ScikitOptLikeEngine])
+    def test_constant_inertia_still_runs(self, problem, engine_cls):
+        r = engine_cls().optimize(
+            problem, n_particles=16, max_iter=5, params=PSOParams(seed=4)
         )
         assert r.iterations == 5

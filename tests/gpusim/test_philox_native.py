@@ -47,6 +47,35 @@ class TestNativeBitParity:
         expected = (words.reshape(-1).astype(np.float64) + 0.5) * 2.0**-32
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("block0", [0, 7, 2**32 - 37, 2**40 + 5])
+    def test_fills_match_reference_across_every_loop(self, block0):
+        # Counts run to 2 full groups + 1 one-vector group + 3 words at the
+        # AVX-512 sizes (32 blocks per group, 8 per vector), so every SIMD
+        # group count, one-vector count, scalar block count and partial
+        # tail of both ISAs' fills is hit, from blocks across the 2^32
+        # counter carry.  A fill of `count` values is the prefix of the
+        # longest one, so one reference serves the whole sweep.
+        seed, sid = 0x0DDB_A11C_AFE5_EED5, 0xA5A5_0001_0000_000B
+        rng = ParallelRNG(seed=seed, stream_id=sid)
+        lib = philox_native.load()
+        max_count = 4 * (2 * 32 + 8) + 3
+        want = philox_native._reference_unit(
+            seed, sid, block0, -(-max_count // 4)
+        )
+        want32 = want.astype(np.float32)
+        for count in range(1, max_count + 1):
+            got32 = np.empty(count, dtype=np.float32)
+            lib.philox_unit_f32(
+                block0, sid, count, rng._flat_keys.ctypes.data, got32.ctypes.data
+            )
+            assert got32.tobytes() == want32[:count].tobytes(), count
+        for n_blocks in range(1, -(-max_count // 4) + 1):
+            got64 = np.empty(4 * n_blocks, dtype=np.float64)
+            philox_native.unit_f64(
+                lib, block0, sid, n_blocks, rng._flat_keys, got64
+            )
+            assert got64.tobytes() == want[: 4 * n_blocks].tobytes(), n_blocks
+
     def test_unit_f32_is_f64_rounded_once(self):
         rng = ParallelRNG(seed=99, stream_id=3)
         lib = philox_native.load()
