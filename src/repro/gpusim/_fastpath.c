@@ -46,6 +46,13 @@
  * tensor-core backend (paper Sec. 3.5): both multiplicands rounded to IEEE
  * binary16, multiplied in float32.  repro.gpusim.tensorcore's
  * fragment_multiply_add calls it on the Python replay and eager tiers.
+ *
+ * And it exports sphere_rows, the Sphere objective (paper problem #1) over
+ * the float32 positions, which repro.functions.sphere calls on every tier.
+ * Its contract is bit-identity with np.einsum("ij,ij->i", p, p) on the
+ * float64 copy p: it copies the summation order of NumPy's einsum inner
+ * loop (see the section below), and fastpath.py checks it against einsum
+ * with its own known-answer test, apart from the step's self-test.
  */
 #include <string.h>
 
@@ -296,4 +303,128 @@ void fp16_product(const float* a, const float* b, float* out, uint64_t n) {
     for (; i < n; i++) {
         out[i] = fp16_lane(a[i], b[i]);
     }
+}
+
+/* -- Sphere row sums -------------------------------------------------------
+ *
+ * out[i] = sum_j (double)x[i][j]^2 over the float32 (n, d) positions,
+ * bit-identical to NumPy's np.einsum("ij,ij->i", p, p) with
+ * p = x.astype(float64).  einsum scores each row with
+ * sum_of_products_contig_contig_outstride0_two, which on NumPy's 2-lane
+ * (128-bit, X86_V2 baseline) build keeps two lane accumulators (lane 0
+ * takes the even elements) and folds
+ *   each 8-element chunk:  acc = q0 + (q1 + (q2 + (q3 + acc))),
+ *                          q_t the t-th pair of squares;
+ *   each remaining pair:   acc = q + acc;
+ *   an odd last element:   lane0 = q + lane0;
+ *   the result:            0.0 + (lane0 + lane1).
+ * A float32 square is exact in double, so only these adds round and the
+ * order alone fixes the bits, with or without FMA.  The order is NumPy's,
+ * not the compiler's: fastpath.py checks it against np.einsum before first
+ * use and disables only this kernel on a mismatch.  Which NaN an add
+ * returns when both operands are NaN is up to each build's register
+ * allocation, so the return value counts the NaN rows and the caller
+ * rescores them with einsum.
+ *
+ * AVX-512 packs four rows into each zmm and AVX2 two rows into each ymm,
+ * two lanes per row; each row's tail after its last full chunk, and the
+ * rows left over, run the same lanes in scalar code. */
+
+static inline double sphere_sq(float v) { return (double)v * (double)v; }
+
+/* Row elements [j, d) on lanes l0/l1, then the final lane sum. */
+static double sphere_tail(const float* r, uint64_t j, uint64_t d, double l0,
+                          double l1) {
+    for (; j + 8 <= d; j += 8) {
+        l0 = sphere_sq(r[j]) +
+             (sphere_sq(r[j + 2]) +
+              (sphere_sq(r[j + 4]) + (sphere_sq(r[j + 6]) + l0)));
+        l1 = sphere_sq(r[j + 1]) +
+             (sphere_sq(r[j + 3]) +
+              (sphere_sq(r[j + 5]) + (sphere_sq(r[j + 7]) + l1)));
+    }
+    for (; j + 2 <= d; j += 2) {
+        l0 = sphere_sq(r[j]) + l0;
+        l1 = sphere_sq(r[j + 1]) + l1;
+    }
+    if (j < d) l0 = sphere_sq(r[j]) + l0;
+    return 0.0 + (l0 + l1);
+}
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
+uint64_t sphere_rows(const float* x, double* out, uint64_t n, uint64_t d) {
+    uint64_t i = 0;
+#if defined(__AVX2__)
+    const uint64_t d8 = d & ~(uint64_t)7; /* elements in full chunks */
+#endif
+#if defined(__AVX512F__)
+    for (; i + 4 <= n; i += 4) {
+        const float* r = x + i * d;
+        __m512d acc = _mm512_setzero_pd();
+        for (uint64_t j = 0; j < d8; j += 8) {
+            __m512d a = _mm512_cvtps_pd(_mm256_loadu_ps(r + j));
+            __m512d b = _mm512_cvtps_pd(_mm256_loadu_ps(r + d + j));
+            __m512d c = _mm512_cvtps_pd(_mm256_loadu_ps(r + 2 * d + j));
+            __m512d e = _mm512_cvtps_pd(_mm256_loadu_ps(r + 3 * d + j));
+            a = _mm512_mul_pd(a, a);
+            b = _mm512_mul_pd(b, b);
+            c = _mm512_mul_pd(c, c);
+            e = _mm512_mul_pd(e, e);
+            /* 4x4 transpose of 128-bit pairs: q_t = pair t of each row. */
+            __m512d ab_lo = _mm512_shuffle_f64x2(a, b, _MM_SHUFFLE(1, 0, 1, 0));
+            __m512d ab_hi = _mm512_shuffle_f64x2(a, b, _MM_SHUFFLE(3, 2, 3, 2));
+            __m512d ce_lo = _mm512_shuffle_f64x2(c, e, _MM_SHUFFLE(1, 0, 1, 0));
+            __m512d ce_hi = _mm512_shuffle_f64x2(c, e, _MM_SHUFFLE(3, 2, 3, 2));
+            __m512d q0 = _mm512_shuffle_f64x2(ab_lo, ce_lo, _MM_SHUFFLE(2, 0, 2, 0));
+            __m512d q1 = _mm512_shuffle_f64x2(ab_lo, ce_lo, _MM_SHUFFLE(3, 1, 3, 1));
+            __m512d q2 = _mm512_shuffle_f64x2(ab_hi, ce_hi, _MM_SHUFFLE(2, 0, 2, 0));
+            __m512d q3 = _mm512_shuffle_f64x2(ab_hi, ce_hi, _MM_SHUFFLE(3, 1, 3, 1));
+            acc = _mm512_add_pd(
+                q0, _mm512_add_pd(q1, _mm512_add_pd(q2, _mm512_add_pd(q3, acc))));
+        }
+        double lanes[8];
+        _mm512_storeu_pd(lanes, acc);
+        for (uint64_t k = 0; k < 4; k++) {
+            out[i + k] =
+                sphere_tail(r + k * d, d8, d, lanes[2 * k], lanes[2 * k + 1]);
+        }
+    }
+#elif defined(__AVX2__)
+    for (; i + 2 <= n; i += 2) {
+        const float* r = x + i * d;
+        __m256d acc = _mm256_setzero_pd();
+        for (uint64_t j = 0; j < d8; j += 8) {
+            __m256d a_lo = _mm256_cvtps_pd(_mm_loadu_ps(r + j));
+            __m256d a_hi = _mm256_cvtps_pd(_mm_loadu_ps(r + j + 4));
+            __m256d b_lo = _mm256_cvtps_pd(_mm_loadu_ps(r + d + j));
+            __m256d b_hi = _mm256_cvtps_pd(_mm_loadu_ps(r + d + j + 4));
+            a_lo = _mm256_mul_pd(a_lo, a_lo);
+            a_hi = _mm256_mul_pd(a_hi, a_hi);
+            b_lo = _mm256_mul_pd(b_lo, b_lo);
+            b_hi = _mm256_mul_pd(b_hi, b_hi);
+            /* q_t = pair t of each row. */
+            __m256d q0 = _mm256_permute2f128_pd(a_lo, b_lo, 0x20);
+            __m256d q1 = _mm256_permute2f128_pd(a_lo, b_lo, 0x31);
+            __m256d q2 = _mm256_permute2f128_pd(a_hi, b_hi, 0x20);
+            __m256d q3 = _mm256_permute2f128_pd(a_hi, b_hi, 0x31);
+            acc = _mm256_add_pd(
+                q0, _mm256_add_pd(q1, _mm256_add_pd(q2, _mm256_add_pd(q3, acc))));
+        }
+        double lanes[4];
+        _mm256_storeu_pd(lanes, acc);
+        out[i] = sphere_tail(r, d8, d, lanes[0], lanes[1]);
+        out[i + 1] = sphere_tail(r + d, d8, d, lanes[2], lanes[3]);
+    }
+#endif
+    for (; i < n; i++) {
+        out[i] = sphere_tail(x + i * d, 0, d, 0.0, 0.0);
+    }
+    uint64_t nan_rows = 0;
+    for (i = 0; i < n; i++) {
+        nan_rows += out[i] != out[i];
+    }
+    return nan_rows;
 }

@@ -42,9 +42,19 @@ fp16-rounded Hadamard product, which
 that runs Python numerics; the self-test checks it byte for byte against
 NumPy's fp16 round trip.
 
-Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable both (checked on every
+It also exports ``sphere_rows``, the Sphere objective's row sums of
+squares, which :func:`sphere_rows` wraps for
+:meth:`repro.functions.sphere.Sphere.evaluate` on every tier.  Its
+contract is bit-identity with ``np.einsum("ij,ij->i", p, p)`` on the
+float64 copy ``p``: the C kernel copies the summation order of NumPy's
+2-lane einsum inner loop (see ``_fastpath.c``).  That order belongs to
+the NumPy build, not to this library, so the kernel has its own
+known-answer check against ``np.einsum``; a mismatch disables only the
+kernel, never ``fastpath_step``.
+
+Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable all three (checked on every
 load); no compiler or a failed known-answer self-test silently fall back
-to the Python replay tier and the NumPy fp16 round trip.
+to the Python replay tier, the NumPy fp16 round trip and einsum.
 """
 
 from __future__ import annotations
@@ -57,7 +67,13 @@ import numpy as np
 from repro.gpusim import native
 
 __all__ = [
-    "load", "available", "NativePlan", "build_native", "verify_step", "ENV_GATE"
+    "load",
+    "available",
+    "sphere_rows",
+    "NativePlan",
+    "build_native",
+    "verify_step",
+    "ENV_GATE",
 ]
 
 ENV_GATE = "REPRO_NO_NATIVE_FASTPATH"
@@ -407,6 +423,11 @@ _MODULE = native.NativeModule(
             None,
             [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64],
         ),
+        # x*, out*, n, d — the Sphere row sums; returns the NaN row count.
+        "sphere_rows": (
+            ctypes.c_uint64,
+            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64],
+        ),
     },
     self_test=_self_test,
 )
@@ -419,6 +440,88 @@ def load() -> ctypes.CDLL | None:
 
 def available() -> bool:
     return _MODULE.available()
+
+
+def _sphere_call(
+    fn, x: np.ndarray, _view=ctypes.c_char.from_buffer, _addressof=ctypes.addressof
+) -> np.ndarray:
+    """The C ``sphere_rows`` over *x* (see :func:`sphere_rows`).
+
+    ``addressof(c_char.from_buffer(a))`` is a non-empty, C-contiguous,
+    writeable array's data address at under half the cost of
+    ``a.ctypes.data``, which matters on a 32-particle swarm's objective.
+    Which NaN a C add returns when both operands are NaN is the
+    compiler's choice, in this library and in NumPy alike, so rows that
+    come back NaN are rescored with einsum itself.
+    """
+    n, d = x.shape
+    out = np.empty(n, dtype=np.float64)
+    if fn(_addressof(_view(x)), _addressof(_view(out)), n, d):
+        nan_rows = np.isnan(out)
+        p = x[nan_rows].astype(np.float64)
+        out[nan_rows] = np.einsum("ij,ij->i", p, p)
+    return out
+
+
+def _sphere_self_test(rows) -> bool:
+    """*rows* (``x -> values``) vs ``np.einsum`` on the float64 copy.
+
+    Seven rows per width make one 4-row group and three leftover rows, or
+    three 2-row pairs and one leftover; widths 1-69, 128, 200 and 257 cover
+    every chunk tail.  Magnitudes spread over six decades, so any other
+    summation order (four lanes, pairwise, one running sum) changes some
+    row's bits.
+    """
+    from repro.gpusim.rng import ParallelRNG
+
+    rng = ParallelRNG(seed=0x5EED, stream_id=0)
+    widest = (
+        rng.uniform((7, 257), -1.0, 1.0) * 10.0 ** rng.uniform((7, 257), -3.0, 3.0)
+    ).astype(np.float32)
+    for d in (*range(1, 70), 128, 200, 257):
+        x = np.ascontiguousarray(widest[:, :d])
+        p = x.astype(np.float64)
+        if rows(x).tobytes() != np.einsum("ij,ij->i", p, p).tobytes():
+            return False
+    return True
+
+
+#: The library the sphere check last ran on, and its verdict.
+_sphere_verdict: tuple[ctypes.CDLL | None, bool] = (None, False)
+
+
+def sphere_rows(x) -> np.ndarray | None:
+    """Sphere values of the positions *x*, or ``None``.
+
+    Bit-identical to ``np.einsum("ij,ij->i", p, p)`` with
+    ``p = x.astype(np.float64)``.  ``None`` unless *x* is a non-empty,
+    C-contiguous, writeable float32 ``(n, d)`` ndarray, and when the
+    library is disabled or unavailable or the kernel failed its
+    known-answer check on this NumPy build (checked once per loaded
+    library).
+    """
+    global _sphere_verdict
+    if not (
+        isinstance(x, np.ndarray)
+        and x.dtype == np.float32
+        and x.ndim == 2
+        and x.size
+        and x.flags.c_contiguous
+        and x.flags.writeable
+    ):
+        return None
+    lib = load()
+    if lib is None:
+        return None
+    checked, ok = _sphere_verdict
+    if checked is not lib:
+        fn = lib.sphere_rows
+        try:
+            ok = _sphere_self_test(lambda a: _sphere_call(fn, a))
+        except Exception:
+            ok = False
+        _sphere_verdict = (lib, ok)
+    return _sphere_call(lib.sphere_rows, x) if ok else None
 
 
 class NativePlan:
