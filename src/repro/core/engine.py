@@ -59,7 +59,9 @@ class EngineRun:
     The split exists for hosts that interleave several runs in one loop —
     the fused multi-swarm batch path (:mod:`repro.batch.fused`) steps ``m``
     compatible runs in lockstep and replaces :meth:`run_semantics` with one
-    stacked evaluation plus each run's own replay tail, while
+    stacked evaluation plus, per run, one
+    :func:`~repro.gpusim.graph.iteration_body` call with flat accounting
+    on its row block of the values, while
     :meth:`after_iteration` keeps every run's own bookkeeping (history,
     budget, checkpoint, stop criteria) unchanged.
     """

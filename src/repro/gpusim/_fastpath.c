@@ -42,6 +42,10 @@
  * as call arguments.  Returns the number of particles whose pbest improved
  * (the dynamic-size input of the pbest-copy clock charge).
  *
+ * It #includes _philox.c, so the library also exports the Philox fills
+ * philox_unit_f32 and philox_unit_f64 that repro.gpusim.rng draws
+ * through: this is the project's one native library.
+ *
  * The library also exports fp16_product, the Hadamard product of the
  * tensor-core backend (paper Sec. 3.5): both multiplicands rounded to IEEE
  * binary16, multiplied in float32.  repro.gpusim.tensorcore's

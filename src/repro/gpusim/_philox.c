@@ -1,11 +1,11 @@
 /* Philox4x32-10 counter-mode uniform generation: one SIMD body for the
  * float32 and float64 fills.
  *
- * Compiled on demand by repro.gpusim.philox_native into a shared object and
- * called through ctypes; _fastpath.c #includes this file, so the native
- * iteration step draws its weights through the same philox_unit_f32.  The
- * output must be bit-identical to the NumPy uint64-lane pipeline in
- * repro.gpusim.rng:
+ * _fastpath.c #includes this file, so its shared object (built by
+ * repro.gpusim.native) exports philox_unit_f32 and philox_unit_f64, which
+ * repro.gpusim.rng calls through ctypes, and the native iteration step
+ * draws its weights through the same philox_unit_f32.  The output must be
+ * bit-identical to the NumPy uint64-lane pipeline in repro.gpusim.rng:
  *
  *   - counter block i contributes words philox(counter=(lo(i), hi(i),
  *     sid_lo, sid_hi), key=key_schedule(seed)) in lane order w0..w3;

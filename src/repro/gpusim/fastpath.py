@@ -42,6 +42,11 @@ fp16-rounded Hadamard product, which
 that runs Python numerics; the self-test checks it byte for byte against
 NumPy's fp16 round trip.
 
+It exports the Philox fills ``philox_unit_f32`` and ``philox_unit_f64``
+from ``_philox.c``, which it ``#include``\\ s: every
+:class:`~repro.gpusim.rng.ParallelRNG` draws through them, and the
+self-test checks them against :func:`~repro.gpusim.rng.philox4x32`.
+
 It also exports ``sphere_rows``, the Sphere objective's row sums of
 squares, which :func:`sphere_rows` wraps for
 :meth:`repro.functions.sphere.Sphere.evaluate` on every tier.  Its
@@ -52,15 +57,18 @@ the NumPy build, not to this library, so the kernel has its own
 known-answer check against ``np.einsum``; a mismatch disables only the
 kernel, never ``fastpath_step``.
 
-Set ``REPRO_NO_NATIVE_FASTPATH=1`` to disable all three (checked on every
-load); no compiler or a failed known-answer self-test silently fall back
-to the Python replay tier, the NumPy fp16 round trip and einsum.
+:func:`load` builds the library once per process (:mod:`repro.gpusim.native`)
+and reads ``REPRO_NO_NATIVE_FASTPATH`` on every call: set it to turn every
+native path off (:func:`build_native` then names its refusal
+``disabled-by-env``).  No compiler or a failed known-answer self-test
+silently fall back to the Python replay tier, the NumPy Philox path, the
+NumPy fp16 round trip and einsum, all bit-identical.
 """
 
 from __future__ import annotations
 
 import ctypes
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -77,9 +85,6 @@ __all__ = [
 ]
 
 ENV_GATE = "REPRO_NO_NATIVE_FASTPATH"
-
-_SOURCE = Path(__file__).with_name("_fastpath.c")
-_PHILOX_SOURCE = Path(__file__).with_name("_philox.c")
 
 
 class _PlanStruct(ctypes.Structure):
@@ -203,24 +208,82 @@ def _make_struct(
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
-    """Full iterations, C vs the reference numerics, compared bitwise.
+    """The library's known-answer check, run by :func:`load` before first use.
 
-    The cases are deliberately awkward: ``n*d = 30`` exercises the partial
-    final Philox block, ``values`` contains a NaN (must never claim) and an
-    exact tie (strict ``<`` keeps the earlier best), the velocity bounds
-    differ per dimension, and the runs cover a full-width clamp with the
-    position clip, an adaptive clamp at a fraction that is inexact in
-    float32, and an unclamped, unclipped update.
+    The Philox fills against the reference bijection, then full iterations,
+    C vs the reference numerics, compared bitwise.  The step cases are
+    deliberately awkward: ``n*d = 30`` exercises the partial final Philox
+    block, ``values`` contains a NaN (must never claim) and an exact tie
+    (strict ``<`` keeps the earlier best), the velocity bounds differ per
+    dimension, and the runs cover a full-width clamp with the position
+    clip, an adaptive clamp at a fraction that is inexact in float32, and
+    an unclamped, unclipped update.  Last, ``fp16_product``.
     """
     d = 5
     vel_bounds = (-np.linspace(0.7, 2.9, d), np.linspace(0.9, 3.1, d))
     pos_bounds = (np.full(d, -4.0), np.full(d, 4.0))
     return (
-        _self_test_case(lib, vel_bounds, 1.0, pos_bounds)
+        _self_test_philox(lib)
+        and _self_test_case(lib, vel_bounds, 1.0, pos_bounds)
         and _self_test_case(lib, vel_bounds, 0.6180339887, pos_bounds)
         and _self_test_case(lib, None, 1.0, None)
         and _self_test_fp16(lib)
     )
+
+
+def _reference_unit(seed: int, sid: int, block0: int, n_blocks: int) -> np.ndarray:
+    """Unit float64 draws of blocks ``block0 ..`` from the reference bijection."""
+    from repro.gpusim.rng import philox4x32
+
+    idx = np.arange(block0, block0 + n_blocks, dtype=np.uint64)
+    ctr = np.empty((n_blocks, 4), dtype=np.uint32)
+    ctr[:, 0] = (idx & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    ctr[:, 1] = (idx >> np.uint64(32)).astype(np.uint32)
+    ctr[:, 2] = np.uint32(sid & 0xFFFFFFFF)
+    ctr[:, 3] = np.uint32(sid >> 32)
+    words = philox4x32(
+        ctr,
+        np.array(
+            [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF], dtype=np.uint32
+        ),
+    )
+    return (words.reshape(-1).astype(np.float64) + 0.5) * 2.0**-32
+
+
+def _self_test_philox(lib) -> bool:
+    """``philox_unit_f64`` and ``philox_unit_f32`` vs :func:`philox4x32`.
+
+    Both fills cross every loop of ``_philox.c`` at its group sizes (32
+    blocks per AVX-512 group, 16 per AVX2 group, 8 or 4 per vector).  The
+    float64 case fills 43 whole blocks: one AVX-512 group (two AVX2
+    groups), one-vector groups up to block 40 and three scalar blocks.  The
+    float32 case starts at an odd block just below the 2^32 counter carry,
+    with a stream id whose high word is set, and fills 175 values (44
+    blocks): the same 43 whole blocks, then a partial last block.
+    """
+    from repro.gpusim.rng import PHILOX_ROUNDS, _key_schedule
+
+    seed = 0x1234_5678_9ABC_DEF0
+    keys = np.array(
+        [
+            half
+            for pair in _key_schedule(
+                seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF, PHILOX_ROUNDS
+            )
+            for half in pair
+        ],
+        dtype=np.uint32,
+    )
+    sid, block0, n_blocks = 7, 3, 43
+    got = np.empty(4 * n_blocks, dtype=np.float64)
+    lib.philox_unit_f64(block0, sid, n_blocks, keys.ctypes.data, got.ctypes.data)
+    if not np.array_equal(got, _reference_unit(seed, sid, block0, n_blocks)):
+        return False
+    sid, block0, count = 0xA5A5_0001_0000_0003, 2**32 - 33, 175
+    got32 = np.empty(count, dtype=np.float32)
+    lib.philox_unit_f32(block0, sid, count, keys.ctypes.data, got32.ctypes.data)
+    want32 = _reference_unit(seed, sid, block0, -(-count // 4))[:count]
+    return got32.tobytes() == want32.astype(np.float32).tobytes()
 
 
 #: float32 bit patterns for the fp16 known-answer case: signed zeros, a
@@ -401,45 +464,98 @@ def _shadow_step(
     return int(improved) if matches else None
 
 
-_MODULE = native.NativeModule(
-    "fastpath",
-    [_SOURCE, _PHILOX_SOURCE],
-    env_gate=ENV_GATE,
-    fn_specs={
-        "fastpath_step": (
-            ctypes.c_int64,
-            # plan*, values*, block0, w, frac — raw addresses and scalars so
-            # the per-iteration call builds no ctypes wrapper objects.
-            [
-                ctypes.c_void_p,
-                ctypes.c_void_p,
-                ctypes.c_uint64,
-                ctypes.c_float,
-                ctypes.c_double,
-            ],
-        ),
-        # a*, b*, out*, n — the tensor-core fp16 fragment product.
-        "fp16_product": (
-            None,
-            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64],
-        ),
-        # x*, out*, n, d — the Sphere row sums; returns the NaN row count.
-        "sphere_rows": (
-            ctypes.c_uint64,
-            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64],
-        ),
-    },
-    self_test=_self_test,
+#: ``{symbol: (restype, argtypes)}`` of the library's exports.  Arrays pass
+#: as raw ``void*`` addresses (callers pass ``arr.ctypes.data`` ints), so
+#: the hot calls build no per-call ctypes wrapper objects.
+_UNIT_FILL = (
+    None,
+    [
+        ctypes.c_uint64,
+        ctypes.c_uint64,
+        ctypes.c_uint64,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+    ],
 )
+_SIGNATURES = {
+    # plan*, values*, block0, w, frac — the captured iteration.
+    "fastpath_step": (
+        ctypes.c_int64,
+        [
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_uint64,
+            ctypes.c_float,
+            ctypes.c_double,
+        ],
+    ),
+    # a*, b*, out*, n — the tensor-core fp16 fragment product.
+    "fp16_product": (
+        None,
+        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64],
+    ),
+    # x*, out*, n, d — the Sphere row sums; returns the NaN row count.
+    "sphere_rows": (
+        ctypes.c_uint64,
+        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64],
+    ),
+    # block0, stream id, count, keys*, out* — the Philox unit fills; the
+    # float32 fill counts values, the float64 fill whole blocks.
+    "philox_unit_f32": _UNIT_FILL,
+    "philox_unit_f64": _UNIT_FILL,
+}
+
+_UNSET = object()
+#: The bound, self-tested library: ``_UNSET`` before the first load, then
+#: the handle or ``None`` (unavailable) for the life of the process.
+_lib: object = _UNSET
+
+#: ``ENV_GATE`` as ``os.environ`` stores it.  A lookup in the underlying
+#: dict raises nothing, where ``os.environ.get`` of an unset variable
+#: raises and catches ``KeyError`` twice; :func:`load` runs on every
+#: fp16 product and every Sphere evaluation.
+_GATE_KEY = os.environ.encodekey(ENV_GATE)
+
+
+def _disabled() -> bool:
+    """Whether ``ENV_GATE`` is set (non-empty), as of this call."""
+    return bool(os.environ._data.get(_GATE_KEY))
+
+
+def _build() -> ctypes.CDLL | None:
+    try:
+        lib = native.build()
+        if lib is None:
+            return None
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+        return lib if _self_test(lib) else None
+    except Exception:
+        return None
 
 
 def load() -> ctypes.CDLL | None:
-    """The bound fast-path library, or ``None`` when unavailable/disabled."""
-    return _MODULE.load()
+    """The bound library, or ``None`` when unavailable or disabled.
+
+    The environment gate is read on every call, so setting it mid-process
+    takes effect on the next call; the build, bind and self-test run once.
+    While they run, ``load()`` returns ``None``: the self-test's own
+    :class:`~repro.gpusim.rng.ParallelRNG`\\ s call it, and their reference
+    draws must come from the NumPy Philox path, not the library under test.
+    """
+    global _lib
+    if _disabled():
+        return None
+    if _lib is _UNSET:
+        _lib = None  # what a load() from inside the build sees
+        _lib = _build()
+    return _lib  # type: ignore[return-value]
 
 
 def available() -> bool:
-    return _MODULE.available()
+    return load() is not None
 
 
 def _sphere_call(
@@ -627,8 +743,9 @@ def build_native(engine, graph, problem, params, state, rng):
     ``verify(run_replay)`` is the :func:`verify_step` promotion gate — or a
     reason string naming why the run stays on the Python replay tier.
 
-    The engine hook ``engine._graph_build_native()`` is asked first for
-    its own refusal; the evaluation function is the problem's evaluator,
+    ``REPRO_NO_NATIVE_FASTPATH`` refuses first (``disabled-by-env``), then
+    the engine hook ``engine._graph_build_native()`` is asked for its own
+    refusal; the evaluation function is the problem's evaluator,
     as on every tier.  The refusals every engine shares follow: the C step
     reads one social attractor row (global topology only), needs the
     compiled library, and consumes exactly the two ``ceil(n*d/4)``-block
@@ -637,6 +754,8 @@ def build_native(engine, graph, problem, params, state, rng):
     captured clock charges and allocator-counter delta, with the engine's
     ``_charge_pbest_copy`` for the live improved count in the dynamic slot.
     """
+    if _disabled():
+        return "disabled-by-env"
     refusal = engine._graph_build_native()
     if refusal is not None:
         return refusal

@@ -99,7 +99,6 @@ arrays it was built on.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -575,9 +574,6 @@ class IterationRunner:
         """
         if not self.allow_native:
             self.info["native"] = "host-managed"
-            return
-        if os.environ.get("REPRO_NO_NATIVE_FASTPATH"):
-            self.info["native"] = "disabled-by-env"
             return
         from repro.gpusim import fastpath
 

@@ -15,19 +15,23 @@ top: each call advances a 64-bit block counter, and distinct ``stream_id``
 values (e.g. one per sub-swarm on multi-GPU) yield provably disjoint
 counter spaces.
 
-Two implementations of the bijection coexist:
+Three implementations of the bijection coexist, all with identical output
+words:
 
 * :func:`philox4x32` — the reference path, shaped like the Random123
   specification (uint32 lanes, per-round key bumps).  Used for validation
   and for callers that bring their own counters/keys.
-* a uint64 in-place fast path used by :meth:`ParallelRNG.uniform` /
-  :meth:`ParallelRNG.random_uint32` — identical output words, but all round
+* the C fills ``philox_unit_f32``/``philox_unit_f64`` (``_philox.c``, in
+  the native library :func:`repro.gpusim.fastpath.load` returns), which
+  :meth:`ParallelRNG.uniform` calls whenever that library is loaded.
+* a uint64 in-place NumPy path, which :meth:`ParallelRNG.random_uint32`
+  always uses and :meth:`ParallelRNG.uniform` uses when the library is
+  unavailable or ``REPRO_NO_NATIVE_FASTPATH=1`` is set: all round
   arithmetic runs ``out=``-style in a handful of preallocated uint64
   buffers and the key schedule is precomputed once per generator, so the
   steady-state per-iteration cost is pure ufunc work with zero Python-side
   allocation.  This is the host-side analogue of the paper's "no per-draw
-  state traffic" argument, and it is what the wall-clock benchmark
-  (``benchmarks/bench_wallclock.py``) measures.
+  state traffic" argument.
 
 The contrast kernel for the baselines — stateful per-thread cuRAND XORWOW
 with a 48-byte state block loaded and stored around every draw — is modelled
@@ -40,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.gpusim import philox_native as _philox_native
+from repro.gpusim import fastpath as _fastpath
 
 __all__ = ["philox4x32", "ParallelRNG", "PHILOX_ROUNDS"]
 
@@ -178,7 +182,7 @@ class ParallelRNG:
         self._flat_keys = np.array(
             [half for pair in schedule for half in pair], dtype=np.uint32
         )
-        self._native = _philox_native.load()
+        self._native = _fastpath.load()
         # Raw address of the (immutable) flat key schedule: the native
         # kernels take void* addresses, so the hot draw path passes this
         # precomputed int instead of building ctypes wrappers per call.

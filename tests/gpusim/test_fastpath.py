@@ -107,22 +107,28 @@ def assert_native_parity(name, problem, monkeypatch, **kwargs):
 
 @needs_native
 class TestNativeTierParity:
-    @pytest.mark.parametrize("name", NATIVE_ENGINES)
-    def test_native_matches_replay_and_eager(self, name, problem, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, dim, n",
+        [pytest.param(name, 10, 64, id=name) for name in NATIVE_ENGINES]
+        # The paper's single large swarm (Table 1 shape class).
+        + [pytest.param("fastpso", 50, 2000, id="fastpso-sphere50-n2000")],
+    )
+    def test_native_matches_replay_and_eager(self, name, dim, n, monkeypatch):
         monkeypatch.delenv(ENV_GATE, raising=False)
-        nat_engine, nat_result = run(name, problem)
+        problem = Problem.from_benchmark("sphere", dim)
+        nat_engine, nat_result = run(name, problem, n=n)
         assert nat_engine.graph_info["mode"] == "graph"
         assert nat_engine.graph_info["native"] == "active"
         assert nat_engine.graph_info["native_replays"] > 0
 
         monkeypatch.setenv(ENV_GATE, "1")
-        gated_engine, gated_result = run(name, problem)
+        gated_engine, gated_result = run(name, problem, n=n)
         assert gated_engine.graph_info["mode"] == "graph"
         assert gated_engine.graph_info["native"] == "disabled-by-env"
         assert gated_engine.graph_info["native_replays"] == 0
 
         monkeypatch.delenv(ENV_GATE)
-        eager_engine, eager_result = run(name, problem, graph=False)
+        eager_engine, eager_result = run(name, problem, n=n, graph=False)
 
         assert_identical(nat_result, gated_result)
         assert_identical(nat_result, eager_result)
@@ -390,15 +396,14 @@ class TestFallbacks:
         # .so would otherwise load fine without a compiler (by design).
         monkeypatch.setattr(native, "compiler_path", lambda: None)
         monkeypatch.setattr(native, "cache_dir", lambda: tmp_path)
-        fastpath._MODULE.invalidate()
+        monkeypatch.setattr(fastpath, "_lib", fastpath._UNSET)
         try:
             engine, result = run("fastpso", problem)
             assert engine.graph_info["mode"] == "graph"
             assert engine.graph_info["native"] == "native-unavailable"
             assert engine.graph_info["replays"] == 17
         finally:
-            monkeypatch.undo()
-            fastpath._MODULE.invalidate()
+            monkeypatch.undo()  # restores the loaded library too
         _, eager = run("fastpso", problem, graph=False)
         assert_identical(result, eager)
 

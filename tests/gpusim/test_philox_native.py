@@ -1,11 +1,13 @@
-"""Native (compiled C) Philox path vs the NumPy reference implementation.
+"""Native (compiled C) Philox fills vs the NumPy reference implementation.
 
-The native library is an opt-in acceleration: when a C compiler is present
-the block function is compiled once per process; otherwise — or with
-``REPRO_NO_NATIVE_RNG=1`` — the NumPy path runs.  Either way the bits must
-be identical, which these tests pin directly (native vs ``philox4x32``)
-and indirectly (a ``ParallelRNG`` with the native path disabled draws the
-same streams as one with it enabled).
+The fills ``philox_unit_f32``/``philox_unit_f64`` live in ``_philox.c``,
+which ``_fastpath.c`` includes, so they come with the one native library
+:func:`repro.gpusim.fastpath.load` returns.  When a C compiler is present
+it is compiled once per process; otherwise — or with
+``REPRO_NO_NATIVE_FASTPATH=1`` — ``ParallelRNG`` runs the NumPy path.
+Either way the bits must be identical, which these tests pin directly
+(native vs ``philox4x32``) and indirectly (a ``ParallelRNG`` with the
+native path disabled draws the same streams as one with it enabled).
 """
 
 from __future__ import annotations
@@ -13,12 +15,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpusim import philox_native
+from repro.gpusim import fastpath
+from repro.gpusim.fastpath import ENV_GATE
 from repro.gpusim.rng import ParallelRNG
 
+
+@pytest.fixture(autouse=True)
+def _clear_env_gate(monkeypatch):
+    """Each test controls the gate itself, so the fills are also checked
+    in a process that runs with ``REPRO_NO_NATIVE_FASTPATH=1``."""
+    monkeypatch.delenv(ENV_GATE, raising=False)
+
+
+def _available_ungated() -> bool:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(ENV_GATE, raising=False)
+        return fastpath.available()
+
+
 needs_native = pytest.mark.skipif(
-    not philox_native.available(),
-    reason="no C compiler available (or native RNG disabled)",
+    not _available_ungated(), reason="no C compiler available"
 )
 
 
@@ -29,9 +45,9 @@ class TestNativeBitParity:
 
         seed, sid, block0, n_blocks = 0x123456789ABCDEF0, 7, 5, 64
         rng = ParallelRNG(seed=seed, stream_id=sid)
-        lib = philox_native.load()
+        lib = fastpath.load()
         out = np.empty(4 * n_blocks, dtype=np.float64)
-        philox_native.unit_f64(lib, block0, sid, n_blocks, rng._flat_keys, out)
+        lib.philox_unit_f64(block0, sid, n_blocks, rng._keys_addr, out.ctypes.data)
 
         # Reference: raw counter words mapped with the same (w + 0.5) * 2^-32.
         idx = np.arange(block0, block0 + n_blocks, dtype=np.uint64)
@@ -57,9 +73,9 @@ class TestNativeBitParity:
         # longest one, so one reference serves the whole sweep.
         seed, sid = 0x0DDB_A11C_AFE5_EED5, 0xA5A5_0001_0000_000B
         rng = ParallelRNG(seed=seed, stream_id=sid)
-        lib = philox_native.load()
+        lib = fastpath.load()
         max_count = 4 * (2 * 32 + 8) + 3
-        want = philox_native._reference_unit(
+        want = fastpath._reference_unit(
             seed, sid, block0, -(-max_count // 4)
         )
         want32 = want.astype(np.float32)
@@ -71,19 +87,19 @@ class TestNativeBitParity:
             assert got32.tobytes() == want32[:count].tobytes(), count
         for n_blocks in range(1, -(-max_count // 4) + 1):
             got64 = np.empty(4 * n_blocks, dtype=np.float64)
-            philox_native.unit_f64(
-                lib, block0, sid, n_blocks, rng._flat_keys, got64
+            lib.philox_unit_f64(
+                block0, sid, n_blocks, rng._keys_addr, got64.ctypes.data
             )
             assert got64.tobytes() == want[: 4 * n_blocks].tobytes(), n_blocks
 
     def test_unit_f32_is_f64_rounded_once(self):
         rng = ParallelRNG(seed=99, stream_id=3)
-        lib = philox_native.load()
+        lib = fastpath.load()
         n_blocks = 32
         f32 = np.empty(4 * n_blocks, dtype=np.float32)
         f64 = np.empty(4 * n_blocks, dtype=np.float64)
-        philox_native.unit_f32(lib, 0, 3, n_blocks, rng._flat_keys, f32)
-        philox_native.unit_f64(lib, 0, 3, n_blocks, rng._flat_keys, f64)
+        lib.philox_unit_f32(0, 3, 4 * n_blocks, rng._keys_addr, f32.ctypes.data)
+        lib.philox_unit_f64(0, 3, n_blocks, rng._keys_addr, f64.ctypes.data)
         np.testing.assert_array_equal(f32, f64.astype(np.float32))
 
 
@@ -127,7 +143,7 @@ class TestStreamEquivalence:
         # 2^32 counter carry.
         sizes = [1, 3, 5, 13, 7 * 9, 267, 33 * 31, 1023]
         native = ParallelRNG(seed=0xDEADBEEF, stream_id=stream_id)
-        monkeypatch.setenv("REPRO_NO_NATIVE_RNG", "1")
+        monkeypatch.setenv(ENV_GATE, "1")
         numpy_path = ParallelRNG(seed=0xDEADBEEF, stream_id=stream_id)
         assert numpy_path._native is None
         native.seek(start)
@@ -150,9 +166,27 @@ class TestStreamEquivalence:
         np.testing.assert_array_equal(rng.uniform(64, 0.0, 1.0), first)
         assert rng.position == pos
 
+    @needs_native
     def test_env_gate_disables_native(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NATIVE_RNG", "1")
-        monkeypatch.setattr(philox_native, "_lib", philox_native._UNSET)
-        assert philox_native.load() is None
-        assert not philox_native.available()
-        # monkeypatch teardown restores the original cached handle.
+        # The fast-path gate turns the fills off for generators built after
+        # it is set; their float32 and float64 draws keep every bit.
+        native = ParallelRNG(seed=0xFEED, stream_id=5)
+        assert native._native is not None
+        monkeypatch.setenv(ENV_GATE, "1")
+        numpy_path = ParallelRNG(seed=0xFEED, stream_id=5)
+        assert numpy_path._native is None
+        assert fastpath.load() is None
+        for dtype in (np.float32, np.float64):
+            a = np.empty((37, 11), dtype=dtype)
+            b = np.empty((37, 11), dtype=dtype)
+            native.uniform(a.shape, 0.0, 1.0, out=a)
+            numpy_path.uniform(b.shape, 0.0, 1.0, out=b)
+            assert a.tobytes() == b.tobytes(), dtype
+        a = native.uniform(101, -3.0, 2.0, dtype=np.float64)
+        b = numpy_path.uniform(101, -3.0, 2.0, dtype=np.float64)
+        assert a.tobytes() == b.tobytes()
+        assert native.position == numpy_path.position
+
+    def test_generators_draw_through_the_fastpath_library(self):
+        # One native library: a generator's fills are the fast path's.
+        assert ParallelRNG(seed=3)._native is fastpath.load()
