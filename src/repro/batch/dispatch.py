@@ -250,7 +250,8 @@ class RunningJob:
                 break
         result = rj.finish()
 
-    which is bit-identical to ``engine.optimize(...)`` of the same spec.
+    which is bit-identical to ``engine.optimize(...)`` of the same spec,
+    for every engine: the multi-GPU fleet steps like any other.
     Between steps the live best-so-far (:attr:`gbest_value`) is readable —
     the streaming hook — and :meth:`snapshot` captures the full run state
     for checkpoint-backed cancellation; :meth:`finish` accepts a terminal
@@ -268,7 +269,6 @@ class RunningJob:
         restore=None,
         injector=None,
     ) -> None:
-        from repro.core.engine import Engine
         from repro.engines import make_engine
 
         options = (
@@ -297,22 +297,11 @@ class RunningJob:
             restore=restore,
         )
         self._finished = False
-        if type(self.engine).optimize is Engine.optimize:
-            self.run = self.engine.start_run(problem, **spec)
-        else:
-            # An engine with its own optimize() loop (the multi-GPU fleet)
-            # cannot be stepped: drive() runs that loop whole.
-            self.run = None
-            self._whole = lambda: self.engine.optimize(problem, **spec)
+        self.run = self.engine.start_run(problem, **spec)
 
     # -- live views ----------------------------------------------------------
     @property
     def start_iter(self) -> int:
-        if self.run is None:
-            raise InvalidParameterError(
-                f"engine {self.engine.name!r} runs its own loop and cannot "
-                "be stepped; use drive()"
-            )
         return self.run.start_iter
 
     @property
@@ -360,9 +349,6 @@ class RunningJob:
 
     def drive(self) -> OptimizeResult:
         """Step the run to completion and finish it (solo-run equivalent)."""
-        if self.run is None:
-            self._finished = True
-            return self._whole()
         for t in range(self.start_iter, self.max_iter):
             if self.step(t):
                 break

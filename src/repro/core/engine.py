@@ -64,6 +64,13 @@ class EngineRun:
     on its row block of the values, while
     :meth:`after_iteration` keeps every run's own bookkeeping (history,
     budget, checkpoint, stop criteria) unchanged.
+
+    Every engine runs through this one loop, the multi-GPU fleet
+    (:mod:`repro.engines.multi_gpu`) included: its state holds one swarm
+    shard per device and its runner (:meth:`Engine._make_runner`) steps
+    every device, guards each shard and runs the scheduled gbest exchange
+    before the bookkeeping here; :meth:`after_iteration` tells the runner
+    when the bookkeeping stops the run.
     """
 
     __slots__ = (
@@ -134,9 +141,10 @@ class EngineRun:
             # full runs reporting "completed".
             stopping = True
             self.status = self.tracker.breach or "budget_exhausted"
-        if (
+        if stopping:
+            self.runner.on_stop()
+        elif (
             self.checkpoint is not None
-            and not stopping
             and self.iterations_run < self.max_iter
             and self.checkpoint.due(self.iterations_run)
         ):
@@ -479,12 +487,7 @@ class Engine(ABC):
         # shape or needs per-launch hooks.  A restored run builds a fresh
         # runner like any other, so the graph is re-captured after resume —
         # stale bindings from the pre-checkpoint run can never be replayed.
-        from repro.gpusim.graph import IterationRunner
-
         eager_reason = self._graph_eager_reason(stop, callback, tracker, guard)
-        runner = IterationRunner(
-            self, problem, params, state, rng, eager_reason=eager_reason
-        )
 
         self._progress = 0.0
         run = EngineRun()
@@ -504,12 +507,23 @@ class Engine(ABC):
         run.history = history
         run.tracker = tracker
         run.injector = injector
-        run.runner = runner
         run.setup_seconds = setup_seconds
         run.start_iter = start_iter
         run.iterations_run = start_iter
         run.status = "completed"
+        run.runner = self._make_runner(run, eager_reason)
         return run
+
+    def _make_runner(self, run: EngineRun, eager_reason: str | None):
+        """The runner that drives *run*'s iterations (see
+        :class:`~repro.gpusim.graph.IterationRunner`); the multi-GPU fleet
+        returns one that steps a runner per device."""
+        from repro.gpusim.graph import IterationRunner
+
+        return IterationRunner(
+            self, run.problem, run.params, run.state, run.rng,
+            eager_reason=eager_reason,
+        )
 
     def _peak_device_bytes(self) -> int:
         """High-water device-memory mark; CPU engines report 0."""

@@ -11,47 +11,170 @@ end-to-end time is the *slowest device's* timeline plus the exchange costs
 — the asynchronous behaviour the paper describes as the advantage of this
 strategy over the per-iteration-synchronised tile-matrix approach.
 
-This engine overrides :meth:`optimize` rather than running one body
-because it owns several device timelines; each device runs the unmodified
-:class:`FastPSOEngine` iteration (:func:`repro.gpusim.graph.iteration_body`
-through its own :class:`~repro.gpusim.graph.IterationRunner`), so numerics
-per sub-swarm are identical to single-GPU FastPSO.
+A fleet run is an ordinary stepped run (:class:`~repro.core.engine.
+EngineRun`): its state is a :class:`_Fleet` of per-device shards, its clock
+the :class:`_FleetClock` view over the device clocks, and its runner a
+:class:`_FleetRunner` that steps every device's own
+:class:`~repro.gpusim.graph.IterationRunner` — the unmodified
+:class:`FastPSOEngine` iteration — then guards each shard and runs the
+scheduled exchange.  Numerics per sub-swarm are therefore identical to
+single-GPU FastPSO, and every host that steps runs (batch, serve) runs a
+fleet like any other engine.
 """
 
 from __future__ import annotations
 
+import contextlib
+from types import MappingProxyType
+
 import numpy as np
 
-from repro.core.engine import Engine
-from repro.core.parameters import PAPER_DEFAULTS, PSOParams
+from repro.core.engine import Engine, EngineRun
+from repro.core.parameters import PSOParams
 from repro.core.problem import Problem
-from repro.core.results import History, OptimizeResult, StepTimes
-from repro.core.stopping import StopCriterion
 from repro.engines.gpu_elementwise import FastPSOEngine
 from repro._compat import deprecated_kwargs
 from repro.errors import InvalidParameterError
 from repro.gpusim.costmodel import GpuCostParams
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.graph import IterationRunner
 from repro.gpusim.multigpu import ExchangeCost, partition_particles
 
 __all__ = ["MultiGpuFastPSOEngine"]
 
 
 class _FleetClock:
-    """Read-only clock view over the whole fleet for budget tracking.
+    """Read-only clock view over the whole fleet.
 
     The multi-GPU timeline is the slowest device's clock plus the exchange
-    costs — the same quantity ``elapsed_seconds`` reports — so a simulated-
-    time budget measures exactly what the result will show.
+    costs, so ``elapsed_seconds``, a simulated-time budget and a serving
+    host's progress stamps all measure the same quantity.  The view
+    advances nothing itself, so it holds no section totals of its own (a
+    fleet profile sums the device clocks); :meth:`total` reports the
+    slowest device's, with the exchanges in ``gbest``.
     """
 
-    def __init__(self, engine: "MultiGpuFastPSOEngine") -> None:
-        self._engine = engine
+    section_totals = MappingProxyType({})
+
+    def __init__(self, workers) -> None:
+        self._clocks = [w.clock for w in workers]
+        self.exchange_seconds = 0.0
 
     @property
     def now(self) -> float:
-        e = self._engine
-        return max(w.clock.now for w in e.workers) + e._exchange_seconds
+        return max(c.now for c in self._clocks) + self.exchange_seconds
+
+    def reset(self) -> None:
+        for clock in self._clocks:
+            clock.reset()
+        self.exchange_seconds = 0.0
+
+    def section(self, label: str):
+        # Each device charges its own section (see _initialize).
+        return contextlib.nullcontext()
+
+    def total(self, label: str) -> float:
+        slowest = max(self._clocks, key=lambda c: c.now)
+        extra = self.exchange_seconds if label == "gbest" else 0.0
+        return slowest.total(label) + extra
+
+
+class _Fleet:
+    """A fleet run's state: one :class:`SwarmState` shard per device and
+    the best value and position the last exchange broadcast.
+
+    ``gbest_value``/``gbest_position``/``pbest_values`` are the fleet-wide
+    views the run's bookkeeping reads (history, stop criteria, budget, the
+    result).
+    """
+
+    __slots__ = ("shards", "best_value", "best_position")
+
+    def __init__(self, shards, dim: int) -> None:
+        self.shards = shards
+        self.best_value = np.inf
+        self.best_position = np.zeros(dim, dtype=np.float32)
+
+    @property
+    def leader(self):
+        """The shard holding the best local gbest (the first on ties)."""
+        return min(self.shards, key=lambda s: s.gbest_value)
+
+    @property
+    def gbest_value(self) -> float:
+        return min(self.best_value, self.leader.gbest_value)
+
+    @property
+    def gbest_position(self) -> np.ndarray:
+        leader = self.leader
+        if leader.gbest_value < self.best_value:
+            return leader.gbest_position
+        return self.best_position
+
+    @property
+    def pbest_values(self) -> np.ndarray:
+        return np.concatenate([s.pbest_values for s in self.shards])
+
+
+class _FleetRunner:
+    """Steps a fleet run: every device's own runner, then the guard on
+    each shard with that shard's Philox stream, then the scheduled
+    exchange.  The run's bookkeeping (history, callback, stop, budget)
+    follows in :meth:`EngineRun.after_iteration`.
+
+    Each device keeps its own graph lifecycle (launcher, allocator pool,
+    stream); ``phase`` and ``info`` report the first device's.
+    """
+
+    def __init__(self, engine, run: EngineRun, eager_reason) -> None:
+        self.engine = engine
+        self.fleet = run.state
+        self.problem = run.problem
+        self.max_iter = run.max_iter
+        self.rngs = run.rng
+        # Exchanges only rewrite gbest state between iterations, which
+        # replay reads dynamically, so they don't block graph eligibility.
+        self.runners = [
+            IterationRunner(
+                worker, run.problem, run.params, shard, rng,
+                eager_reason=eager_reason,
+            )
+            for worker, shard, rng in zip(
+                engine.workers, self.fleet.shards, self.rngs
+            )
+        ]
+        self.info = engine.graph_info = self.runners[0].info
+        # The guard inspects shards, before the exchange, so it moves from
+        # the run's bookkeeping to this runner; the callback is handed the
+        # leader shard, the closest analogue of the single-GPU state.
+        self.guard, run.guard = run.guard, None
+        if run.callback is not None:
+            callback = run.callback
+            run.callback = lambda t, fleet: callback(t, fleet.leader)
+
+    @property
+    def phase(self) -> str:
+        return self.runners[0].phase
+
+    def run_iteration(self, t: int) -> None:
+        engine = self.engine
+        progress = engine._progress
+        for worker, runner in zip(engine.workers, self.runners):
+            worker._progress = progress
+            runner.run_iteration(t)
+        if self.guard is not None:
+            for shard, rng in zip(self.fleet.shards, self.rngs):
+                self.guard.inspect(shard, self.problem, rng, iteration=t)
+        if (t + 1) % engine.exchange_interval == 0 or t == self.max_iter - 1:
+            engine._exchange_best(self.fleet)
+
+    def on_stop(self) -> None:
+        # A run ended by its bookkeeping reconciles the devices once more.
+        self.engine._exchange_best(self.fleet)
+
+    def finalize(self) -> None:
+        for runner in self.runners:
+            runner.finalize()
 
 
 class MultiGpuFastPSOEngine(Engine):
@@ -99,43 +222,31 @@ class MultiGpuFastPSOEngine(Engine):
         for index, worker in enumerate(self.workers):
             worker.ctx.device_index = index
         self.name = f"fastpso-mgpu{n_devices}"
+        self.clock = _FleetClock(self.workers)
         self._exchange = ExchangeCost(self.workers[0].ctx.spec)
-        self._exchange_seconds = 0.0
 
     def attach_fault_injector(self, injector) -> None:
         # One injector spans all worker devices: launch/alloc ordinals count
         # across the whole engine, and a device-lost fault takes down the
-        # entire multi-GPU run (the base class would find no ``self.ctx``
-        # here and silently skip the wiring).
-        self._fault_injector = injector
+        # entire multi-GPU run.  The fleet watches no shard buffer, so the
+        # injector stays off the run's integrity check (see _graph_blockers).
         injector.on_new_device()
         for worker in self.workers:
             worker.ctx.attach_fault_injector(injector)
 
     def _graph_blockers(self) -> str | None:
-        if any(w.ctx.launcher.record_launches for w in self.workers):
-            return "record-launches"
-        return None
+        # Every device is built alike and carries the fleet's injector.
+        return self.workers[0]._graph_blockers()
 
-    # -- step (i) is unused; the loop below drives the workers directly --
-    def _initialize(self, *a, **k):  # pragma: no cover - not reachable
-        raise NotImplementedError
-
-    def optimize(
+    def start_run(
         self,
         problem: Problem,
         *,
         n_particles: int,
-        max_iter: int,
-        params: PSOParams = PAPER_DEFAULTS,
-        stop: StopCriterion | None = None,
-        record_history: bool = False,
-        callback=None,
         checkpoint=None,
         restore=None,
-        budget=None,
-        guard=None,
-    ) -> OptimizeResult:
+        **kwargs,
+    ) -> EngineRun:
         if checkpoint is not None or restore is not None:
             # A multi-GPU run spans several Philox streams and device
             # timelines; a single RunSnapshot cannot express it (yet).
@@ -143,182 +254,50 @@ class MultiGpuFastPSOEngine(Engine):
                 "checkpoint/resume is not supported by the multi-GPU engine; "
                 "use a single-device engine from the fastpso family"
             )
-        if callback is not None and not callable(callback):
-            raise InvalidParameterError("callback must be callable")
-        from repro.core.budget import Budget
-
-        if budget is not None and not isinstance(budget, Budget):
-            raise InvalidParameterError("budget must be a repro Budget")
-        if guard is not None and not hasattr(guard, "inspect"):
-            raise InvalidParameterError(
-                "guard must provide an inspect() hook (see SwarmHealthGuard)"
-            )
         if n_particles < self.n_devices:
             raise InvalidParameterError(
                 f"cannot split {n_particles} particles over "
                 f"{self.n_devices} devices"
             )
-        if max_iter <= 0:
-            raise InvalidParameterError(f"max_iter must be positive, got {max_iter}")
-        if stop is not None:
-            stop.reset()
+        return super().start_run(problem, n_particles=n_particles, **kwargs)
 
-        shard_sizes = partition_particles(n_particles, self.n_devices)
-        self._exchange_seconds = 0.0
-        history = History() if record_history else None
-        for worker in self.workers:
-            worker.clock.reset()
+    def _make_rng(self, seed: int) -> list:
+        # One Philox stream per device, namespaced by its device index.
+        return [worker.ctx.make_rng(seed) for worker in self.workers]
+
+    def _initialize(
+        self, problem: Problem, params: PSOParams, n_particles: int, rng: list
+    ) -> _Fleet:
+        shards = []
+        sizes = partition_particles(n_particles, self.n_devices)
+        for worker, size, worker_rng in zip(self.workers, sizes, rng):
             worker._progress = 0.0
-        tracker = None
-        if budget is not None and not budget.is_unlimited:
-            tracker = budget.start(
-                clock=_FleetClock(self), n_particles=n_particles
-            )
-        if guard is not None:
-            guard.reset()
-
-        # Per-device init: disjoint Philox streams derived from one seed
-        # (each worker's context namespaces the stream by device index).
-        # The same generator object continues through the iteration draws,
-        # exactly like the single-GPU engine.
-        states = []
-        rngs = []
-        for worker, shard in zip(self.workers, shard_sizes):
-            rng = worker.ctx.make_rng(params.seed)
             with worker.clock.section("init"):
-                states.append(worker._initialize(problem, params, shard, rng))
-            rngs.append(rng)
-
-        setup_seconds = max(w.clock.now for w in self.workers)
-
-        # One capture/replay lifecycle per worker device: each sub-swarm's
-        # iteration shape is independent (its own launcher, allocator pool
-        # and Philox stream).  Exchanges only rewrite gbest state between
-        # iterations, which replay reads dynamically, so they don't block
-        # graph eligibility.
-        from repro.gpusim.graph import IterationRunner
-
-        eager_reason = self._graph_eager_reason(stop, callback, tracker, guard)
-        runners = [
-            IterationRunner(
-                worker, problem, params, state, rng, eager_reason=eager_reason
-            )
-            for worker, state, rng in zip(self.workers, states, rngs)
-        ]
-        self.graph_info = runners[0].info
-
-        global_best_value = np.inf
-        global_best_position = np.zeros(problem.dim, dtype=np.float32)
-        iterations_run = 0
-        status = "completed"
-
-        for t in range(max_iter):
-            progress = t / max(1, max_iter - 1)
-            for worker, runner in zip(self.workers, runners):
-                worker._progress = progress
-                runner.run_iteration(t)
-            iterations_run = t + 1
-            if guard is not None:
-                # Each sub-swarm is repaired from its own Philox stream, so
-                # interventions stay deterministic per device.
-                for state, rng in zip(states, rngs):
-                    guard.inspect(state, problem, rng, iteration=t)
-
-            if (t + 1) % self.exchange_interval == 0 or t == max_iter - 1:
-                global_best_value, global_best_position = self._exchange_best(
-                    problem, states, global_best_value, global_best_position
+                shards.append(
+                    worker._initialize(problem, params, size, worker_rng)
                 )
+        return _Fleet(shards, problem.dim)
 
-            if history is not None:
-                best_now = min(s.gbest_value for s in states)
-                mean_pbest = float(
-                    np.mean(np.concatenate([s.pbest_values for s in states]))
-                )
-                history.record(min(best_now, global_best_value), mean_pbest)
-            if callback is not None:
-                # The callback receives the sub-swarm currently holding the
-                # best gbest (the closest analogue of the single-GPU state).
-                leader = min(states, key=lambda s: s.gbest_value)
-                if callback(t, leader):
-                    global_best_value, global_best_position = (
-                        self._exchange_best(
-                            problem,
-                            states,
-                            global_best_value,
-                            global_best_position,
-                        )
-                    )
-                    break
-            if stop is not None and stop.should_stop(
-                t, min(global_best_value, min(s.gbest_value for s in states))
-            ):
-                global_best_value, global_best_position = self._exchange_best(
-                    problem, states, global_best_value, global_best_position
-                )
-                break
-            if (
-                tracker is not None
-                and iterations_run < max_iter
-                and tracker.should_stop(
-                    t, min(global_best_value, min(s.gbest_value for s in states))
-                )
-            ):
-                status = tracker.breach or "budget_exhausted"
-                global_best_value, global_best_position = self._exchange_best(
-                    problem, states, global_best_value, global_best_position
-                )
-                break
+    def _make_runner(self, run: EngineRun, eager_reason) -> _FleetRunner:
+        return _FleetRunner(self, run, eager_reason)
 
-        for runner in runners:
-            runner.finalize()
-        for worker, state in zip(self.workers, states):
-            worker._finalize(state)
+    def _finalize(self, state: _Fleet) -> None:
+        for worker, shard in zip(self.workers, state.shards):
+            worker._finalize(shard)
 
-        elapsed = (
-            max(w.clock.now for w in self.workers) + self._exchange_seconds
-        )
-        loop_seconds = elapsed - setup_seconds
-        slowest = max(self.workers, key=lambda w: w.clock.now)
-        step_times = StepTimes(
-            init=slowest.clock.total("init"),
-            eval=slowest.clock.total("eval"),
-            pbest=slowest.clock.total("pbest"),
-            gbest=slowest.clock.total("gbest") + self._exchange_seconds,
-            swarm=slowest.clock.total("swarm"),
-        )
-        return OptimizeResult(
-            engine=self.name,
-            problem=problem.name,
-            n_particles=n_particles,
-            dim=problem.dim,
-            iterations=iterations_run,
-            best_value=float(global_best_value),
-            best_position=np.asarray(global_best_position, dtype=np.float64),
-            error=problem.error_of(global_best_value),
-            elapsed_seconds=elapsed,
-            setup_seconds=setup_seconds,
-            iteration_seconds=loop_seconds / iterations_run,
-            step_times=step_times,
-            history=history,
-            peak_device_bytes=max(
-                w.ctx.memory.high_water_bytes for w in self.workers
-            ),
-            status=status,
-        )
+    def _peak_device_bytes(self) -> int:
+        return max(w._peak_device_bytes() for w in self.workers)
 
-    def _exchange_best(
-        self, problem, states, global_best_value, global_best_position
-    ):
+    def _exchange_best(self, fleet: _Fleet) -> None:
         """Reconcile local gbests: gather candidates, broadcast the winner."""
-        for state in states:
-            if state.gbest_value < global_best_value:
-                global_best_value = state.gbest_value
-                global_best_position = state.gbest_position.copy()
-        for state in states:
-            if global_best_value < state.gbest_value:
-                state.gbest_value = float(global_best_value)
-                state.gbest_position = global_best_position.copy()
-        self._exchange_seconds += self._exchange.gbest_broadcast(
-            self.n_devices, problem.dim * 4 + 8
+        for shard in fleet.shards:
+            if shard.gbest_value < fleet.best_value:
+                fleet.best_value = shard.gbest_value
+                fleet.best_position = shard.gbest_position.copy()
+        for shard in fleet.shards:
+            if fleet.best_value < shard.gbest_value:
+                shard.gbest_value = float(fleet.best_value)
+                shard.gbest_position = fleet.best_position.copy()
+        self.clock.exchange_seconds += self._exchange.gbest_broadcast(
+            self.n_devices, fleet.best_position.size * 4 + 8
         )
-        return global_best_value, global_best_position

@@ -423,7 +423,7 @@ def iteration_body(
 class IterationRunner:
     """Drives one engine's iterations through the capture/replay lifecycle.
 
-    Built once per ``optimize()`` call (and per worker, for multi-GPU).
+    Built once per ``optimize()`` call (and per device, for multi-GPU).
     :meth:`run_iteration` runs :func:`iteration_body` with live or flat
     accounting, or the native step;
     :meth:`finalize` reconciles profiler statistics.
@@ -598,6 +598,11 @@ class IterationRunner:
         self.info["eager_reason"] = reason
         if self.info["native"] in (None, "active"):
             self.info["native"] = reason
+
+    def on_stop(self) -> None:
+        """The run's callback, stop criterion or budget ended the run
+        at this iteration.  One device has nothing to reconcile; the
+        multi-GPU fleet's runner runs one more exchange."""
 
     def finalize(self) -> None:
         """Reconcile aggregated profiling for the replayed iterations."""

@@ -62,12 +62,10 @@ def build() -> ctypes.CDLL | None:
     """The opened library, ``cache_dir()/fastpath-<hash>.so``.
 
     Compiles it first when the cache holds no build of the current sources
-    and flags.  ``None`` when there is no compiler or the compile or the
+    and flags; only that compile needs a C compiler.  ``None`` when a
+    compile is needed and there is no compiler, or the compile or the
     dlopen fails.
     """
-    cc = compiler_path()
-    if cc is None:
-        return None
     hasher = hashlib.sha256()
     for src in _SOURCES:
         hasher.update(src.read_bytes())
@@ -76,6 +74,9 @@ def build() -> ctypes.CDLL | None:
     so_dir = cache_dir()
     so_path = so_dir / f"fastpath-{hasher.hexdigest()[:16]}.so"
     if not so_path.exists():
+        cc = compiler_path()
+        if cc is None:
+            return None
         so_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
         with tempfile.NamedTemporaryFile(dir=so_dir, suffix=".so", delete=False) as tmp:
             tmp_path = Path(tmp.name)

@@ -388,8 +388,15 @@ def capture_live_run(run) -> RunSnapshot:
     Captures the run at its current iteration (the iterations completed so
     far) — the periodic checkpoint path and checkpoint-backed cancellation
     (:mod:`repro.serve`) both go through here, so a cancelled job's
-    snapshot resumes exactly like a crash-recovery one.
+    snapshot resumes exactly like a crash-recovery one.  A multi-GPU fleet
+    run holds one swarm, stream and clock per device, which one snapshot
+    cannot express: it raises :class:`~repro.errors.CheckpointError`.
     """
+    if not isinstance(run.state, SwarmState):
+        raise CheckpointError(
+            f"engine {run.engine.name!r} runs a multi-GPU fleet; a snapshot "
+            "holds a single-device run"
+        )
     return capture_run(
         engine_name=run.engine.name,
         problem=run.problem,

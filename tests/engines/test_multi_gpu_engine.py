@@ -118,6 +118,17 @@ class TestMultiDevice:
                 problem, n_particles=4, max_iter=2, params=params
             )
 
+    def test_running_fleet_cannot_be_captured(self, problem, params):
+        from repro.errors import CheckpointError
+        from repro.reliability.snapshot import capture_live_run
+
+        run = MultiGpuFastPSOEngine(n_devices=2).start_run(
+            problem, n_particles=16, max_iter=4, params=params
+        )
+        run.step(0)
+        with pytest.raises(CheckpointError, match="multi-GPU"):
+            capture_live_run(run)
+
     def test_exchange_costs_accounted(self, problem, params):
         frequent = MultiGpuFastPSOEngine(n_devices=4, exchange_interval=1)
         rare = MultiGpuFastPSOEngine(n_devices=4, exchange_interval=100)
@@ -128,3 +139,118 @@ class TestMultiDevice:
             problem, n_particles=64, max_iter=50, params=params
         ).elapsed_seconds
         assert t_frequent > t_rare
+
+
+# -- cross-commit pins -------------------------------------------------------
+#
+# Every test above compares a multi-device run with itself or with loose
+# bounds.  These pin whole results of 2- and 3-device fleets: the full
+# ``result_to_dict`` (history included), the shard each callback call
+# received and the guard's interventions, stored as JSON in
+# ``tests/data/mgpu_pins.json``.  A refactor of the fleet's run loop that
+# moves one exchange, guard call or history record fails here.
+#
+# Regenerate (only for an intended behaviour change) with
+# ``PYTHONPATH=src python tests/engines/test_multi_gpu_engine.py``.
+
+import json
+import sys
+from pathlib import Path
+
+from repro.core.budget import Budget
+from repro.core.stopping import StallStop
+from repro.io import result_to_dict
+from repro.reliability import SwarmHealthGuard
+
+PINS = Path(__file__).resolve().parents[1] / "data" / "mgpu_pins.json"
+
+#: 67 particles split unevenly: 34/33 over two devices, 23/22/22 over three.
+PIN_PARTICLES = 67
+PIN_ITERS = 30
+
+#: case -> (n_devices, exchange_interval, graph, run options).
+PIN_CASES = {
+    "d2-x1-graph": (2, 1, True, {}),
+    "d2-x7-eager": (2, 7, False, {}),
+    "d3-x7-graph": (3, 7, True, {}),
+    "d3-x50-graph": (3, 50, True, {}),
+    "d3-x50-eager": (3, 50, False, {}),
+    "d2-x7-target": (2, 7, True, {"stop": "target"}),
+    "d3-x1-stall": (3, 1, True, {"stop": "stall"}),
+    "d2-x7-budget4": (2, 7, True, {"budget": 4}),
+    "d3-x7-guard": (3, 7, True, {"guard": True}),
+    "d2-x7-callback5": (2, 7, True, {"callback_at": 5}),
+    "d3-x7-callback-last": (3, 7, False, {"callback_at": PIN_ITERS - 1}),
+}
+
+
+def pin_payload(name: str) -> dict:
+    n_devices, interval, graph, options = PIN_CASES[name]
+    engine = MultiGpuFastPSOEngine(
+        n_devices=n_devices, exchange_interval=interval, graph=graph
+    )
+    calls = []
+    kwargs = {}
+    if options.get("stop") == "target":
+        kwargs["stop"] = TargetValue(30.0)
+    elif options.get("stop") == "stall":
+        kwargs["stop"] = StallStop(patience=2, min_delta=1.0)
+    if "budget" in options:
+        kwargs["budget"] = Budget(iterations=options["budget"])
+    guard = None
+    if options.get("guard"):
+        # A tiny velocity limit makes the guard clamp every iteration.
+        guard = kwargs["guard"] = SwarmHealthGuard(velocity_factor=0.01)
+    if "callback_at" in options:
+        stop_at = options["callback_at"]
+
+        def callback(t, state):
+            calls.append([t, state.n_particles, repr(state.gbest_value)])
+            return t == stop_at
+
+        kwargs["callback"] = callback
+    result = engine.optimize(
+        Problem.from_benchmark("rastrigin", 5),
+        n_particles=PIN_PARTICLES,
+        max_iter=PIN_ITERS,
+        params=PSOParams(seed=23),
+        record_history=True,
+        **kwargs,
+    )
+    info = engine.graph_info
+    return {
+        "result": result_to_dict(result),
+        "callback": calls,
+        "guard": guard.to_rows() if guard is not None else None,
+        "graph": [info["mode"], info["eager_reason"], info["captured_at"]],
+    }
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_multi_device_run_is_pinned(name):
+    stored = json.loads(PINS.read_text())[name]
+    assert _canonical(pin_payload(name)) == _canonical(stored)
+
+
+def test_pins_cover_the_stop_paths():
+    """The pinned cases really stop early, exhaust a budget and guard."""
+    pins = json.loads(PINS.read_text())
+    for name in ("d2-x7-target", "d3-x1-stall", "d2-x7-callback5"):
+        assert pins[name]["result"]["iterations"] < PIN_ITERS, name
+    assert pins["d2-x7-budget4"]["result"]["status"] == "budget_exhausted"
+    assert pins["d2-x7-budget4"]["result"]["iterations"] == 4
+    assert pins["d3-x7-guard"]["guard"]
+    assert pins["d3-x7-callback-last"]["callback"][-1][0] == PIN_ITERS - 1
+    assert pins["d3-x50-graph"]["graph"][0] == "graph"
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(PIN_CASES)
+    pins = json.loads(PINS.read_text()) if PINS.exists() else {}
+    for case in names:
+        pins[case] = pin_payload(case)
+    PINS.write_text(_canonical(pins) + "\n")

@@ -393,7 +393,7 @@ class TestFallbacks:
         self, problem, monkeypatch, tmp_path
     ):
         # Point the loader at an empty cache dir too: a previously compiled
-        # .so would otherwise load fine without a compiler (by design).
+        # .so loads fine without a compiler (see the warm-cache test below).
         monkeypatch.setattr(native, "compiler_path", lambda: None)
         monkeypatch.setattr(native, "cache_dir", lambda: tmp_path)
         monkeypatch.setattr(fastpath, "_lib", fastpath._UNSET)
@@ -406,6 +406,22 @@ class TestFallbacks:
             monkeypatch.undo()  # restores the loaded library too
         _, eager = run("fastpso", problem, graph=False)
         assert_identical(result, eager)
+
+    @pytest.mark.skipif(
+        native.compiler_path() is None, reason="no C compiler to warm a cache"
+    )
+    def test_warm_cache_loads_without_compiler(self, monkeypatch, tmp_path):
+        """Only a compile needs a compiler: a cache that already holds the
+        build of the current sources and flags is loaded without one."""
+        monkeypatch.setattr(native, "cache_dir", lambda: tmp_path)
+        assert native.build() is not None  # compiles into the empty cache
+        monkeypatch.setattr(native, "compiler_path", lambda: None)
+        monkeypatch.setattr(fastpath, "_lib", fastpath._UNSET)
+        try:
+            # load() binds the library only once its self-test passed.
+            assert fastpath.load() is not None
+        finally:
+            monkeypatch.undo()  # restores the loaded library too
 
     @needs_native
     def test_verify_mismatch_demotes_to_python_replay(
