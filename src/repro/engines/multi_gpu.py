@@ -42,6 +42,15 @@ from repro.gpusim.multigpu import ExchangeCost, partition_particles
 
 __all__ = ["MultiGpuFastPSOEngine"]
 
+#: Why a fleet run takes no checkpoint and no restore: it spans several
+#: Philox streams and device timelines, and a single RunSnapshot cannot
+#: express it (yet).  The serving layer refuses a job it would checkpoint
+#: with the same message, at submit.
+CHECKPOINT_REFUSAL = (
+    "checkpoint/resume is not supported by the multi-GPU engine; "
+    "use a single-device engine from the fastpso family"
+)
+
 
 class _FleetClock:
     """Read-only clock view over the whole fleet.
@@ -248,12 +257,7 @@ class MultiGpuFastPSOEngine(Engine):
         **kwargs,
     ) -> EngineRun:
         if checkpoint is not None or restore is not None:
-            # A multi-GPU run spans several Philox streams and device
-            # timelines; a single RunSnapshot cannot express it (yet).
-            raise InvalidParameterError(
-                "checkpoint/resume is not supported by the multi-GPU engine; "
-                "use a single-device engine from the fastpso family"
-            )
+            raise InvalidParameterError(CHECKPOINT_REFUSAL)
         if n_particles < self.n_devices:
             raise InvalidParameterError(
                 f"cannot split {n_particles} particles over "

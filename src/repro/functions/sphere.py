@@ -13,6 +13,10 @@ the positions, bit for bit.  The engines' float32 position matrices
 kernel (:func:`repro.gpusim.fastpath.sphere_rows`), which reads the float32
 rows directly and copies einsum's summation order; every other input, and
 every run with the kernel disabled or unavailable, takes einsum itself.
+On the native tier the compiled iteration step runs the same kernel
+itself (:func:`repro.gpusim.fastpath.build_native`); :meth:`Sphere.evaluate`
+runs there only in the one-iteration promotion check and to raise on a
+NaN row.
 """
 
 from __future__ import annotations

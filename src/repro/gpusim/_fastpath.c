@@ -1,10 +1,14 @@
 /* The captured FastPSO iteration body as one native call.
  *
  * Compiled on demand by repro.gpusim.fastpath (via repro.gpusim.native)
- * and called through ctypes once per replayed iteration.  The call fuses
- * everything the Python replay does between the objective evaluation and
- * the clock charges:
+ * and called through ctypes once per native iteration.  The call fuses
+ * everything the Python replay does before the clock charges:
  *
+ *   0. with the plan's sphere flag set, the Sphere objective: sphere_rows
+ *      (below) scores the positions into the plan's values buffer, and a
+ *      NaN row returns FASTPATH_NAN_ROW before any run state changes (the
+ *      caller then lets the evaluator raise its EvaluationError).  Without
+ *      the flag the caller has copied the evaluator's fitness there;
  *   1. pbest compare-and-claim (strict <, so NaN never claims and ties
  *      keep the earlier best) with the d-wide position row copy;
  *   2. the gbest argmin scan + claim.  The scan reproduces np.argmin's
@@ -35,12 +39,13 @@
  * The per-run constants and stable buffer addresses live in a
  * fastpath_plan struct built once at plan-install time (mirrored by a
  * ctypes.Structure in fastpath.py — field order and types must match):
- * among them the run's float64 base velocity bounds vel_lo/vel_hi
- * (problem.velocity_bounds at the run's clamp, NULL when unclamped) and
- * the (d,) float32 buffers step 4 writes.  Per-iteration values (fitness
- * vector, RNG block cursor, scheduled inertia, clamp fraction frac) arrive
- * as call arguments.  Returns the number of particles whose pbest improved
- * (the dynamic-size input of the pbest-copy clock charge).
+ * among them the plan-owned (n,) fitness buffer, the run's float64 base
+ * velocity bounds vel_lo/vel_hi (problem.velocity_bounds at the run's
+ * clamp, NULL when unclamped) and the (d,) float32 buffers step 4 writes.
+ * Per-iteration values (RNG block cursor, scheduled inertia, clamp
+ * fraction frac) arrive as call arguments.  Returns the number of
+ * particles whose pbest improved (the dynamic-size input of the
+ * pbest-copy clock charge), or FASTPATH_NAN_ROW.
  *
  * It #includes _philox.c, so the library also exports the Philox fills
  * philox_unit_f32 and philox_unit_f64 that repro.gpusim.rng draws
@@ -52,7 +57,8 @@
  * fragment_multiply_add calls it on the Python replay and eager tiers.
  *
  * And it exports sphere_rows, the Sphere objective (paper problem #1) over
- * the float32 positions, which repro.functions.sphere calls on every tier.
+ * the float32 positions, which repro.functions.sphere calls on every
+ * Python tier and step 0 runs on the native one.
  * Its contract is bit-identity with np.einsum("ij,ij->i", p, p) on the
  * float64 copy p: it copies the summation order of NumPy's einsum inner
  * loop (see the section below), and fastpath.py checks it against einsum
@@ -70,6 +76,7 @@ typedef struct {
     float* velocities;       /* (n, d) */
     float* pbest_positions;  /* (n, d) */
     double* pbest_values;    /* (n,)  */
+    double* values;          /* (n,) plan-owned: this iteration's fitness */
     float* l_weights;        /* (n, d) workspace */
     float* g_weights;        /* (n, d) workspace */
     double* gbest_value;     /* (1,) plan-owned */
@@ -84,7 +91,13 @@ typedef struct {
     float* vel_hi32;         /* (d,) plan-owned */
     float c1;                /* cognitive coefficient, float32 */
     float c2;                /* social coefficient, float32 */
+    uint64_t sphere;         /* nonzero: step 0 scores Sphere into values */
 } fastpath_plan;
+
+/* fastpath_step's return when step 0 found a NaN row. */
+#define FASTPATH_NAN_ROW (-1)
+
+uint64_t sphere_rows(const float* x, double* out, uint64_t n, uint64_t d);
 
 /* Eq. 4 velocity + Eq. 5 clamp + Eq. 2 position, one pass.  A standalone
  * function with restrict parameters: every buffer is distinct by
@@ -133,10 +146,19 @@ static void fused_update(uint64_t n, uint64_t d, float w, float c1, float c2,
     }
 }
 
-int64_t fastpath_step(const fastpath_plan* pl, const double* values,
-                      uint64_t block0, float w, double frac) {
+/* One native iteration: steps 0-5 of the header, in place on the plan's
+ * buffers.  Returns the improved-pbest count, or FASTPATH_NAN_ROW (nothing
+ * but the values buffer written) when step 0 scored a NaN row. */
+int64_t fastpath_step(const fastpath_plan* pl, uint64_t block0, float w,
+                      double frac) {
     const uint64_t n = pl->n, d = pl->d;
     const uint64_t nd = n * d;
+    const double* values = pl->values;
+
+    /* -- the objective, when it is Sphere --------------------------------- */
+    if (pl->sphere && sphere_rows(pl->positions, pl->values, n, d)) {
+        return FASTPATH_NAN_ROW;
+    }
 
     /* -- pbest compare-and-claim (Algorithm 1 lines 6-9) ------------------ */
     int64_t improved = 0;

@@ -11,19 +11,24 @@ unchanged.  It provides:
 
 * :class:`NativePlan` — the per-run binding: a C-side ``fastpath_plan``
   struct built once at plan-install time from the swarm state, the
-  workspace weight buffers, the RNG key schedule and the run's float64
-  base velocity bounds, plus the per-call :meth:`~NativePlan.step` that
-  syncs the scalar gbest fields in/out and advances the Philox cursor;
+  workspace weight buffers, the RNG key schedule, the run's float64
+  base velocity bounds and a plan-owned fitness buffer, plus the
+  per-call :meth:`~NativePlan.step` that syncs the scalar gbest fields
+  in/out and advances the Philox cursor;
 * :func:`build_native` — the one native builder, called by
   :class:`~repro.gpusim.graph.IterationRunner` after the first verified
   Python replay: the shared refusals, the plan, and the step.  A native
-  iteration is three things: evaluate, one C call, and one
-  :meth:`~repro.gpusim.graph.LaunchGraph.charge` — the captured clock
-  charges in captured order plus the captured allocator-counter delta,
-  with the engine's pbest-copy charge in the dynamic slot;
+  Sphere iteration is two things: one C call, which scores the swarm
+  with ``sphere_rows`` into the plan's fitness buffer before the update,
+  and one :meth:`~repro.gpusim.graph.LaunchGraph.charge` — the captured
+  clock charges in captured order plus the captured allocator-counter
+  delta, with the engine's pbest-copy charge in the dynamic slot.  Any
+  other objective is evaluated in Python first and copied into the
+  buffer;
 * :func:`verify_step` — the promotion gate: it runs the *trusted* Python
   replay on the real state and the C step on shadow copies of the
-  pre-iteration state, then compares every output buffer bitwise.  The
+  pre-iteration state, then compares every output buffer bitwise, the
+  C-scored Sphere values against the evaluator's included.  The
   real run is therefore never touched by unverified native code; any
   mismatch simply keeps the run on the Python replay tier.
 
@@ -49,13 +54,14 @@ self-test checks them against :func:`~repro.gpusim.rng.philox4x32`.
 
 It also exports ``sphere_rows``, the Sphere objective's row sums of
 squares, which :func:`sphere_rows` wraps for
-:meth:`repro.functions.sphere.Sphere.evaluate` on every tier.  Its
+:meth:`repro.functions.sphere.Sphere.evaluate` on the Python tiers and
+``fastpath_step`` runs itself on a Sphere plan.  Its
 contract is bit-identity with ``np.einsum("ij,ij->i", p, p)`` on the
 float64 copy ``p``: the C kernel copies the summation order of NumPy's
 2-lane einsum inner loop (see ``_fastpath.c``).  That order belongs to
 the NumPy build, not to this library, so the kernel has its own
 known-answer check against ``np.einsum``; a mismatch disables only the
-kernel, never ``fastpath_step``.
+kernel (and the in-step Sphere with it), never ``fastpath_step``.
 
 :func:`load` builds the library once per process (:mod:`repro.gpusim.native`)
 and reads ``REPRO_NO_NATIVE_FASTPATH`` on every call: set it to turn every
@@ -72,6 +78,7 @@ import os
 
 import numpy as np
 
+from repro.errors import GraphReplayError
 from repro.gpusim import native
 
 __all__ = [
@@ -98,6 +105,7 @@ class _PlanStruct(ctypes.Structure):
         ("velocities", ctypes.c_void_p),
         ("pbest_positions", ctypes.c_void_p),
         ("pbest_values", ctypes.c_void_p),
+        ("values", ctypes.c_void_p),
         ("l_weights", ctypes.c_void_p),
         ("g_weights", ctypes.c_void_p),
         ("gbest_value", ctypes.c_void_p),
@@ -112,7 +120,13 @@ class _PlanStruct(ctypes.Structure):
         ("vel_hi32", ctypes.c_void_p),
         ("c1", ctypes.c_float),
         ("c2", ctypes.c_float),
+        ("sphere", ctypes.c_uint64),
     ]
+
+
+#: ``fastpath_step``'s return when the in-step Sphere scored a NaN row
+#: (``FASTPATH_NAN_ROW`` in ``_fastpath.c``); the run state is untouched.
+NAN_ROW = -1
 
 
 def _require_f32(name: str, arr: np.ndarray, shape: tuple) -> None:
@@ -161,6 +175,7 @@ def _make_struct(
     velocities: np.ndarray,
     pbest_positions: np.ndarray,
     pbest_values: np.ndarray,
+    values: np.ndarray,
     l_weights: np.ndarray,
     g_weights: np.ndarray,
     gbest_value: np.ndarray,
@@ -170,6 +185,7 @@ def _make_struct(
     bounds: _Bounds,
     c1: float,
     c2: float,
+    sphere: bool,
 ) -> _PlanStruct:
     for name, arr in (
         ("positions", positions),
@@ -180,8 +196,13 @@ def _make_struct(
     ):
         _require_f32(name, arr, (n, d))
     _require_f32("gbest_position", gbest_position, (d,))
-    if pbest_values.dtype != np.float64 or not pbest_values.flags.c_contiguous:
-        raise ValueError("pbest_values must be C-contiguous float64")
+    for name, arr in (("pbest_values", pbest_values), ("values", values)):
+        if (
+            arr.dtype != np.float64
+            or not arr.flags.c_contiguous
+            or arr.shape != (n,)
+        ):
+            raise ValueError(f"{name} must be C-contiguous float64 {(n,)}")
     return _PlanStruct(
         n=n,
         d=d,
@@ -190,6 +211,7 @@ def _make_struct(
         velocities=velocities.ctypes.data,
         pbest_positions=pbest_positions.ctypes.data,
         pbest_values=pbest_values.ctypes.data,
+        values=values.ctypes.data,
         l_weights=l_weights.ctypes.data,
         g_weights=g_weights.ctypes.data,
         gbest_value=gbest_value.ctypes.data,
@@ -204,6 +226,7 @@ def _make_struct(
         vel_hi32=_addr(bounds.vel_hi32),
         c1=c1,
         c2=c2,
+        sphere=sphere,
     )
 
 
@@ -404,25 +427,29 @@ def _self_test_case(lib, vel_bounds, frac: float, pos_bounds) -> bool:
 
 
 def _shadow_step(
-    fn, pre, rng, block, bounds, params, values, frac, ref, ref_weights, ref_vb
+    fn, pre, rng, block, bounds, params, values, frac, ref, ref_weights, ref_vb,
+    sphere=False,
 ) -> int | None:
     """One C step on *pre*, a shadow copy of the pre-iteration state,
     compared bitwise with a reference iteration.
 
     The C step runs in place on *pre*'s swarm arrays (C-contiguous, owned
-    by the caller) and on fresh weight and gbest buffers.  It draws from
-    *rng*'s stream at Philox *block* and uses *bounds*, the
-    ``w``/``c1``/``c2`` of *params*, the fitness *values* and the clamp
-    fraction *frac*.  *ref* is the state after the reference iteration,
+    by the caller) and on fresh fitness, weight and gbest buffers.  It
+    draws from *rng*'s stream at Philox *block* and uses *bounds*, the
+    ``w``/``c1``/``c2`` of *params* and the clamp fraction *frac*.
+    *values* is the reference fitness of *pre*'s positions: the C step
+    reads a copy of it, or, with *sphere* set, scores Sphere itself into
+    a buffer of NaNs.  *ref* is the state after the reference iteration,
     *ref_weights* its L and G matrices and *ref_vb* its velocity bounds
     (``None`` when unclamped).  Returns the C step's improved-pbest count
-    when every output matches — positions, velocities, pbest values and
-    positions, L, G, the gbest value, index and position, and the float32
-    velocity bounds — else ``None``.
+    when every output matches — the fitness, positions, velocities, pbest
+    values and positions, L, G, the gbest value, index and position, and
+    the float32 velocity bounds — else ``None``.
     """
     n, d = pre.positions.shape
     pos, vel = pre.positions, pre.velocities
     pbv, pbp = pre.pbest_values, pre.pbest_positions
+    vals = np.full(n, np.nan) if sphere else np.array(values, dtype=np.float64)
     l_w = np.empty((n, d), dtype=np.float32)
     g_w = np.empty((n, d), dtype=np.float32)
     gval = np.array([pre.gbest_value], dtype=np.float64)
@@ -430,19 +457,15 @@ def _shadow_step(
     gpos = np.array(pre.gbest_position, dtype=np.float32)
     struct = _make_struct(
         n, d, rng.stream_id,
-        pos, vel, pbp, pbv, l_w, g_w,
+        pos, vel, pbp, pbv, vals, l_w, g_w,
         gval, gidx, gpos, rng._keys_addr,
-        bounds, float(params.cognitive), float(params.social),
+        bounds, float(params.cognitive), float(params.social), sphere,
     )
-    improved = fn(
-        ctypes.addressof(struct),
-        values.ctypes.data,
-        block,
-        float(params.inertia),
-        frac,
-    )
+    improved = fn(ctypes.addressof(struct), block, float(params.inertia), frac)
     matches = (
-        pos.tobytes() == ref.positions.tobytes()
+        improved != NAN_ROW
+        and vals.tobytes() == values.tobytes()
+        and pos.tobytes() == ref.positions.tobytes()
         and vel.tobytes() == ref.velocities.tobytes()
         and pbv.tobytes() == ref.pbest_values.tobytes()
         and pbp.tobytes() == ref.pbest_positions.tobytes()
@@ -461,7 +484,7 @@ def _shadow_step(
             )
         )
     )
-    return int(improved) if matches else None
+    return improved if matches else None
 
 
 #: ``{symbol: (restype, argtypes)}`` of the library's exports.  Arrays pass
@@ -478,16 +501,10 @@ _UNIT_FILL = (
     ],
 )
 _SIGNATURES = {
-    # plan*, values*, block0, w, frac — the captured iteration.
+    # plan*, block0, w, frac — the captured iteration.
     "fastpath_step": (
         ctypes.c_int64,
-        [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_uint64,
-            ctypes.c_float,
-            ctypes.c_double,
-        ],
+        [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_float, ctypes.c_double],
     ),
     # a*, b*, out*, n — the tensor-core fp16 fragment product.
     "fp16_product": (
@@ -606,6 +623,21 @@ def _sphere_self_test(rows) -> bool:
 _sphere_verdict: tuple[ctypes.CDLL | None, bool] = (None, False)
 
 
+def _sphere_ok(lib: ctypes.CDLL) -> bool:
+    """Whether *lib*'s ``sphere_rows`` passed :func:`_sphere_self_test`
+    (run once per loaded library)."""
+    global _sphere_verdict
+    checked, ok = _sphere_verdict
+    if checked is not lib:
+        fn = lib.sphere_rows
+        try:
+            ok = _sphere_self_test(lambda a: _sphere_call(fn, a))
+        except Exception:
+            ok = False
+        _sphere_verdict = (lib, ok)
+    return ok
+
+
 def sphere_rows(x) -> np.ndarray | None:
     """Sphere values of the positions *x*, or ``None``.
 
@@ -616,7 +648,6 @@ def sphere_rows(x) -> np.ndarray | None:
     known-answer check on this NumPy build (checked once per loaded
     library).
     """
-    global _sphere_verdict
     if not (
         isinstance(x, np.ndarray)
         and x.dtype == np.float32
@@ -627,17 +658,9 @@ def sphere_rows(x) -> np.ndarray | None:
     ):
         return None
     lib = load()
-    if lib is None:
+    if lib is None or not _sphere_ok(lib):
         return None
-    checked, ok = _sphere_verdict
-    if checked is not lib:
-        fn = lib.sphere_rows
-        try:
-            ok = _sphere_self_test(lambda a: _sphere_call(fn, a))
-        except Exception:
-            ok = False
-        _sphere_verdict = (lib, ok)
-    return _sphere_call(lib.sphere_rows, x) if ok else None
+    return _sphere_call(lib.sphere_rows, x)
 
 
 class NativePlan:
@@ -646,11 +669,16 @@ class NativePlan:
     Built by :func:`build_native` after the first verified Python replay.
     The struct holds raw addresses of the run's stable buffers (swarm
     matrices, workspace weight buffers, RNG key schedule, base velocity
-    bounds) plus small plan-owned buffers for the scalar gbest fields and
-    the per-call float32 velocity bounds; :meth:`step` syncs the scalars
-    from/to the ``SwarmState`` around the C call, so host-side observers
-    (history recording, multi-GPU best exchange) keep seeing plain Python
-    floats.
+    bounds) plus small plan-owned buffers for the scalar gbest fields, the
+    per-call float32 velocity bounds and the ``(n,)`` fitness ``values``;
+    :meth:`step` syncs the scalars from/to the ``SwarmState`` around the C
+    call, so host-side observers (history recording, multi-GPU best
+    exchange) keep seeing plain Python floats.
+
+    With *sphere* set the C step scores the Sphere objective into
+    ``values`` itself; otherwise the caller copies each iteration's
+    fitness there before :meth:`step`.  The plan's slots keep every
+    buffer it handed the struct alive for as long as the plan.
 
     ``state.gbest_position`` is re-pointed at the plan's own ``(d,)``
     buffer so the C claim can update it in place; an identity check each
@@ -664,6 +692,8 @@ class NativePlan:
         "n",
         "d",
         "blocks",
+        "sphere",
+        "values",
         "l_weights",
         "g_weights",
         "gval",
@@ -673,8 +703,6 @@ class NativePlan:
         "_fn",
         "_struct",
         "_addr",
-        "_c1",
-        "_c2",
     )
 
     def __init__(
@@ -687,39 +715,42 @@ class NativePlan:
         params,
         pos_bounds: tuple[np.ndarray, np.ndarray] | None,
         vel_bounds: tuple[np.ndarray, np.ndarray] | None,
+        sphere: bool,
     ) -> None:
         n, d = state.positions.shape
         self.state = state
         self.rng = rng
         self.n, self.d = n, d
         self.blocks = 2 * ((n * d + 3) // 4)
+        self.sphere = sphere
+        self.values = np.empty(n, dtype=np.float64)
         self.l_weights = l_weights
         self.g_weights = g_weights
         self.gval = np.array([state.gbest_value], dtype=np.float64)
         self.gidx = np.array([state.gbest_index], dtype=np.int64)
         self.gpos = np.ascontiguousarray(state.gbest_position, dtype=np.float32).copy()
         self.bounds = _Bounds(d, pos_bounds, vel_bounds)
-        self._c1 = float(params.cognitive)
-        self._c2 = float(params.social)
         self._fn = lib.fastpath_step
         self._struct = _make_struct(
             n, d, rng.stream_id,
             state.positions, state.velocities,
-            state.pbest_positions, state.pbest_values,
+            state.pbest_positions, state.pbest_values, self.values,
             l_weights, g_weights,
             self.gval, self.gidx, self.gpos, rng._keys_addr,
-            self.bounds, self._c1, self._c2,
+            self.bounds, float(params.cognitive), float(params.social), sphere,
         )
         self._addr = ctypes.addressof(self._struct)
 
-    def step(self, values: np.ndarray, w: float, frac: float) -> int:
+    def step(self, w: float, frac: float) -> int:
         """One full iteration body in C; returns the improved-pbest count.
 
-        *values* is this iteration's fitness vector (float64, contiguous —
-        guaranteed by the evaluator contract and checked once during the
-        verification iteration); *w* the scheduled inertia; *frac* the
+        The fitness is ``values``: scored in the call for a Sphere plan,
+        else copied there by the caller (float64, checked once during the
+        verification iteration).  *w* is the scheduled inertia; *frac* the
         velocity clamp fraction (``Engine._velocity_fraction``), ignored
-        when the run does not clamp.
+        when the run does not clamp.  Returns :data:`NAN_ROW`, with the
+        run state and the Philox cursor untouched, when the in-step Sphere
+        scored a NaN row.
         """
         state, rng = self.state, self.rng
         # Sync the scalar gbest fields in (they are plain Python attributes
@@ -729,11 +760,30 @@ class NativePlan:
         if state.gbest_position is not self.gpos:
             np.copyto(self.gpos, state.gbest_position)
             state.gbest_position = self.gpos
-        improved = self._fn(self._addr, values.ctypes.data, rng._block, w, frac)
-        rng._block += self.blocks
-        state.gbest_value = float(self.gval[0])
-        state.gbest_index = int(self.gidx[0])
-        return int(improved)
+        improved = self._fn(self._addr, rng._block, w, frac)
+        if improved != NAN_ROW:
+            rng._block += self.blocks
+            state.gbest_value = float(self.gval[0])
+            state.gbest_index = int(self.gidx[0])
+        return improved
+
+
+def _scores_sphere(lib: ctypes.CDLL, problem) -> bool:
+    """Whether the C step may score *problem* itself: its evaluator is a
+    :class:`~repro.core.schema.BuiltinEvaluation` over exactly
+    :class:`~repro.functions.sphere.Sphere` (no subclass, no transform
+    wrapped around it), and *lib*'s ``sphere_rows`` passed its
+    known-answer check.  The C-contiguous float32 positions it reads are
+    checked when the plan is built."""
+    from repro.core.schema import BuiltinEvaluation
+    from repro.functions.sphere import Sphere
+
+    evaluator = problem.evaluator
+    return (
+        type(evaluator) is BuiltinEvaluation
+        and type(evaluator.function) is Sphere
+        and _sphere_ok(lib)
+    )
 
 
 def build_native(engine, graph, problem, params, state, rng):
@@ -745,11 +795,15 @@ def build_native(engine, graph, problem, params, state, rng):
 
     ``REPRO_NO_NATIVE_FASTPATH`` refuses first (``disabled-by-env``), then
     the engine hook ``engine._graph_build_native()`` is asked for its own
-    refusal; the evaluation function is the problem's evaluator,
-    as on every tier.  The refusals every engine shares follow: the C step
+    refusal.  The refusals every engine shares follow: the C step
     reads one social attractor row (global topology only), needs the
     compiled library, and consumes exactly the two ``ceil(n*d/4)``-block
-    weight draws.  Every engine's
+    weight draws.  A Sphere run (:func:`_scores_sphere`) is then one C
+    call per iteration, objective included; any other objective is the
+    problem's evaluator, as on every tier, copied into the plan before
+    the call.  A NaN row the C Sphere finds leaves the run untouched, and
+    the evaluator then raises the :class:`~repro.errors.EvaluationError`
+    every tier raises for it.  Every engine's
     iteration is then charged the same way: ``graph.charge`` replays the
     captured clock charges and allocator-counter delta, with the engine's
     ``_charge_pbest_copy`` for the live improved count in the dynamic slot.
@@ -778,16 +832,24 @@ def build_native(engine, graph, problem, params, state, rng):
         params,
         pos_bounds,
         problem.velocity_bounds(params.velocity_clamp),
+        _scores_sphere(lib, problem),
     )
     eval_fn = problem.evaluator.evaluate
+    values = None if plan.sphere else plan.values
     clock = engine.clock
     charge = graph.charge
     charge_pbest_copy = engine._charge_pbest_copy
 
     def step() -> None:
-        values = eval_fn(state.positions)
+        if values is not None:
+            np.copyto(values, eval_fn(state.positions))
         p = engine._scheduled_params(params)
-        improved = plan.step(values, float(p.inertia), engine._velocity_fraction(p))
+        improved = plan.step(float(p.inertia), engine._velocity_fraction(p))
+        if improved == NAN_ROW:
+            eval_fn(state.positions)  # raises EvaluationError on the NaN row
+            raise GraphReplayError(
+                "the native Sphere scored a NaN row the evaluator accepted"
+            )
         charge(clock, lambda: charge_pbest_copy(improved, d))
 
     def verify(run_replay) -> bool:
@@ -804,6 +866,9 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
     (re-evaluating the objective on the pre-iteration positions — the
     evaluators are pure by contract) and compares every output buffer
     bitwise, the velocity bounds the C step derived from ``frac`` included.
+    A Sphere plan's shadow step scores the objective itself, and its
+    values are compared with the evaluator's, so the gate also proves the
+    in-step objective once per run.
     Returns ``True`` only on an exact match; the real run's trajectory is
     identical either way.  Exceptions from the replay propagate (they are
     real-run failures); exceptions from the shadow path just return
@@ -831,7 +896,7 @@ def verify_step(plan: NativePlan, run_replay, eval_fn, engine, problem, params) 
             return False
         return _shadow_step(
             plan._fn, pre, rng, pre_block, plan.bounds, p, values, frac,
-            state, (plan.l_weights, plan.g_weights), vb,
+            state, (plan.l_weights, plan.g_weights), vb, plan.sphere,
         ) is not None
     except Exception:
         return False

@@ -54,7 +54,8 @@ The lifecycle, driven by :class:`IterationRunner`:
     replay, a native-eligible run (global-memory float32 engines with the
     global topology; built from the capture by
     :func:`repro.gpusim.fastpath.build_native`) is promoted to one C call
-    per iteration.  Promotion is gated by one shadow-verified iteration —
+    per iteration, which scores the swarm too when the objective is
+    Sphere.  Promotion is gated by one shadow-verified iteration —
     the trusted Python replay runs on the real state while the C step runs
     on copies, and every output buffer must match bitwise.  Any mismatch,
     missing compiler, failed self-test, unsupported shape or

@@ -104,6 +104,8 @@ from repro.batch.job import Job
 from repro.batch.scheduler import BatchScheduler
 from repro.core.budget import Budget
 from repro.core.results import OptimizeResult
+from repro.engines import resolve_engine
+from repro.engines.multi_gpu import CHECKPOINT_REFUSAL
 from repro.errors import (
     AdmissionError,
     CheckpointError,
@@ -374,6 +376,15 @@ def _newest_snapshot(records) -> tuple[RunSnapshot | None, dict | None]:
         except CheckpointError:
             continue  # e.g. a pruned or damaged checkpoint file
     return None, None
+
+
+def _is_fleet(engine: str) -> bool:
+    """Whether *engine* names the multi-GPU fleet.  An unknown name is
+    not, and fails at dispatch like any other engine error."""
+    try:
+        return resolve_engine(engine)[0] == "fastpso-mgpu"
+    except InvalidParameterError:
+        return False
 
 
 class OptimizationService:
@@ -860,6 +871,10 @@ class OptimizationService:
                 f"arrivals must be non-decreasing: at={arrival} precedes "
                 f"the service clock {self._now}"
             )
+        if _is_fleet(job.engine) and self._checkpoints(job):
+            # Refused before anything is journaled or a lane reserved: the
+            # fleet's start_run would refuse the checkpoints at dispatch.
+            raise InvalidParameterError(CHECKPOINT_REFUSAL)
         try:
             return await self._arrive(
                 job, tenant, arrival, restore, _resumed_from
@@ -1173,6 +1188,22 @@ class OptimizationService:
         return allowed or None
 
     # -- execution -----------------------------------------------------------
+    def _checkpoints(self, job: Job) -> bool:
+        """Whether *job*'s runs take mid-run checkpoints: on a journaled
+        service, or with retry or a watchdog and a ``checkpoint_dir``, if
+        the job can be captured."""
+        if self._journal is None and not (
+            (self.retry is not None or self.watchdog_seconds is not None)
+            and self.checkpoint_dir is not None
+        ):
+            return False
+        try:
+            ensure_capturable(job.resolved_problem())
+            params_to_spec(job.resolved_params)
+        except CheckpointError:
+            return False
+        return True
+
     def _checkpoint_manager_for(
         self, ticket: JobTicket, job: Job, latest: RunSnapshot | None
     ) -> CheckpointManager | _HeldCheckpoints | None:
@@ -1185,18 +1216,9 @@ class OptimizationService:
         nowhere durable to put them, or when the job cannot be captured
         (custom problems/schedules keep their legacy no-checkpoint path).
         """
-        journaled = self._journal is not None
-        if not journaled and not (
-            (self.retry is not None or self.watchdog_seconds is not None)
-            and self.checkpoint_dir is not None
-        ):
+        if not self._checkpoints(job):
             return None
-        try:
-            ensure_capturable(job.resolved_problem())
-            params_to_spec(job.resolved_params)
-        except CheckpointError:
-            return None
-        if journaled:
+        if self._journal is not None:
             return _HeldCheckpoints(self.checkpoint_every, latest)
         label = f"job{ticket.job_id:06d}"
         try:

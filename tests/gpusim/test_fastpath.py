@@ -10,6 +10,7 @@ ineligible or degraded configuration falls back to the Python replay tier
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,12 @@ from repro.core.parameters import PAPER_DEFAULTS, PSOParams
 from repro.core.problem import Problem
 from repro.core.schedules import LinearInertia
 from repro.engines import make_engine
+from repro.functions import Sphere
+from repro.functions.transforms import Rotated, Shifted, random_rotation
 from repro.gpusim import fastpath, native
 from repro.gpusim.fastpath import ENV_GATE
 from repro.gpusim.graph import IterationRunner
+from repro.io import result_to_dict
 
 #: Engines whose default configuration is native-eligible (global-memory
 #: float32 storage, global topology) across both engine families.
@@ -201,8 +205,8 @@ class TestNativeTierParity:
     def test_steady_state_makes_no_clock_or_allocator_calls(
         self, problem, caching
     ):
-        """A native iteration is one evaluation, one C call and one flat
-        ``LaunchGraph.charge``: no ``SimClock.advance`` and no allocator
+        """A native Sphere iteration is one C call, the objective included,
+        and one flat ``LaunchGraph.charge``: no ``SimClock.advance`` and no allocator
         ``alloc``/``free`` — yet the counters and the result match."""
         from repro.gpusim.alloc import CachingAllocator, DirectAllocator
         from repro.gpusim.clock import SimClock
@@ -541,3 +545,155 @@ class TestCheckpointResume:
         assert info["native"] == "active"
         assert info["native_replays"] > 0
         assert_identical(resumed, golden)
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Every :class:`~repro.gpusim.fastpath.NativePlan` built meanwhile."""
+    built = []
+    init = fastpath.NativePlan.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(fastpath.NativePlan, "__init__", spy)
+    return built
+
+
+def result_json(name, problem, *, n, params, **opts):
+    """The engine and its 12-iteration run's serialized result."""
+    engine, result = run(name, problem, n=n, iters=12, params=params, **opts)
+    return engine, json.dumps(result_to_dict(result), sort_keys=True)
+
+
+#: The in-step objective's engines: both engine families and the fleet,
+#: whose every device builds its own plan.
+SPHERE_ENGINES = [
+    pytest.param("fastpso", {}, id="fastpso"),
+    pytest.param("fastpso-seq", {}, id="fastpso-seq"),
+    pytest.param("mgpu", {"n_devices": 2}, id="mgpu2"),
+]
+
+#: ``clip_positions`` x ``adaptive_velocity``.
+SPHERE_VARIANTS = [
+    pytest.param(clip, adaptive, id=f"clip{int(clip)}-adaptive{int(adaptive)}")
+    for clip in (False, True)
+    for adaptive in (False, True)
+]
+
+
+@needs_native
+class TestInStepSphere:
+    """A native Sphere iteration scores the swarm inside ``fastpath_step``
+    (the plan's sphere flag); every other objective keeps the Python
+    evaluator.  Either way the run is byte-identical to ``graph=False``
+    and to the gated Python replay tier."""
+
+    @pytest.mark.parametrize("name, opts", SPHERE_ENGINES)
+    @pytest.mark.parametrize("clip, adaptive", SPHERE_VARIANTS)
+    def test_byte_identical_on_every_tail_shape(
+        self, name, opts, clip, adaptive, plans, monkeypatch
+    ):
+        """n either side of the 4-row (AVX-512) and 2-row (AVX2) groups, d
+        either side of the 8-element chunks."""
+        params = replace(
+            PAPER_DEFAULTS, seed=11, clip_positions=clip, adaptive_velocity=adaptive
+        )
+        for n in (1, 2, 3, 5, 17, 32):
+            if n < opts.get("n_devices", 1):
+                continue
+            for d in (1, 7, 8, 9, 16, 33, 50):
+                problem = Problem.from_benchmark("sphere", d)
+                del plans[:]
+                engine, native_run = result_json(
+                    name, problem, n=n, params=params, **opts
+                )
+                assert engine.graph_info["native"] == "active", (n, d)
+                assert plans and all(plan.sphere for plan in plans), (n, d)
+                _, eager_run = result_json(
+                    name, problem, n=n, params=params, graph=False, **opts
+                )
+                monkeypatch.setenv(ENV_GATE, "1")
+                _, gated_run = result_json(name, problem, n=n, params=params, **opts)
+                monkeypatch.delenv(ENV_GATE)
+                assert native_run == eager_run == gated_run, (n, d)
+
+    def test_nan_position_raises_before_any_state_changes(self, problem):
+        """A NaN written into the positions between two native steps makes
+        the next step raise ``graph=False``'s ``EvaluationError``, with
+        pbest, velocities, positions and the Philox cursor untouched."""
+        from repro.errors import EvaluationError
+
+        def poisoned_step(**opts):
+            engine = make_engine("fastpso", **opts)
+            handle = engine.start_run(
+                problem, n_particles=17, max_iter=20, params=PSOParams(seed=7)
+            )
+            for t in range(8):
+                handle.step(t)
+            handle.state.positions[5, 3] = np.nan
+            return handle
+
+        eager = poisoned_step(graph=False)
+        with pytest.raises(EvaluationError) as eager_error:
+            eager.step(8)
+
+        handle = poisoned_step()
+        assert handle.runner.phase == "native"
+        state, rng = handle.state, handle.rng
+        before = state.copy()
+        position = rng.position
+        with pytest.raises(EvaluationError) as native_error:
+            handle.step(8)
+        assert str(native_error.value) == str(eager_error.value)
+        assert rng.position == position
+        for field in (
+            "positions", "velocities", "pbest_values", "pbest_positions"
+        ):
+            assert getattr(state, field).tobytes() == getattr(before, field).tobytes()
+        assert state.gbest_value == before.gbest_value
+        assert state.gbest_index == before.gbest_index
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda d: Problem.from_benchmark(
+                    Shifted(Sphere(), np.linspace(-1.0, 1.0, d)), d
+                ),
+                id="shifted-sphere",
+            ),
+            pytest.param(
+                lambda d: Problem.from_benchmark(
+                    Rotated(Sphere(), random_rotation(d, seed=3)), d
+                ),
+                id="rotated-sphere",
+            ),
+            pytest.param(
+                lambda d: Problem.from_callable(
+                    lambda x: np.sum(np.square(x), axis=1),
+                    d,
+                    (-5.12, 5.12),
+                    vectorized=True,
+                ),
+                id="callable-sum-of-squares",
+            ),
+            pytest.param(
+                lambda d: Problem.from_benchmark("rastrigin", d),
+                id="rastrigin",
+            ),
+        ],
+    )
+    def test_other_objectives_keep_the_evaluator(self, make, plans, monkeypatch):
+        problem = make(9)
+        params = replace(PAPER_DEFAULTS, seed=11)
+        engine, native_run = result_json("fastpso", problem, n=17, params=params)
+        assert engine.graph_info["native"] == "active"
+        assert plans and not any(plan.sphere for plan in plans)
+        _, eager_run = result_json(
+            "fastpso", problem, n=17, params=params, graph=False
+        )
+        monkeypatch.setenv(ENV_GATE, "1")
+        _, gated_run = result_json("fastpso", problem, n=17, params=params)
+        assert native_run == eager_run == gated_run

@@ -4,17 +4,21 @@ The serving loop steps every job through ``RunningJob``; a fleet run is an
 ordinary stepped run, so an ``mgpu`` job completes exactly like its solo
 ``optimize()`` and a mid-run cancel returns the best-so-far answer.  A
 fleet run cannot be snapshotted, so a checkpoint-backed cancel records no
-checkpoint.
+checkpoint, and a service that would checkpoint the job mid-run refuses it
+at submit.
 """
 
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.batch import Job
 from repro.engines import make_engine
+from repro.errors import InvalidParameterError
 from repro.io import result_to_dict
 from repro.serve import OptimizationService
+from repro.serve.journal import read_journal
 
 JOB = Job(
     "rastrigin",
@@ -93,3 +97,48 @@ def test_cancelled_mgpu_job_returns_best_so_far_without_checkpoint(tmp_path):
     )
     assert event.detail["phase"] == "running"
     assert event.detail["checkpoint"] is None
+
+
+@pytest.mark.parametrize(
+    "checkpointing",
+    [
+        pytest.param(lambda tmp: {"journal_dir": tmp}, id="journaled"),
+        pytest.param(
+            lambda tmp: {"retry": 2, "checkpoint_dir": tmp}, id="retry-checkpoints"
+        ),
+    ],
+)
+def test_checkpointing_service_refuses_mgpu_job_at_submit(checkpointing, tmp_path):
+    """A service that would give the job mid-run checkpoints raises the
+    fleet's own refusal from ``submit``: no event, no journal record, no
+    ticket and no lane.  The service then runs its next job as if the
+    refused one had never arrived."""
+
+    def journal_records(service):
+        journal = service._journal
+        return None if journal is None else read_journal(journal.path)[0]
+
+    async def main():
+        service = OptimizationService(
+            n_devices=1, streams_per_device=1, **checkpointing(tmp_path)
+        )
+        records = journal_records(service)
+        with pytest.raises(InvalidParameterError) as refusal:
+            await service.submit(JOB, at=0.0)
+        assert service.events == ()
+        assert journal_records(service) == records
+        assert service._timeline.makespan_seconds == 0.0
+        ticket = await service.submit(
+            JOB.with_overrides(engine="fastpso", engine_options={}), at=0.0
+        )
+        await service.drain()
+        return refusal.value, ticket
+
+    refusal, ticket = asyncio.run(main())
+    with pytest.raises(InvalidParameterError) as fleet_refusal:
+        make_engine("mgpu", n_devices=2).start_run(
+            JOB.resolved_problem(), n_particles=JOB.n_particles, checkpoint=object()
+        )
+    assert str(refusal) == str(fleet_refusal.value)
+    assert ticket.job_id == 0
+    assert ticket.status == "completed"
