@@ -174,30 +174,21 @@ class FastPSOEngine(Engine):
             fragment_multiply_add if backend == "tensorcore" else None
         )
         self._kernels: dict[str, KernelSpec] = {}
-        self._cfg_cache: dict[tuple[str, int], object] = {}
         self._persistent_buffers: list = []
 
     def _cfg(self, kernel_key: str, n_elems: int):
         """Resource-aware geometry honouring the kernel's occupancy limits.
 
-        Invariant for a given (kernel, element count) on a fixed device, so
-        results are cached on the engine: steady-state iterations skip even
-        the memoized front door's key construction.  The cache is cleared
-        whenever the kernel table is rebuilt (specs may change with the
-        problem/params).
+        A hit of the process-wide :func:`resource_aware_config` memo for
+        any (kernel, element count) an earlier engine launched: the device
+        and kernel specs are interned, so the key compares by identity.
         """
-        key = (kernel_key, n_elems)
-        cfg = self._cfg_cache.get(key)
-        if cfg is None:
-            cfg = resource_aware_config(
-                self.ctx.spec,
-                n_elems,
-                threads_per_block=self.threads_per_block,
-                kernel_spec=self._kernels[kernel_key],
-            )
-            if hostcache.cache_enabled():
-                self._cfg_cache[key] = cfg
-        return cfg
+        return resource_aware_config(
+            self.ctx.spec,
+            n_elems,
+            threads_per_block=self.threads_per_block,
+            kernel_spec=self._kernels[kernel_key],
+        )
 
     @property
     def _elem_bytes(self) -> int:
@@ -224,7 +215,6 @@ class FastPSOEngine(Engine):
         )
 
     def _build_kernels(self, problem: Problem, params: PSOParams) -> None:
-        self._cfg_cache.clear()
         clamped = params.velocity_clamp is not None
         base = self._velocity_base_spec(clamped)
         if self.backend == "global":
@@ -240,7 +230,7 @@ class FastPSOEngine(Engine):
 
         prof = problem.evaluator.profile()
         eb = self._elem_bytes
-        self._kernels = {
+        kernels = {
             "init_rng": KernelSpec(
                 name="swarm_init_rng",
                 flops_per_elem=_RNG_FLOPS_PER_WORD,
@@ -323,9 +313,7 @@ class FastPSOEngine(Engine):
             # Thread-per-particle schema kernel: each thread runs the user
             # lambda over its particle's d values.
             d = problem.dim
-            self._kernels["evaluate_particle"] = self._kernels[
-                "evaluate"
-            ].scaled(
+            kernels["evaluate_particle"] = kernels["evaluate"].scaled(
                 name="evaluation_kernel_particle",
                 flops_per_elem=(
                     prof.flops_per_elem + prof.reduction_flops_per_elem
@@ -336,6 +324,9 @@ class FastPSOEngine(Engine):
                 bytes_written_per_elem=_F64,
                 dependent_loads_per_elem=1.0,
             )
+        # Interned, so two engines with the same configuration hold the
+        # same spec objects and every memo hit compares by identity.
+        self._kernels = {k: hostcache.intern(v) for k, v in kernels.items()}
 
     def _build_live(self, problem: Problem, n: int) -> None:
         """The run's live accounting: every kernel's spec, size and cached

@@ -32,6 +32,7 @@ from repro.core.problem import Problem
 from repro.core.initializers import initialize_swarm
 from repro.core.swarm import SwarmState
 from repro._compat import deprecated_kwargs
+from repro.gpusim import hostcache
 from repro.gpusim.context import GpuContext, make_context
 from repro.gpusim.costmodel import GpuCostParams
 from repro.gpusim.device import DeviceSpec
@@ -86,7 +87,7 @@ class GpuParticleEngine(Engine):
         state_traffic = (
             _DRAWS_PER_ELEM * _CURAND_STATE_BYTES * _STATE_DRAM_FRACTION
         )
-        self._kernels = {
+        kernels = {
             # Fused per-particle update: inline XORWOW draws + Eq. (4)/(2),
             # numerics identical to fastpso's swarm update.
             "update": KernelSpec(
@@ -125,6 +126,8 @@ class GpuParticleEngine(Engine):
                 registers_per_thread=48,
             ),
         }
+        # Interned: the memoized launch costs hit on identity.
+        self._kernels = {k: hostcache.intern(v) for k, v in kernels.items()}
 
     def _particle_config(self, n: int):
         return thread_per_item_config(

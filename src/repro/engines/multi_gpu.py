@@ -51,6 +51,14 @@ CHECKPOINT_REFUSAL = (
     "use a single-device engine from the fastpso family"
 )
 
+#: Why a fleet refuses ``corrupt`` faults: it watches no shard buffer, so
+#: such a fault would be logged as fired yet damage nothing.
+CORRUPT_REFUSAL = (
+    "corrupt faults are not supported by the multi-GPU engine, which "
+    "watches no shard buffer for them to damage; use a single-device "
+    "engine from the fastpso family"
+)
+
 
 class _FleetClock:
     """Read-only clock view over the whole fleet.
@@ -238,7 +246,10 @@ class MultiGpuFastPSOEngine(Engine):
         # One injector spans all worker devices: launch/alloc ordinals count
         # across the whole engine, and a device-lost fault takes down the
         # entire multi-GPU run.  The fleet watches no shard buffer, so the
-        # injector stays off the run's integrity check (see _graph_blockers).
+        # injector stays off the run's integrity check (see _graph_blockers)
+        # and a corrupt fault is refused here rather than left to fizzle.
+        if any(spec.kind == "corrupt" for spec in injector.specs):
+            raise InvalidParameterError(CORRUPT_REFUSAL)
         injector.on_new_device()
         for worker in self.workers:
             worker.ctx.attach_fault_injector(injector)

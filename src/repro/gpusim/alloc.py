@@ -20,7 +20,8 @@ raised identically regardless of pooling.  The pooling logic itself is real
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +71,27 @@ class AllocatorStats:
         total = self.pool_hits + self.pool_misses
         return self.pool_hits / total if total else 0.0
 
-    def since(self, before: "AllocatorStats") -> "AllocatorStats":
-        """The counters accrued since *before*, a copy taken earlier."""
+    def copy(self) -> "AllocatorStats":
+        """A snapshot of the counters, for a later :meth:`since`."""
         return AllocatorStats(
-            *(now - then for now, then in zip(astuple(self), astuple(before)))
+            self.allocs,
+            self.frees,
+            self.pool_hits,
+            self.pool_misses,
+            self.bytes_requested,
+            self.bytes_reserved,
+        )
+
+    def since(self, before: "AllocatorStats") -> "AllocatorStats":
+        """The counters accrued since *before*, a :meth:`copy` taken
+        earlier."""
+        return AllocatorStats(
+            self.allocs - before.allocs,
+            self.frees - before.frees,
+            self.pool_hits - before.pool_hits,
+            self.pool_misses - before.pool_misses,
+            self.bytes_requested - before.bytes_requested,
+            self.bytes_reserved - before.bytes_reserved,
         )
 
     def add(self, delta: "AllocatorStats") -> None:
@@ -137,7 +155,7 @@ class _AllocatorBase:
 
     def alloc_like(self, shape: tuple[int, ...], dtype: np.dtype) -> DeviceBuffer:
         """Allocate a buffer sized for ``shape`` of ``dtype``."""
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        nbytes = int(math.prod(shape)) * np.dtype(dtype).itemsize
         return self.alloc(nbytes, shape=shape, dtype=dtype)
 
     # subclasses implement alloc/free

@@ -7,7 +7,8 @@ owns global memory, an allocator, a simulated clock and a profiler.
 
 The specs for the presets come from NVIDIA's published datasheets; the paper
 evaluates on a 16 GB Tesla V100, which is the default preset
-(:func:`tesla_v100`).  *Effective* (as opposed to peak) throughput factors
+(:func:`tesla_v100`).  Each preset is one frozen instance per process.
+*Effective* (as opposed to peak) throughput factors
 live in :mod:`repro.gpusim.costmodel`, not here: the spec describes the
 hardware, the cost model describes how well a kernel exploits it.
 """
@@ -174,62 +175,75 @@ class DeviceSpec:
         return replace(self, **kwargs)  # type: ignore[arg-type]
 
 
+_TESLA_V100 = DeviceSpec(
+    name="Tesla V100-16GB",
+    sm_count=80,
+    cores_per_sm=64,
+    clock_ghz=1.53,
+    dram_bandwidth=900.0e9,
+    global_mem_bytes=16 * GIB,
+    shared_mem_per_sm=96 * 1024,
+    shared_mem_per_block_max=96 * 1024,
+    registers_per_sm=65536,
+    max_threads_per_sm=2048,
+    max_threads_per_block=1024,
+    max_blocks_per_sm=32,
+    tensor_cores_per_sm=8,
+)
+
+
 def tesla_v100() -> DeviceSpec:
-    """The paper's testbed: Tesla V100 SXM2 16 GB (Volta, GV100)."""
-    return DeviceSpec(
-        name="Tesla V100-16GB",
-        sm_count=80,
-        cores_per_sm=64,
-        clock_ghz=1.53,
-        dram_bandwidth=900.0e9,
-        global_mem_bytes=16 * GIB,
-        shared_mem_per_sm=96 * 1024,
-        shared_mem_per_block_max=96 * 1024,
-        registers_per_sm=65536,
-        max_threads_per_sm=2048,
-        max_threads_per_block=1024,
-        max_blocks_per_sm=32,
-        tensor_cores_per_sm=8,
-    )
+    """The paper's testbed: Tesla V100 SXM2 16 GB (Volta, GV100).
+
+    One frozen instance per process, so every engine built on it
+    shares it; use :meth:`DeviceSpec.with_overrides` for a variant.
+    """
+    return _TESLA_V100
+
+
+_TESLA_A100 = DeviceSpec(
+    name="Tesla A100-40GB",
+    sm_count=108,
+    cores_per_sm=64,
+    clock_ghz=1.41,
+    dram_bandwidth=1555.0e9,
+    global_mem_bytes=40 * GIB,
+    shared_mem_per_sm=164 * 1024,
+    shared_mem_per_block_max=163 * 1024,
+    registers_per_sm=65536,
+    max_threads_per_sm=2048,
+    max_threads_per_block=1024,
+    max_blocks_per_sm=32,
+    tensor_cores_per_sm=4,
+    tensor_core_flops_per_cycle=512,
+)
 
 
 def tesla_a100() -> DeviceSpec:
     """A100 SXM4 40 GB (Ampere), for scaling studies beyond the paper."""
-    return DeviceSpec(
-        name="Tesla A100-40GB",
-        sm_count=108,
-        cores_per_sm=64,
-        clock_ghz=1.41,
-        dram_bandwidth=1555.0e9,
-        global_mem_bytes=40 * GIB,
-        shared_mem_per_sm=164 * 1024,
-        shared_mem_per_block_max=163 * 1024,
-        registers_per_sm=65536,
-        max_threads_per_sm=2048,
-        max_threads_per_block=1024,
-        max_blocks_per_sm=32,
-        tensor_cores_per_sm=4,
-        tensor_core_flops_per_cycle=512,
-    )
+    return _TESLA_A100
+
+
+_LAPTOP_GPU = DeviceSpec(
+    name="Laptop-GTX1650",
+    sm_count=14,
+    cores_per_sm=64,
+    clock_ghz=1.49,
+    dram_bandwidth=128.0e9,
+    global_mem_bytes=4 * GIB,
+    shared_mem_per_sm=64 * 1024,
+    shared_mem_per_block_max=48 * 1024,
+    registers_per_sm=65536,
+    max_threads_per_sm=1024,
+    max_threads_per_block=1024,
+    max_blocks_per_sm=16,
+    tensor_cores_per_sm=0,
+)
 
 
 def laptop_gpu() -> DeviceSpec:
     """A small mobile part (GTX 1650-class) to exercise low-resource paths."""
-    return DeviceSpec(
-        name="Laptop-GTX1650",
-        sm_count=14,
-        cores_per_sm=64,
-        clock_ghz=1.49,
-        dram_bandwidth=128.0e9,
-        global_mem_bytes=4 * GIB,
-        shared_mem_per_sm=64 * 1024,
-        shared_mem_per_block_max=48 * 1024,
-        registers_per_sm=65536,
-        max_threads_per_sm=1024,
-        max_threads_per_block=1024,
-        max_blocks_per_sm=16,
-        tensor_cores_per_sm=0,
-    )
+    return _LAPTOP_GPU
 
 
 PRESETS = {

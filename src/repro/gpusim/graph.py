@@ -23,7 +23,8 @@ The lifecycle, driven by :class:`IterationRunner`:
 
 ``warmup``
     The first iteration runs eagerly, untraced.  It differs from the steady
-    state (allocator pool misses, cold launch caches) and is never captured.
+    state (allocator pool misses, first-seen launch shapes) and is never
+    captured.
 ``capture``
     The second iteration runs eagerly with the clock trace and the
     launcher's capture sink attached, recording every clock charge
@@ -100,7 +101,7 @@ arrays it was built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -274,7 +275,7 @@ def traced_capture(
     if launcher is not None:
         launcher.capture = captured
     if allocator is not None:
-        stats_before = replace(allocator.stats)
+        stats_before = allocator.stats.copy()
         live_before = allocator.live_buffers
         used_before = allocator.memory.used_bytes
     clock.begin_trace()

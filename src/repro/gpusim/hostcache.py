@@ -14,16 +14,23 @@ tuples themselves, so a different :class:`~repro.gpusim.device.DeviceSpec`
 or :class:`~repro.gpusim.costmodel.GpuCostParams` is simply a different key
 — there is no invalidation to get wrong, and simulated time is unaffected
 by construction (cached values are bit-identical to recomputed ones).
+These memos are the only launch-cost tables: engines and launchers keep
+none of their own, so a fresh engine's first launch of a known shape is
+already a hit.
+
+Equal specs are one object: the device presets are module constants, and
+:func:`intern` maps every kernel spec an engine builds for a run to a
+process-wide canonical instance, so a memo hit compares its key by
+identity instead of field by field.
 
 Debugging escape hatches:
 
 * set the environment variable ``REPRO_NO_HOST_CACHE=1`` before import, or
   call :func:`set_enabled` ``(False)`` at runtime, to route every call to
-  the uncached implementation (the per-:class:`~repro.gpusim.launch.Launcher`
-  launch cache honours the same switch);
+  the uncached implementation (:func:`intern` then returns its argument);
 * each memoized function keeps its original as ``fn.uncached`` and exposes
   ``fn.cache_clear()`` / ``fn.cache_info()``; :func:`clear_all_caches`
-  empties every registered cache at once.
+  empties every registered cache and the intern table at once.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import Callable, TypeVar
 
 __all__ = [
     "memoized",
+    "intern",
     "cache_enabled",
     "set_enabled",
     "clear_all_caches",
@@ -41,7 +49,12 @@ __all__ = [
 
 F = TypeVar("F", bound=Callable[..., object])
 
+T = TypeVar("T")
+
 _REGISTRY: list[Callable[..., object]] = []
+
+#: Canonical instance of every interned value, keyed by itself.
+_INTERNED: dict = {}
 
 _enabled = os.environ.get("REPRO_NO_HOST_CACHE", "").lower() not in (
     "1",
@@ -66,9 +79,23 @@ def set_enabled(flag: bool) -> None:
 
 
 def clear_all_caches() -> None:
-    """Empty every cache registered via :func:`memoized`."""
+    """Empty every cache registered via :func:`memoized` and the intern
+    table."""
     for fn in _REGISTRY:
         fn.cache_clear()  # type: ignore[attr-defined]
+    _INTERNED.clear()
+
+
+def intern(obj: T) -> T:
+    """The process-wide canonical instance equal to *obj* (a hashable,
+    immutable value such as a frozen spec); the first one seen becomes it.
+
+    Memo keys built from interned specs hit on identity, never on a
+    field-by-field ``__eq__``.
+    """
+    if _enabled:
+        return _INTERNED.setdefault(obj, obj)
+    return obj
 
 
 def memoized(fn: F) -> F:

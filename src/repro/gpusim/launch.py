@@ -16,13 +16,14 @@ launch log, graph capture) after them; :meth:`Launcher.launch` is the two
 back to back.
 
 Host fast path: launch geometry and modelled cost are pure functions of
-``(device, kernel spec, config, n_elems, cost params)``, all immutable, so a
-steady-state PSO run recomputes nothing after its first iteration — the
-memoized front doors (:mod:`repro.gpusim.hostcache`) plus a per-launcher
-``(spec, config, n_elems) -> (config, cost)`` table make repeat launches
-pure dictionary hits.  Profiling is aggregation-first: the launcher always
-maintains per-``(kernel, section)`` accumulators (:class:`LaunchStats`,
-O(distinct kernels) memory) and only keeps the full per-launch log when
+``(device, kernel spec, config, n_elems, cost params)``, all immutable, so
+:meth:`Launcher.charge` asks the process-wide memos of
+:mod:`repro.gpusim.hostcache` directly.  Engines intern their specs there,
+so a repeat launch — also a fresh engine's first launch of a shape any
+earlier engine ran — is a dictionary hit whose key compares by identity.
+Profiling is aggregation-first: the launcher always maintains
+per-``(kernel, section)`` accumulators (:class:`LaunchStats`, O(distinct
+kernels) memory) and only keeps the full per-launch log when
 ``record_launches=True`` is requested (the Figure 5 / Table 3 paths that
 need individual records).
 """
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidLaunchError
-from repro.gpusim import hostcache
 from repro.gpusim.clock import SimClock
 from repro.gpusim.costmodel import (
     DEFAULT_GPU_COST_PARAMS,
@@ -207,11 +207,6 @@ class Launcher:
     records: list[LaunchRecord] = field(default_factory=list)
     record_launches: bool = False
     stats: dict[tuple[str, str | None], LaunchStats] = field(default_factory=dict)
-    # (kernel spec, explicit config or None, n_elems) -> (config, cost).
-    # Engine kernel specs are long-lived objects, so steady-state launches
-    # hit this table on an identity-shortcut dict lookup and recompute
-    # nothing.
-    _launch_cache: dict = field(default_factory=dict, repr=False)
     #: Optional :class:`repro.reliability.faults.FaultInjector` consulted
     #: before every launch (may raise injected errors or stall the stream).
     fault_injector: object = field(default=None, repr=False)
@@ -266,21 +261,13 @@ class Launcher:
         improved particles): the clock traces it as a dynamic slot and the
         capture sink skips it, since a replay charges it live.
         """
-        key = (spec, config, n_elems)
-        cached = (
-            self._launch_cache.get(key) if hostcache.cache_enabled() else None
-        )
-        if cached is not None:
-            config, cost = cached
-        else:
-            if config is None:
-                config = resource_aware_config(
-                    self.spec, max(1, n_elems), kernel_spec=spec
-                )
-            config.validate(self.spec, spec.shared_mem_per_block)
-            cost = kernel_cost(self.spec, spec, config, n_elems, self.cost_params)
-            if hostcache.cache_enabled():
-                self._launch_cache[key] = (config, cost)
+        if config is None:
+            config = resource_aware_config(
+                self.spec, max(1, n_elems), kernel_spec=spec
+            )
+        # kernel_cost validates the geometry against the device before it
+        # costs it, and a memo hit means an equal geometry passed.
+        cost = kernel_cost(self.spec, spec, config, n_elems, self.cost_params)
         section = self.clock.current_section
         if dynamic:
             self.clock.advance_dynamic(cost.seconds)

@@ -14,6 +14,7 @@ that the paper's caching allocator could otherwise mask.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,7 @@ class DeviceBuffer:
         self.nbytes = int(nbytes)
         self.dtype = np.dtype(dtype)
         self.shape = tuple(int(s) for s in shape)
-        logical = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+        logical = math.prod(self.shape) * self.dtype.itemsize
         if logical > self.nbytes:
             raise ValueError(
                 f"shape {self.shape} of {self.dtype} needs {logical} bytes "
@@ -125,7 +126,7 @@ class DeviceBuffer:
         request with a different shape than its previous tenant.
         """
         dtype = np.dtype(dtype)
-        logical = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        logical = int(math.prod(shape)) * dtype.itemsize
         if logical > self.nbytes:
             raise ValueError(
                 f"reuse shape {shape} of {dtype} needs {logical} bytes "

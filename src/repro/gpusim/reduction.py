@@ -24,28 +24,37 @@ __all__ = ["ParallelReducer", "REDUCE_BLOCK_SIZE"]
 REDUCE_BLOCK_SIZE = 256
 
 
+_SMEM = REDUCE_BLOCK_SIZE * 8  # value + index per thread
+
+#: Pass 1: each block reduces its slice and writes one candidate pair.
+PASS1 = KernelSpec(
+    name="reduce_argmin_pass1",
+    flops_per_elem=1.0,  # one compare per element
+    bytes_read_per_elem=4.0,
+    bytes_written_per_elem=8.0 / REDUCE_BLOCK_SIZE,  # one pair/block
+    registers_per_thread=24,
+    shared_mem_per_block=_SMEM,
+)
+#: Pass 2: one block reduces the candidates.
+PASS2 = KernelSpec(
+    name="reduce_argmin_pass2",
+    flops_per_elem=1.0,
+    bytes_read_per_elem=8.0,
+    bytes_written_per_elem=8.0 / REDUCE_BLOCK_SIZE,
+    registers_per_thread=24,
+    shared_mem_per_block=_SMEM,
+)
+_SINGLE_BLOCK = LaunchConfig(1, REDUCE_BLOCK_SIZE)
+
+
 class ParallelReducer:
     """Two-pass block-tree min/argmin reduction on a simulated device."""
 
+    pass1 = PASS1
+    pass2 = PASS2
+
     def __init__(self, launcher: Launcher) -> None:
         self._launcher = launcher
-        smem = REDUCE_BLOCK_SIZE * 8  # value + index per thread
-        self.pass1 = KernelSpec(
-            name="reduce_argmin_pass1",
-            flops_per_elem=1.0,  # one compare per element
-            bytes_read_per_elem=4.0,
-            bytes_written_per_elem=8.0 / REDUCE_BLOCK_SIZE,  # one pair/block
-            registers_per_thread=24,
-            shared_mem_per_block=smem,
-        )
-        self.pass2 = KernelSpec(
-            name="reduce_argmin_pass2",
-            flops_per_elem=1.0,
-            bytes_read_per_elem=8.0,
-            bytes_written_per_elem=8.0 / REDUCE_BLOCK_SIZE,
-            registers_per_thread=24,
-            shared_mem_per_block=smem,
-        )
 
     def passes(self, n: int) -> tuple:
         """The reduction of *n* values as ``(spec, n_elems, config)``
@@ -53,11 +62,10 @@ class ParallelReducer:
         then pass 2 over one candidate per block in a single block — or
         pass 2 alone when ``n == 1``, since a degenerate reduction still
         costs one (tiny) kernel."""
-        single_block = LaunchConfig(1, REDUCE_BLOCK_SIZE)
         if n == 1:
-            return ((self.pass2, 1, single_block),)
+            return ((PASS2, 1, _SINGLE_BLOCK),)
         n_blocks = -(-n // REDUCE_BLOCK_SIZE)
-        return ((self.pass1, n, None), (self.pass2, n_blocks, single_block))
+        return ((PASS1, n, None), (PASS2, n_blocks, _SINGLE_BLOCK))
 
     def argmin(self, values: np.ndarray) -> None:
         """Launch the reduction of a 1-D device-resident array.

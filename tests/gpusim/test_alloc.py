@@ -1,10 +1,17 @@
 """Allocators: size classes, pooling behaviour, timing, stats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import AllocationError, DeviceOutOfMemoryError
-from repro.gpusim.alloc import CachingAllocator, DirectAllocator, size_class
+from repro.gpusim.alloc import (
+    AllocatorStats,
+    CachingAllocator,
+    DirectAllocator,
+    size_class,
+)
 from repro.gpusim.clock import SimClock
 from repro.gpusim.device import tesla_v100
 from repro.gpusim.memory import GlobalMemory
@@ -171,3 +178,67 @@ class TestCachingAllocator:
             alloc.free(l)
             alloc.free(g)
         assert alloc.stats.pool_misses == misses
+
+
+class TestAllocatorStats:
+    """``copy`` and ``since`` are spelled out field by field for speed; these
+    iterate ``dataclasses.fields`` so a counter added later cannot be
+    silently dropped by either."""
+
+    @staticmethod
+    def distinct(offset: int) -> AllocatorStats:
+        return AllocatorStats(
+            **{
+                f.name: offset + 10 * i
+                for i, f in enumerate(dataclasses.fields(AllocatorStats))
+            }
+        )
+
+    def test_copy_covers_every_field_and_is_independent(self):
+        stats = self.distinct(1)
+        snapshot = stats.copy()
+        assert snapshot is not stats
+        for f in dataclasses.fields(AllocatorStats):
+            assert getattr(snapshot, f.name) == getattr(stats, f.name), f.name
+        stats.allocs += 5
+        assert snapshot.allocs == stats.allocs - 5
+
+    def test_since_subtracts_every_field(self):
+        before, now = self.distinct(1), self.distinct(7)
+        delta = now.since(before)
+        for f in dataclasses.fields(AllocatorStats):
+            assert getattr(delta, f.name) == 6, f.name
+
+    def test_since_then_add_round_trips(self):
+        before, now = self.distinct(2), self.distinct(9)
+        rebuilt = before.copy()
+        rebuilt.add(now.since(before))
+        assert rebuilt == now
+
+    def test_since_matches_a_live_allocator(self):
+        spec, clock, mem = make_allocators()
+        alloc = CachingAllocator(spec, mem, clock)
+        alloc.free(alloc.alloc(1000))
+        before = alloc.stats.copy()
+        alloc.free(alloc.alloc(1000))  # pool hit
+        alloc.alloc(5000)  # pool miss
+        delta = alloc.stats.since(before)
+        assert delta == AllocatorStats(
+            allocs=2,
+            frees=1,
+            pool_hits=1,
+            pool_misses=1,
+            bytes_requested=6000,
+            bytes_reserved=size_class(5000),
+        )
+
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 3), (1, 0)])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_alloc_like_sizes_match_numpy(self, shape, dtype):
+        spec, clock, mem = make_allocators()
+        alloc = DirectAllocator(spec, mem, clock)
+        buf = alloc.alloc_like(shape, dtype)
+        expected = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        assert alloc.stats.bytes_requested == expected
+        assert buf.shape == shape
+        assert buf.nbytes == size_class(expected)

@@ -4,8 +4,9 @@ The launch/cost pipeline (``occupancy``, ``resource_aware_config``,
 ``kernel_cost``) is pure in its arguments, so per-process memoization is a
 host-only optimization — it must never change a simulated second.  These
 tests sweep the cached functions against their ``.uncached`` originals,
-check that distinct device specs and cost params get distinct entries, and
-pin the Launcher's aggregation-first memory behaviour.
+check that distinct device specs and cost params get distinct entries,
+pin the Launcher's aggregation-first memory behaviour, and check that
+fresh engines share interned specs, so a repeated shape is all memo hits.
 """
 
 import numpy as np
@@ -183,7 +184,7 @@ class TestLauncherMemory:
         )
 
     def test_launch_cache_identical_timing(self, v100):
-        """Cached (config, cost) replay advances the clock identically."""
+        """Memoized (config, cost) lookups advance the clock identically."""
         times = []
         for _ in range(2):
             launcher = Launcher(spec=v100, clock=SimClock())
@@ -225,3 +226,124 @@ class TestEngineEquivalenceWithCachesOff:
         assert (
             results[True].elapsed_seconds == results[False].elapsed_seconds
         )
+
+
+# -- shared specs: one object per configuration, process-wide ----------------
+
+#: Every GPU engine family, as ``(registry name, options)``.
+GPU_FAMILIES = {
+    "fastpso": ("fastpso", {}),
+    "fastpso-shared": ("fastpso", {"backend": "shared"}),
+    "fastpso-tc": ("fastpso", {"backend": "tensorcore"}),
+    "fastpso-fp16": ("fastpso", {"half_storage": True}),
+    "fastpso-fused": ("fastpso", {"fuse_update": True}),
+    "gpu-pso": ("gpu-pso", {}),
+    "async": ("fastpso-async", {}),
+    "mgpu2": ("mgpu", {"n_devices": 2}),
+}
+
+
+def _problem(objective: str):
+    from repro.core.problem import Problem
+
+    if objective == "callable":
+        # Particle-granularity objective: fastpso prices it with its
+        # evaluation_kernel_particle spec.
+        return Problem.from_callable(
+            lambda x: float(np.sum(x * x)), 6, (-5.0, 5.0)
+        )
+    return Problem.from_benchmark(objective, 6)
+
+
+def _run(family: str, objective: str = "rastrigin"):
+    """One fresh engine of *family* run to completion; returns
+    ``(engine, result)``.  Twelve iterations cross the promotion ramp."""
+    from repro.core.parameters import PSOParams
+    from repro.engines import make_engine
+
+    name, options = GPU_FAMILIES[family]
+    engine = make_engine(name, **options)
+    result = engine.optimize(
+        _problem(objective), n_particles=24, max_iter=12, params=PSOParams(seed=3)
+    )
+    return engine, result
+
+
+def _devices(engine):
+    """The single-device engines doing the work (a fleet's workers)."""
+    return getattr(engine, "workers", [engine])
+
+
+def _misses() -> dict:
+    return {fn.__name__: fn.cache_info().misses for fn in hostcache._REGISTRY}
+
+
+class TestSharedSpecs:
+    @pytest.mark.parametrize("family", sorted(GPU_FAMILIES))
+    def test_fresh_engines_share_device_and_kernel_specs(self, family):
+        first, _ = _run(family)
+        second, _ = _run(family)
+        for a, b in zip(_devices(first), _devices(second)):
+            assert a.ctx.spec is b.ctx.spec
+            assert a.ctx.launcher.cost_params is b.ctx.launcher.cost_params
+            assert a._kernels.keys() == b._kernels.keys()
+            for key, spec in a._kernels.items():
+                assert spec is b._kernels[key], key
+            for (sa, _, _), (sb, _, _) in zip(
+                a.ctx.reducer.passes(24), b.ctx.reducer.passes(24)
+            ):
+                assert sa is sb
+
+    def test_particle_evaluation_kernel_is_shared(self):
+        first, _ = _run("fastpso", "callable")
+        second, _ = _run("fastpso", "callable")
+        assert "evaluate_particle" in first._kernels
+        assert (
+            first._kernels["evaluate_particle"]
+            is second._kernels["evaluate_particle"]
+        )
+
+    def test_presets_are_one_instance(self):
+        assert tesla_v100() is tesla_v100()
+        assert tesla_a100() is tesla_a100()
+        variant = tesla_v100().with_overrides(sm_count=40)
+        assert variant is not tesla_v100() and variant.sm_count == 40
+        assert tesla_v100().sm_count == 80
+
+    def test_intern_is_off_with_the_host_caches(self):
+        spec = KernelSpec(name="k")
+        assert hostcache.intern(spec) is spec
+        assert hostcache.intern(KernelSpec(name="k")) is spec
+        hostcache.set_enabled(False)
+        fresh = KernelSpec(name="k")
+        assert hostcache.intern(fresh) is fresh
+
+    @pytest.mark.parametrize("family", sorted(GPU_FAMILIES))
+    def test_repeated_shape_job_adds_no_memo_miss(self, family):
+        _run(family)
+        before = _misses()
+        assert sum(before.values()) > 0
+        _run(family)
+        assert _misses() == before
+
+    @pytest.mark.parametrize("family", sorted(GPU_FAMILIES))
+    @pytest.mark.parametrize("objective", ["sphere", "rastrigin"])
+    def test_outputs_identical_with_host_caches_off(self, family, objective):
+        import json
+
+        from repro.io import result_to_dict
+
+        def observe():
+            engine, result = _run(family, objective)
+            return (
+                json.dumps(result_to_dict(result), sort_keys=True),
+                repr(result.elapsed_seconds),
+                [repr(d.profile_report()) for d in _devices(engine)],
+                [repr(d.ctx.allocator.stats) for d in _devices(engine)],
+            )
+
+        cached = observe()
+        warm = observe()
+        hostcache.set_enabled(False)
+        uncached = observe()
+        assert cached == warm == uncached

@@ -91,6 +91,24 @@ class TestDeviceBuffer:
         with pytest.raises(ValueError):
             buf.reshape_view((100,), np.float64)
 
+    @pytest.mark.parametrize("shape", [(), (6,), (3, 2)])
+    def test_exact_fit_accepted_one_byte_short_rejected(self, shape):
+        # Sizes come from math.prod; they must equal NumPy's product,
+        # the empty shape included (one element).
+        logical = int(np.prod(shape, dtype=np.int64)) * 8
+        buf = DeviceBuffer(logical, shape, np.float64)
+        assert buf.array().nbytes == logical
+        with pytest.raises(ValueError, match="bytes"):
+            DeviceBuffer(logical - 1, shape, np.float64)
+        buf.reshape_view(shape, np.float64)
+        with pytest.raises(ValueError, match="pooled block"):
+            buf.reshape_view(shape, np.complex128)
+
+    def test_reshape_view_accepts_numpy_integer_shapes(self):
+        buf = DeviceBuffer(64, (4,), np.float32)
+        buf.reshape_view((np.int64(2), np.int32(4)), np.float64)
+        assert buf.shape == (2, 4) and type(buf.shape[0]) is int
+
     def test_buffer_ids_unique(self):
         a, b = DeviceBuffer(64, (4,), np.float32), DeviceBuffer(64, (4,), np.float32)
         assert a.buffer_id != b.buffer_id

@@ -187,6 +187,103 @@ class TestEngineIntegration:
             )
 
 
+class TestMultiGpuFaults:
+    """A fleet watches no shard buffer, so it refuses ``corrupt`` faults
+    when the injector is attached instead of logging them as fired and
+    damaging nothing; every other kind attaches and fires as on fastpso."""
+
+    CORRUPT = FaultSpec("corrupt", after=20, buffer="positions", elems=4)
+    JOB = dict(n_particles=16, max_iter=10)
+
+    def run(self, specs):
+        engine = make_engine("mgpu", n_devices=2)
+        injector = FaultInjector(specs)
+        engine.attach_fault_injector(injector)
+        result = engine.optimize(
+            Problem.from_benchmark("sphere", 4),
+            params=replace(PAPER_DEFAULTS, seed=1),
+            **self.JOB,
+        )
+        return result, injector
+
+    @pytest.mark.parametrize(
+        "specs",
+        [[CORRUPT], [FaultSpec("stall", after=3, stall_seconds=0.5), CORRUPT]],
+    )
+    def test_engine_refuses_corrupt_at_attach(self, specs):
+        from repro.engines.multi_gpu import CORRUPT_REFUSAL
+
+        engine = make_engine("mgpu", n_devices=2)
+        injector = FaultInjector(specs)
+        with pytest.raises(InvalidParameterError) as err:
+            engine.attach_fault_injector(injector)
+        assert str(err.value) == CORRUPT_REFUSAL
+        assert all(w.ctx.launcher.fault_injector is None for w in engine.workers)
+
+    def test_batch_surfaces_the_refusal(self):
+        from repro.batch import BatchScheduler, Job
+
+        job = Job(
+            "sphere", dim=4, seed=1, engine="mgpu",
+            engine_options={"n_devices": 2}, **self.JOB,
+        )
+        plan = FaultPlan({0: [self.CORRUPT]})
+        with pytest.raises(InvalidParameterError, match="corrupt faults"):
+            BatchScheduler(n_devices=1, faults=plan).run([job])
+
+    def test_serve_fails_the_job_with_the_refusal(self):
+        import asyncio
+        import json
+
+        from repro.batch import Job
+        from repro.engines.multi_gpu import CORRUPT_REFUSAL
+        from repro.serve import OptimizationService
+
+        job = Job(
+            "sphere", dim=4, seed=1, engine="mgpu",
+            engine_options={"n_devices": 2}, **self.JOB,
+        )
+
+        async def main():
+            service = OptimizationService(
+                n_devices=1, faults=FaultPlan({0: [self.CORRUPT]})
+            )
+            ticket = await service.submit(job, at=0.0)
+            await service.drain()
+            return service, ticket
+
+        service, ticket = asyncio.run(main())
+        assert ticket.status == "failed"
+        (failed,) = [
+            e for e in json.loads(service.events_json())["events"]
+            if e["kind"] == "failed"
+        ]
+        assert failed["detail"]["error"] == (
+            f"InvalidParameterError: {CORRUPT_REFUSAL}"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (FaultSpec("launch_failure", after=6), LaunchFailedError),
+            (FaultSpec("device_lost", after=6), DeviceLostError),
+            (FaultSpec("oom", after=3), DeviceOutOfMemoryError),
+        ],
+    )
+    def test_other_kinds_still_fire(self, spec, error):
+        with pytest.raises(error):
+            self.run([spec])
+
+    def test_stall_still_fires(self):
+        clean, _ = self.run([])
+        stalled, injector = self.run(
+            [FaultSpec("stall", after=5, stall_seconds=0.125)]
+        )
+        assert [kind for kind, _ in injector.triggered] == ["stall"]
+        assert stalled.best_value == clean.best_value
+        assert stalled.elapsed_seconds > clean.elapsed_seconds
+
+
 class TestFaultPlan:
     def test_lookup_by_index_then_label(self):
         plan = FaultPlan(
