@@ -594,7 +594,7 @@ class Engine(ABC):
             l_mat,
             g_mat,
             params,
-            self._current_velocity_bounds(problem, params),
+            self._velocity_clip(problem, params),
             out=state.velocities,
             scratch=self._vel_scratch(n, d, dtype),
         )
@@ -687,6 +687,22 @@ class Engine(ABC):
         frac = self._velocity_fraction(params)
         lo, hi = bounds
         return lo * frac, hi * frac
+
+    def _velocity_clip(self, problem: Problem, params: PSOParams):
+        """The Eq. (5) bounds :func:`~repro.core.swarm.velocity_update`
+        clips against at the current iteration.
+
+        Where the problem's domain has one width in every dimension
+        (``problem.uniform_width``), these are two float32 scalars: the
+        same double product ``lo * frac`` as :meth:`_current_velocity_bounds`,
+        rounded once.  Otherwise they are that method's ``(d,)`` vectors.
+        """
+        width = problem.uniform_width
+        if width is None or params.velocity_clamp is None:
+            return self._current_velocity_bounds(problem, params)
+        span = params.velocity_clamp * width
+        frac = self._velocity_fraction(params)
+        return np.float32(-span * frac), np.float32(span * frac)
 
     def _velocity_fraction(self, params: PSOParams) -> float:
         """The share of the full clamp width Eq. (5) allows at the current

@@ -24,12 +24,20 @@ from repro.utils.arrays import as_float_vector
 __all__ = ["Problem"]
 
 
+def _uniform(values: np.ndarray) -> bool:
+    """Whether every entry of a float64 vector has the bits of the first."""
+    bits = values.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
 @dataclass
 class Problem:
     """A bounded minimisation problem for the PSO engines.
 
     Use the :meth:`from_benchmark` / :meth:`from_callable` constructors in
     application code; the raw constructor is for fully custom schemas.
+    The clip bounds are derived from the bounds once, at construction, so
+    change bounds with :func:`dataclasses.replace`, not in place.
     """
 
     name: str
@@ -64,6 +72,18 @@ class Problem:
                 f"evaluator must be an EvaluationSchema, got "
                 f"{type(self.evaluator).__name__}"
             )
+        # Decided once per problem, so no clip checks its bounds per call.
+        # Where every dimension has the same bound (bit for bit), the clips
+        # run against float32 scalars instead of NumPy's per-row broadcast.
+        lo, hi, width = self.lower_bounds, self.upper_bounds, self.domain_width
+        #: The float32 domain bounds ``position_update`` clips against.
+        self.position_clip = (
+            (np.float32(lo[0]), np.float32(hi[0]))
+            if _uniform(lo) and _uniform(hi)
+            else (lo.astype(np.float32), hi.astype(np.float32))
+        )
+        #: The one domain width of every dimension, else ``None``.
+        self.uniform_width = width[0] if _uniform(width) else None
 
     # -- constructors --------------------------------------------------------
     @classmethod

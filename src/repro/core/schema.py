@@ -14,7 +14,9 @@ The Python equivalents keep the same contract: the user supplies a function
 plus a cost profile, and the engines parallelise it without the user writing
 any launch code.  Three schema flavours cover the paper's cases:
 
-* :class:`BuiltinEvaluation` — a registered :class:`BenchmarkFunction`.
+* :class:`BuiltinEvaluation` — a registered :class:`BenchmarkFunction`,
+  scored in row blocks of at most :data:`BLOCK_ELEMENTS` elements, the
+  host's bounded slice of the grid-stride loop.
 * :class:`ElementwiseEvaluation` — a per-element transform ``g(x_ij)`` (or
   ``g(x_ij, j)``) combined by a row reduction; maps to the element-wise
   template above.
@@ -40,6 +42,14 @@ __all__ = [
     "ElementwiseEvaluation",
     "ParticleEvaluation",
 ]
+
+#: Most elements of ``positions`` one call of a registry function scores:
+#: :class:`BuiltinEvaluation` walks larger swarms in blocks of
+#: ``BLOCK_ELEMENTS // d`` rows, so each float64 temporary of the
+#: function's expression stays at 64 KiB or less, under glibc's default
+#: 128 KiB mmap threshold, and the heap stops growing and trimming around
+#: every evaluation.
+BLOCK_ELEMENTS = 8192
 
 _REDUCERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sum": lambda terms: np.sum(terms, axis=1),
@@ -79,7 +89,15 @@ class EvaluationSchema(ABC):
 
 
 class BuiltinEvaluation(EvaluationSchema):
-    """Schema wrapper over a registered benchmark function."""
+    """Schema wrapper over a registered benchmark function.
+
+    Like the paper's grid-stride ``evaluation_kernel``, it scores the swarm
+    in bounded slices: a function whose ``row_blocks`` is set sees at most
+    :data:`BLOCK_ELEMENTS` elements per call, and the row blocks are written
+    into one ``(n,)`` float64 result that is checked once.  A function that
+    blocks gives each row the same bits whatever the rows around it, so
+    the values are bit-identical to one whole-matrix call.
+    """
 
     granularity = "elementwise"
 
@@ -91,8 +109,21 @@ class BuiltinEvaluation(EvaluationSchema):
         self.function = function
 
     def evaluate(self, positions: np.ndarray) -> np.ndarray:
-        values = self.function.evaluate(positions)
-        return self._check_output(values, positions.shape[0])
+        function, n = self.function, positions.shape[0]
+        rows = n
+        if function.row_blocks and positions.ndim == 2 and positions.shape[1]:
+            # A row wider than the budget is scored with the whole matrix:
+            # above 8192 elements NumPy sums a one-row einsum in another
+            # order than the same row of a taller matrix.
+            rows = BLOCK_ELEMENTS // positions.shape[1] or n
+        if rows >= n:
+            return self._check_output(function.evaluate(positions), n)
+        values = np.empty(n)
+        for start in range(0, n, rows):
+            values[start:start + rows] = function.evaluate(
+                positions[start:start + rows]
+            )
+        return self._check_output(values, n)
 
     def profile(self) -> EvalProfile:
         return self.function.profile()

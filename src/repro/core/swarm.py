@@ -161,7 +161,9 @@ def velocity_update(
     l_weights: np.ndarray,
     g_weights: np.ndarray,
     params: PSOParams,
-    velocity_bounds: tuple[np.ndarray, np.ndarray] | None,
+    velocity_bounds: tuple[np.ndarray, np.ndarray]
+    | tuple[np.float32, np.float32]
+    | None,
     *,
     out: np.ndarray | None = None,
     multiply_add=None,
@@ -176,6 +178,13 @@ def velocity_update(
     is called as ``multiply_add(weights, pull, out=pull)`` and must write
     the float32 product into *out*.
     All arithmetic stays in float32.
+
+    *velocity_bounds* is Eq. (5)'s ``(lo, hi)`` clamp, cast to float32
+    before the clip: ``(d,)`` vectors, or two float32 scalars when every
+    dimension has the same bound (:meth:`Engine._velocity_clip
+    <repro.core.engine.Engine._velocity_clip>` decides from the problem's
+    ``uniform_width``).  The scalars clip each element to the same bits
+    the vectors would, without NumPy's per-row broadcast loop.
 
     *scratch* — a pair of ``(n, d)`` float32 buffers — routes the pull
     terms through preallocated storage instead of four fresh temporaries.
@@ -250,15 +259,16 @@ def position_update(
     problem: Problem,
     params: PSOParams,
 ) -> np.ndarray:
-    """Eq. (2): ``P' = P + V'`` (optionally clipped to the domain)."""
+    """Eq. (2): ``P' = P + V'`` (optionally clipped to the domain).
+
+    The clip runs against ``problem.position_clip``, the float32 bounds the
+    problem computed once: two scalars when every dimension has the same
+    bound, else ``(d,)`` vectors.  Both give the same bits.
+    """
     positions += velocities
     if params.clip_positions:
-        np.clip(
-            positions,
-            problem.lower_bounds.astype(np.float32),
-            problem.upper_bounds.astype(np.float32),
-            out=positions,
-        )
+        lo, hi = problem.position_clip
+        np.clip(positions, lo, hi, out=positions)
     return positions
 
 

@@ -106,7 +106,7 @@ class AsyncFastPSOEngine(FastPSOEngine):
         and best-keeping."""
         params = self._scheduled_params(params)
         n, d = state.n_particles, state.dim
-        vbounds = self._current_velocity_bounds(problem, params)
+        vbounds = self._velocity_clip(problem, params)
         # One pair of weight matrices per iteration, drawn up front — the
         # same Philox consumption as the synchronous engine, which is what
         # makes the n_chunks=1 schedule bitwise identical to FastPSO.

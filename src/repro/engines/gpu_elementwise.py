@@ -428,7 +428,7 @@ class FastPSOEngine(Engine):
             l_mat,
             g_mat,
             params,
-            self._current_velocity_bounds(problem, params),
+            self._velocity_clip(problem, params),
         )
         if self.fuse_update:
             with kernel("fused_update"):

@@ -5,6 +5,9 @@ Griewank and Easom, citing the Molga & Smutnicki test-function collection)
 and a schema for user-defined ones.  A :class:`BenchmarkFunction` carries:
 
 * NumPy semantics (:meth:`evaluate`) over an ``(n, d)`` position matrix,
+  each row scored independently of the others (so
+  :class:`~repro.core.schema.BuiltinEvaluation` may score the matrix in
+  row blocks, see ``row_blocks``),
 * its search domain and the optimum used for error reporting, and
 * an :class:`EvalProfile` — the per-element instruction/byte mix of its GPU
   evaluation kernel, consumed by the cost model (transcendental-heavy
@@ -68,6 +71,12 @@ class BenchmarkFunction(ABC):
     name: str = ""
     #: Per-dimension search domain (lo, hi), applied to every coordinate.
     domain: tuple[float, float] = (-1.0, 1.0)
+    #: Whether :class:`~repro.core.schema.BuiltinEvaluation` scores a large
+    #: swarm in row blocks of at most ``BLOCK_ELEMENTS`` elements instead of
+    #: one whole-matrix call.  A function opts out where a row's value could
+    #: depend on how many rows share the call, or where blocking does not
+    #: pay.
+    row_blocks: bool = True
 
     @abstractmethod
     def evaluate(self, positions: np.ndarray) -> np.ndarray:

@@ -50,6 +50,7 @@ class Shifted(BenchmarkFunction):
             raise InvalidProblemError("offset must be a 1-D vector")
         self.name = f"shifted_{inner.name}"
         self.domain = inner.domain
+        self.row_blocks = inner.row_blocks
 
     def _offset_for(self, dim: int) -> np.ndarray:
         return as_float_vector(self.offset, name="offset", dim=dim)
@@ -97,6 +98,9 @@ class Rotated(BenchmarkFunction):
         self.rotation = q
         self.name = f"rotated_{inner.name}"
         self.domain = inner.domain
+        # A BLAS matrix product is not promised the same bits per row for
+        # every row count, so the rotation always sees the whole swarm.
+        self.row_blocks = False
 
     def _centre(self) -> float:
         lo, hi = self.domain

@@ -21,6 +21,10 @@ __all__ = ["Zakharov"]
 class Zakharov(BenchmarkFunction):
     name = "zakharov"
     domain = (-5.0, 10.0)
+    # Its BLAS matrix-vector product gives a row other bits on other row
+    # counts, and it builds no (n, d) temporary beyond the float64 copy
+    # (blocked calls measured slower).
+    row_blocks = False
 
     def evaluate(self, positions: np.ndarray) -> np.ndarray:
         p = self._validated(positions)

@@ -28,9 +28,14 @@ from repro.gpusim.profiler import build_report, build_report_from_stats
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
+    # These tests exercise the caches themselves, so they run with caching
+    # on even in a ``REPRO_NO_HOST_CACHE=1`` session, which gets its switch
+    # back afterwards.
+    enabled = hostcache.cache_enabled()
+    hostcache.set_enabled(True)
     hostcache.clear_all_caches()
     yield
-    hostcache.set_enabled(True)
+    hostcache.set_enabled(enabled)
     hostcache.clear_all_caches()
 
 
